@@ -31,7 +31,6 @@ from kinseg import metrics as _metrics
 from kinseg import preprocess as _preprocess
 from kinseg import synth as _synth
 from kinseg.ingest import (
-    Demonstration,
     ParseError,
     Transcript,
     compress_labels,
@@ -162,12 +161,17 @@ def _validate(config: RunConfig) -> None:
 
 @dataclass
 class LoadedDemo:
-    demo: Demonstration
+    """What every run needs of a recording; the raw frames are not kept."""
+
+    features: _preprocess.FeatureMatrix  # before any feature subset or window
+    kinematic: bool  # features from the kinematic pipeline, not raw columns
+    n_frames: int  # length of the recording's frame grid
     transcript: Transcript | None
 
 
 def load_dataset(config: RunConfig) -> dict[str, LoadedDemo]:
-    """Read every recording (and its transcript when present), sorted by id."""
+    """Read every recording (and its transcript when present), sorted by id,
+    and build its base features once for every run of the command."""
     kin_dir = os.path.join(config.data_dir, "kinematics")
     if not os.path.isdir(kin_dir):
         raise OSError(f"no kinematics directory at {kin_dir}")
@@ -200,7 +204,17 @@ def load_dataset(config: RunConfig) -> dict[str, LoadedDemo]:
                     transcript = parse_transcript(fh)
                 except ParseError as exc:
                     raise ParseError(f"{demo_id}.txt: {exc}") from None
-        dataset[demo_id] = LoadedDemo(demo, transcript)
+        mode = config.preprocessing
+        kinematic = mode == "kinematic" or (mode == "auto" and demo.n_channels == 38)
+        if kinematic:
+            features = _preprocess.build_features(
+                demo, fc_hz=config.fc_hz, subsample_factor=config.subsample_factor
+            )
+        else:
+            features = _preprocess.raw_features(
+                demo, subsample_factor=config.subsample_factor
+            )
+        dataset[demo_id] = LoadedDemo(features, kinematic, demo.n_frames, transcript)
     return dataset
 
 
@@ -219,23 +233,16 @@ def _load_mapping(config: RunConfig):
     return mapping, sidecar
 
 
-def _features(config: RunConfig, demo: Demonstration):
-    mode = config.preprocessing
-    if mode == "auto":
-        mode = "kinematic" if demo.n_channels == 38 else "raw"
-    if mode == "kinematic":
-        return _preprocess.build_features(
-            demo,
-            config.feature_subset,
-            fc_hz=config.fc_hz,
-            subsample_factor=config.subsample_factor,
-        )
-    if config.feature_subset != "all":
+def _run_features(config: RunConfig, demo_id: str, item: LoadedDemo):
+    """The base features masked to the run's feature subset."""
+    if config.feature_subset == "all":
+        return item.features
+    if not item.kinematic:
         raise ConfigError(
             "feature subsets apply only to the kinematic pipeline "
-            f"(demonstration {demo.id!r} is processed raw)"
+            f"(demonstration {demo_id!r} is processed raw)"
         )
-    return _preprocess.raw_features(demo, subsample_factor=config.subsample_factor)
+    return _preprocess.select_channels(item.features, config.feature_subset)
 
 
 @dataclass
@@ -303,7 +310,7 @@ def run_pipeline(config: RunConfig, dataset: dict[str, LoadedDemo]) -> RunResult
 
     augmented: dict[str, _preprocess.AugmentedMatrix] = {}
     for demo_id, item in dataset.items():
-        fm = _features(config, item.demo)
+        fm = _run_features(config, demo_id, item)
         augmented[demo_id] = _preprocess.augment(fm, config.window)
 
     fit_ids = [d for d in dataset if d not in set(config.init_demos)]
@@ -327,7 +334,7 @@ def run_pipeline(config: RunConfig, dataset: dict[str, LoadedDemo]) -> RunResult
         row_labels, _ = _gmm.predict_labels(model, X)
         row_predictions[demo_id] = row_labels
         predictions[demo_id] = _preprocess.rows_to_frames(
-            row_labels, X, item.demo.n_frames
+            row_labels, X, item.n_frames
         )
 
     with_accuracy = model.has_labels()
@@ -342,7 +349,7 @@ def run_pipeline(config: RunConfig, dataset: dict[str, LoadedDemo]) -> RunResult
             continue
         item = dataset[demo_id]
         X = augmented[demo_id]
-        truth_frames = expand_labels(transcripts[demo_id], item.demo.n_frames, FILL)
+        truth_frames = expand_labels(transcripts[demo_id], item.n_frames, FILL)
         truth_rows = _preprocess.labels_at_rows(truth_frames, X, X.n_rows)
         per_demo[demo_id] = _score(
             predictions[demo_id],
@@ -381,7 +388,7 @@ def _weak_init_model(config, dataset, transcripts, augmented) -> _gmm.GmmModel:
             )
         item = dataset[demo_id]
         X = augmented[demo_id]
-        frame_labels = expand_labels(transcripts[demo_id], item.demo.n_frames, FILL)
+        frame_labels = expand_labels(transcripts[demo_id], item.n_frames, FILL)
         row_labels = _preprocess.labels_at_rows(frame_labels, X, X.n_rows)
         keep = [i for i, lab in enumerate(row_labels) if lab != FILL]
         if not keep:
@@ -404,19 +411,6 @@ def _kmeans_init_model(config, transcripts, augmented, fit_ids) -> _gmm.GmmModel
         k = len(labels)
     fit_data = np.vstack([augmented[d].values for d in fit_ids])
     return _gmm.kmeans_init(fit_data, k, config.seed)
-
-
-def _augmented_feature_names(config, dataset, X) -> list[str]:
-    demo = next(iter(dataset.values())).demo
-    mode = config.preprocessing
-    if mode == "auto":
-        mode = "kinematic" if demo.n_channels == 38 else "raw"
-    if mode == "kinematic":
-        _, kept = _preprocess.resolve_subset(config.feature_subset)
-        base = [_preprocess.FULL_CHANNEL_NAMES[i] for i in kept]
-    else:
-        base = demo.channel_names or [f"c{i}" for i in range(X.base_channels)]
-    return [f"{name}_t{w}" for w in range(X.window + 1) for name in base]
 
 
 def _write_segment_outputs(config, dataset, result: RunResult) -> None:
@@ -442,12 +436,12 @@ def _write_segment_outputs(config, dataset, result: RunResult) -> None:
 
     for demo_id in sorted(dataset):
         X = result.augmented[demo_id]
-        names = _augmented_feature_names(config, {demo_id: dataset[demo_id]}, X)
         points = _gmm.transition_points(result.row_predictions[demo_id], X)
         path = os.path.join(out, "transitions", f"{demo_id}.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["row_index", "from_label", "to_label"] + names)
+            header = ["row_index", "from_label", "to_label"] + X.channel_names
+            writer.writerow(header)
             for p in points:
                 writer.writerow(
                     [p.row, p.from_label, p.to_label]
@@ -482,39 +476,22 @@ def _metric_row(report: _metrics.EvaluationReport) -> list[str]:
     ]
 
 
-def cmd_sweep_window(config: RunConfig, w_values: list[int]) -> int:
+def _sweep(config: RunConfig, field: str, values: list, csv_name: str) -> int:
+    """One pipeline run and CSV row of metrics per value of a config field
+    that leaves the base features unchanged (window or feature_subset)."""
+    name = field.removeprefix("feature_")
     dataset = load_dataset(config)
     rows = []
-    for w in w_values:
-        run_config = dataclasses.replace(config, window=w)
-        result = run_pipeline(run_config, dataset)
-        rows.append([str(w)] + _metric_row(result.report))
-        print(f"window={w}: ", end="")
+    for value in values:
+        result = run_pipeline(dataclasses.replace(config, **{field: value}), dataset)
+        rows.append([str(value)] + _metric_row(result.report))
+        print(f"{name}={value}: ", end="")
         _print_report_line(result.report)
     os.makedirs(config.output_dir, exist_ok=True)
-    path = os.path.join(config.output_dir, "sweep_window.csv")
+    path = os.path.join(config.output_dir, csv_name)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["window", "accuracy", "nmi", "si_pred", "si_truth"])
-        writer.writerows(rows)
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
-def cmd_ablate(config: RunConfig, subsets: list[str]) -> int:
-    dataset = load_dataset(config)
-    rows = []
-    for subset in subsets:
-        run_config = dataclasses.replace(config, feature_subset=subset)
-        result = run_pipeline(run_config, dataset)
-        rows.append([subset] + _metric_row(result.report))
-        print(f"subset={subset}: ", end="")
-        _print_report_line(result.report)
-    os.makedirs(config.output_dir, exist_ok=True)
-    path = os.path.join(config.output_dir, "ablate.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["subset", "accuracy", "nmi", "si_pred", "si_truth"])
+        writer.writerow([name, "accuracy", "nmi", "si_pred", "si_truth"])
         writer.writerows(rows)
     print(f"wrote {path}")
     return EXIT_OK
@@ -647,7 +624,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated window lengths",
     )
     p.set_defaults(
-        run=lambda args: cmd_sweep_window(resolve_config(args), args.w_values)
+        run=lambda args: _sweep(
+            resolve_config(args), "window", args.w_values, "sweep_window.csv"
+        )
     )
 
     p = sub.add_parser("ablate", help="repeat a run across feature subsets")
@@ -658,7 +637,11 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated subset names",
     )
-    p.set_defaults(run=lambda args: cmd_ablate(resolve_config(args), args.subsets))
+    p.set_defaults(
+        run=lambda args: _sweep(
+            resolve_config(args), "feature_subset", args.subsets, "ablate.csv"
+        )
+    )
 
     p = sub.add_parser("synth", help="generate a labeled synthetic dataset")
     p.add_argument("--output-dir", dest="output_dir", required=True)

@@ -134,8 +134,38 @@ def parse_kinematics(
 
 
 def _parse_jigsaws(text, *, id, sample_rate_hz):
+    stream = io.StringIO(text) if isinstance(text, str) else text
+    frames = _load_jigsaws(stream) if stream.seekable() else None
+    return Demonstration(
+        id=id,
+        frames=_parse_jigsaws_lines(stream) if frames is None else frames,
+        sample_rate_hz=sample_rate_hz if sample_rate_hz is not None else JIGSAWS_RATE_HZ,
+        channel_names=list(PSM_CHANNEL_NAMES),
+    )
+
+
+def _load_jigsaws(stream) -> np.ndarray | None:
+    """Fast path through np.loadtxt; blank input raises ParseError. Returns
+    None, with the stream rewound, when the input is malformed, so that the
+    line parser can report where."""
+    start = stream.tell()
+    if not any(line.strip() for line in iter(stream.readline, "")):
+        raise ParseError("empty input")
+    stream.seek(start)
+    try:
+        values = np.loadtxt(stream, comments=None, ndmin=2)
+    except ValueError:
+        values = np.empty((0, 0))
+    if values.shape[1] == JIGSAWS_TOTAL_COLUMNS and np.all(np.isfinite(values)):
+        return np.ascontiguousarray(values[:, -PSM_COLUMNS:])
+    stream.seek(start)
+    return None
+
+
+def _parse_jigsaws_lines(stream) -> np.ndarray:
+    """Line-by-line parse; its errors carry the 1-based line number."""
     rows = []
-    for lineno, line in _lines(text):
+    for lineno, line in _lines(stream):
         tokens = line.split()
         if len(tokens) != JIGSAWS_TOTAL_COLUMNS:
             raise ParseError(
@@ -150,12 +180,7 @@ def _parse_jigsaws(text, *, id, sample_rate_hz):
         rows.append(values[-PSM_COLUMNS:])
     if not rows:
         raise ParseError("empty input")
-    return Demonstration(
-        id=id,
-        frames=np.array(rows, dtype=float),
-        sample_rate_hz=sample_rate_hz if sample_rate_hz is not None else JIGSAWS_RATE_HZ,
-        channel_names=list(PSM_CHANNEL_NAMES),
-    )
+    return np.array(rows, dtype=float)
 
 
 def _parse_csv(text, *, id, sample_rate_hz):

@@ -88,6 +88,7 @@ class AugmentedMatrix:
     base_channels: int
     frame_origin: int = 0
     frame_stride: int = 1
+    channel_names: list[str] = field(default_factory=list)  # "<name>_t<w>"
 
     @property
     def n_rows(self) -> int:
@@ -98,73 +99,43 @@ class AugmentedMatrix:
 
 
 def rotmat_to_quat(R: np.ndarray) -> np.ndarray:
-    """Convert a proper rotation matrix to a unit quaternion (w, x, y, z).
+    """Convert rotation matrices (..., 3, 3) to unit quaternions (w, x, y, z).
 
     Uses the largest-pivot construction for numerical robustness; the sign
-    is canonicalized so w >= 0. Raises ValueError if R is not orthonormal
-    with positive determinant within 1e-6.
+    is canonicalized so w >= 0. Raises ValueError if any matrix is not
+    orthonormal with positive determinant within 1e-6.
     """
     R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
-        raise ValueError("R must be 3x3")
-    err = np.max(np.abs(R.T @ R - np.eye(3)))
-    if err > 1e-6:
-        raise ValueError(f"matrix is not orthonormal (deviation {err:.2e})")
-    if np.linalg.det(R) < 0:
-        raise ValueError("matrix is a reflection, not a rotation")
+    if R.ndim < 2 or R.shape[-2:] != (3, 3):
+        raise ValueError("R must be 3x3 or a stack of 3x3 matrices")
+    M = R.reshape(-1, 3, 3)
+    err = np.abs(M.transpose(0, 2, 1) @ M - np.eye(3)).max(axis=(1, 2), initial=0.0)
+    det = np.linalg.det(M)
+    bad = np.flatnonzero((err > 1e-6) | (det < 0))
+    if bad.size:  # report the first bad frame, as a per-frame loop would
+        i = bad[0]
+        at = f" (frame {i})" if R.ndim > 2 else ""
+        if err[i] > 1e-6:
+            raise ValueError(f"matrix is not orthonormal (deviation {err[i]:.2e}){at}")
+        raise ValueError(f"matrix is a reflection, not a rotation{at}")
 
-    t = np.trace(R)
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = M.reshape(-1, 9).T
     # Candidate squared magnitudes 4*q_i^2 for (w, x, y, z).
-    cand = np.array(
-        [
-            1.0 + t,
-            1.0 + R[0, 0] - R[1, 1] - R[2, 2],
-            1.0 - R[0, 0] + R[1, 1] - R[2, 2],
-            1.0 - R[0, 0] - R[1, 1] + R[2, 2],
-        ]
-    )
-    i = int(np.argmax(cand))
-    s = 2.0 * np.sqrt(max(cand[i], 0.0))
-    if i == 0:
-        q = np.array(
-            [
-                s / 4.0,
-                (R[2, 1] - R[1, 2]) / s,
-                (R[0, 2] - R[2, 0]) / s,
-                (R[1, 0] - R[0, 1]) / s,
-            ]
-        )
-    elif i == 1:
-        q = np.array(
-            [
-                (R[2, 1] - R[1, 2]) / s,
-                s / 4.0,
-                (R[0, 1] + R[1, 0]) / s,
-                (R[0, 2] + R[2, 0]) / s,
-            ]
-        )
-    elif i == 2:
-        q = np.array(
-            [
-                (R[0, 2] - R[2, 0]) / s,
-                (R[0, 1] + R[1, 0]) / s,
-                s / 4.0,
-                (R[1, 2] + R[2, 1]) / s,
-            ]
-        )
-    else:
-        q = np.array(
-            [
-                (R[1, 0] - R[0, 1]) / s,
-                (R[0, 2] + R[2, 0]) / s,
-                (R[1, 2] + R[2, 1]) / s,
-                s / 4.0,
-            ]
-        )
-    q /= np.linalg.norm(q)
-    if q[0] < 0:
-        q = -q
-    return q
+    cand = np.stack([1.0 + (r00 + r11 + r22), 1.0 + r00 - r11 - r22,
+                     1.0 - r00 + r11 - r22, 1.0 - r00 - r11 + r22])
+    rows = np.arange(len(M))
+    pivot = np.argmax(cand, axis=0)
+    s = 2.0 * np.sqrt(np.maximum(cand[pivot, rows], 0.0))
+    # Off-pivot numerators and where each pivot puts them in (w, x, y, z);
+    # the pivot's own slot is then overwritten with s / 4.
+    num = np.stack([r21 - r12, r02 - r20, r10 - r01, r01 + r10, r02 + r20, r12 + r21])
+    layout = np.array([[0, 0, 1, 2], [0, 0, 3, 4], [1, 3, 0, 5], [2, 4, 5, 0]])
+    q = num[layout[pivot], rows[:, None]] / s[:, None]
+    q[rows, pivot] = s / 4.0
+    # One dot product per row: the same sum as np.linalg.norm of a 4-vector.
+    q /= np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
+    q[q[:, 0] < 0] *= -1.0
+    return q.reshape(R.shape[:-2] + (4,))
 
 
 def quat_to_rotmat(q: np.ndarray) -> np.ndarray:
@@ -188,31 +159,45 @@ def lowpass_filter(signal: np.ndarray, fc_hz: float, fs_hz: float) -> np.ndarray
     The section is designed by bilinear transform with prewarping; the net
     magnitude response is the square of the single-pass response. Edges are
     handled by reflective padding of 3x the filter order, cropped after the
-    backward pass.
+    backward pass. A T x p matrix is filtered per column.
     """
-    x = np.asarray(signal, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("signal must be 1-D")
-    if x.size < 4:
+    rows = _column_rows(signal)
+    n = rows.shape[1]
+    if n < 4:
         raise ValueError("signal too short to filter (need length >= 4)")
     if not 0 < fc_hz < fs_hz / 2:
         raise ValueError(
             f"cutoff {fc_hz} Hz must lie in (0, Nyquist={fs_hz / 2} Hz)"
         )
     b, a = _signal.butter(FILTER_ORDER, fc_hz, btype="low", fs=fs_hz)
-    padlen = min(3 * FILTER_ORDER, x.size - 1)
-    return _signal.filtfilt(b, a, x, padtype="even", padlen=padlen)
+    padlen = min(3 * FILTER_ORDER, n - 1)
+    out = _signal.filtfilt(b, a, rows, axis=1, padtype="even", padlen=padlen)
+    return out.T.reshape(np.shape(signal))
 
 
 def zscore(signal: np.ndarray) -> np.ndarray:
-    """Normalize to zero mean, unit variance; constant input maps to zeros."""
-    x = np.asarray(signal, dtype=float)
-    if x.size < 2:
+    """Normalize to zero mean, unit variance, per column of a T x p matrix;
+    a constant column maps to zeros (also when rounding makes its sd > 0)."""
+    rows = _column_rows(signal)
+    if rows.shape[1] < 2:
         raise ValueError("need at least 2 samples")
-    sd = x.std()
-    if sd == 0:
-        return np.zeros_like(x)
-    return (x - x.mean()) / sd
+    sd = rows.std(axis=1, keepdims=True)
+    scaled = (np.ptp(rows, axis=1, keepdims=True) != 0) & (sd != 0)
+    centered = rows - rows.mean(axis=1, keepdims=True)
+    out = np.divide(centered, sd, out=np.zeros_like(rows), where=scaled)
+    return out.T.reshape(np.shape(signal))
+
+
+def _column_rows(signal) -> np.ndarray:
+    """A length-T signal or T x p matrix as p contiguous rows of length T.
+
+    Filtering and reducing contiguous rows gives each column bit-for-bit
+    the result of the 1-D call.
+    """
+    x = np.asarray(signal, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ValueError("signal must be 1-D or a T x p matrix")
+    return np.ascontiguousarray(x[None, :] if x.ndim == 1 else x.T)
 
 
 def distance_features(pos_right: np.ndarray, pos_left: np.ndarray) -> np.ndarray:
@@ -227,14 +212,17 @@ def distance_features(pos_right: np.ndarray, pos_left: np.ndarray) -> np.ndarray
 
 
 def subsample(fm: FeatureMatrix, factor: int) -> FeatureMatrix:
-    """Keep rows 0, factor, 2*factor, ...; rate and stride adjust with it."""
+    """Keep rows 0, factor, 2*factor, ...; rate and stride adjust with it.
+
+    The kept rows are copied, so the full-rate matrix is not held alive.
+    """
     if factor < 1:
         raise ValueError("factor must be >= 1")
     if factor == 1:
         return fm
     return replace(
         fm,
-        values=fm.values[::factor],
+        values=np.ascontiguousarray(fm.values[::factor]),
         sample_rate_hz=fm.sample_rate_hz / factor,
         frame_stride=fm.frame_stride * factor,
     )
@@ -265,7 +253,7 @@ def resolve_subset(subset) -> tuple[str, list[int]]:
 
 def _arm_features(arm: np.ndarray) -> np.ndarray:
     """19 raw per-arm channels -> 14 (rotation matrix becomes a quaternion)."""
-    quats = np.array([rotmat_to_quat(row[3:12].reshape(3, 3)) for row in arm])
+    quats = rotmat_to_quat(arm[:, 3:12].reshape(-1, 3, 3))
     return np.hstack([arm[:, 0:3], quats, arm[:, 12:19]])
 
 
@@ -279,7 +267,8 @@ def build_features(
     """Run the fixed preprocessing pipeline on a 38-channel demonstration.
 
     Order: quaternion conversion, distance channels (from unnormalized
-    positions), low-pass filter, z-score, subsample, then subset masking.
+    positions), low-pass filter, z-score, subsample, then subset masking
+    (select_channels). Filter and z-score work per channel.
     """
     if demo.n_channels != 38:
         raise ValueError(
@@ -293,16 +282,16 @@ def build_features(
             distance_features(right[:, 0:3], left[:, 0:3]),
         ]
     )
-    values = np.column_stack(
-        [lowpass_filter(values[:, c], fc_hz, demo.sample_rate_hz) for c in range(32)]
-    )
-    values = np.column_stack([zscore(values[:, c]) for c in range(32)])
-    fm = FeatureMatrix(
-        values=values,
-        sample_rate_hz=demo.sample_rate_hz,
-        channel_names=list(FULL_CHANNEL_NAMES),
-    )
-    fm = subsample(fm, subsample_factor)
+    values = zscore(lowpass_filter(values, fc_hz, demo.sample_rate_hz))
+    fm = FeatureMatrix(values, demo.sample_rate_hz, list(FULL_CHANNEL_NAMES))
+    return select_channels(subsample(fm, subsample_factor), subset)
+
+
+def select_channels(fm: FeatureMatrix, subset) -> FeatureMatrix:
+    """Keep the channels of a feature subset (see resolve_subset) of the
+    32-channel kinematic features."""
+    if fm.n_channels != 32:
+        raise ValueError(f"subsets need the 32 kinematic channels, got {fm.n_channels}")
     _, kept = resolve_subset(subset)
     if len(kept) == 32:
         return fm
@@ -326,7 +315,8 @@ def raw_features(demo: Demonstration, *, subsample_factor: int = 1) -> FeatureMa
 def augment(fm: FeatureMatrix, window: int) -> AugmentedMatrix:
     """Stack W+1 consecutive frames: row t = [x(t), ..., x(t+W)].
 
-    The label of augmented row t is the label of frame t.
+    The label of augmented row t is the label of frame t. Column names are
+    "<channel>_t<w>"; unnamed channels are called c0, c1, ...
     """
     if window < 0:
         raise ValueError("window must be >= 0")
@@ -334,12 +324,14 @@ def augment(fm: FeatureMatrix, window: int) -> AugmentedMatrix:
     if T <= window:
         raise ValueError(f"need more than {window} frames, got {T}")
     blocks = [fm.values[w : T - window + w] for w in range(window + 1)]
+    names = fm.channel_names or [f"c{i}" for i in range(fm.n_channels)]
     return AugmentedMatrix(
         values=np.hstack(blocks),
         window=window,
         base_channels=fm.n_channels,
         frame_origin=fm.frame_origin,
         frame_stride=fm.frame_stride,
+        channel_names=[f"{name}_t{w}" for w in range(window + 1) for name in names],
     )
 
 

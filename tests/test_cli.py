@@ -224,10 +224,86 @@ class TestSweepAndAblate:
         assert cells[1] == ""  # kmeans runs carry no accuracy
         assert float(cells[2]) == report["nmi"]
 
+    def test_ablate_builds_features_once_per_demo(self, robot_dir, tmp_path, build_calls):
+        subsets = ["all", "no-pose", "1", "29"]
+        common = [
+            "--data-dir", str(robot_dir),
+            "--init", "weak",
+            "--init-demos", "run0",
+            "--window", "1",
+            "--seed", "3",
+        ]
+        code = main(
+            ["ablate", "--output-dir", str(tmp_path / "abl"),
+             "--subsets", ",".join(subsets)] + common
+        )
+        assert code == 0
+        assert build_calls == ["run0", "run1"]
+        rows = (tmp_path / "abl" / "ablate.csv").read_text().splitlines()[1:]
+        assert [row.split(",", 1)[0] for row in rows] == subsets
+        # each row matches a separate segment run with that subset
+        for subset, row in zip(subsets, rows):
+            out = tmp_path / f"seg-{subset}"
+            assert main(
+                ["segment", "--output-dir", str(out), "--subset", subset] + common
+            ) == 0
+            report = json.loads((out / "report.json").read_text())
+            expected = [
+                "" if report[k] is None else repr(float(report[k]))
+                for k in ("accuracy", "nmi", "si_pred", "si_truth")
+            ]
+            assert row.split(",")[1:] == expected
+
+    def test_sweep_builds_features_once_per_demo(self, robot_dir, tmp_path, build_calls):
+        argv = [
+            "sweep-window",
+            "--data-dir", str(robot_dir),
+            "--output-dir", str(tmp_path / "sw"),
+            "--init", "weak",
+            "--init-demos", "run0",
+            "--subset", "no-distance",
+            "--w-values", "0,1,2",
+        ]
+        assert main(argv) == 0
+        assert build_calls == ["run0", "run1"]
+
+    def test_subset_transitions_header(self, robot_dir, tmp_path):
+        out = tmp_path / "seg"
+        argv = [
+            "segment",
+            "--data-dir", str(robot_dir),
+            "--output-dir", str(out),
+            "--init", "weak",
+            "--init-demos", "run0",
+            "--window", "1",
+            "--subset", "32,1",
+        ]
+        assert main(argv) == 0
+        header = (out / "transitions" / "run1.csv").read_text().splitlines()[0]
+        assert header == (
+            "row_index,from_label,to_label,right_pos_x_t0,dist_t0,right_pos_x_t1,dist_t1"
+        )
+
     def test_subset_rejected_on_raw_data(self, synth_dir, tmp_path, capsys):
         code = run_segment(synth_dir, tmp_path / "x", ["--subset", "no-pose"])
         assert code == 1
         assert "kinematic" in capsys.readouterr().err
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    """Ids of the demonstrations passed to build_features, in call order."""
+    import kinseg.preprocess as pp
+
+    calls = []
+    real = pp.build_features
+
+    def counted(demo, *args, **kwargs):
+        calls.append(demo.id)
+        return real(demo, *args, **kwargs)
+
+    monkeypatch.setattr(pp, "build_features", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

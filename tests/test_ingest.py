@@ -1,6 +1,12 @@
+import io
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kinseg import ingest
 from kinseg.ingest import (
     Demonstration,
     ParseError,
@@ -58,6 +64,107 @@ class TestParseKinematicsJigsaws:
     def test_unknown_layout(self):
         with pytest.raises(ValueError, match="layout"):
             parse_kinematics("1.0", "weird")
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+separators = st.sampled_from([" ", "  ", "\t", " \t "])
+
+
+@st.composite
+def jigsaws_texts(draw):
+    """Valid robot-layout text: 76 reals a line, mixed whitespace, blank lines."""
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+        values = draw(st.lists(finite_floats, min_size=76, max_size=76))
+        fmt = draw(st.sampled_from([repr, "{:.6g}".format, "{:.17e}".format]))
+        sep = draw(separators)
+        lines.append(draw(st.sampled_from(["", " "])) + sep.join(map(fmt, values)))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n", "\n\n"]))
+
+
+def parse_both(text):
+    """(fast-path result or error, line-parser result or error)."""
+    out = []
+    for parse in (
+        lambda: parse_kinematics(text, "jigsaws").frames,
+        lambda: ingest._parse_jigsaws_lines(io.StringIO(text)),
+    ):
+        try:
+            out.append(parse())
+        except ParseError as exc:
+            out.append((str(exc), exc.line))
+    return out
+
+
+class TestJigsawsFastPath:
+    @settings(max_examples=60, deadline=None)
+    @given(text=jigsaws_texts())
+    def test_loadtxt_agrees_with_line_parser(self, text):
+        fast = ingest._load_jigsaws(io.StringIO(text))
+        assert fast is not None  # valid input takes the fast path
+        slow = ingest._parse_jigsaws_lines(io.StringIO(text))
+        assert np.array_equal(fast, slow)
+        assert np.array_equal(np.signbit(fast), np.signbit(slow))
+        assert fast.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            " ".join(["1.0"] * 75),
+            " ".join(["1.0"] * 77),
+            " ".join(["1.0"] * 75 + ["oops"]),
+            " ".join(["1.0"] * 75 + ["nan"]),
+            " ".join(["1.0"] * 75 + ["-inf"]),
+            " ".join(["1.0"] * 75 + ["1e999"]),
+            "# a comment",
+            "#" + " ".join(["1.0"] * 76),
+        ],
+    )
+    @pytest.mark.parametrize("before", [0, 1, 3])
+    def test_same_errors_as_line_parser(self, bad_line, before):
+        rng = np.random.default_rng(9)
+        good = [jigsaws_line(rng) for _ in range(before)]
+        # blank lines count towards the reported line number
+        text = "\n\n".join(good + [bad_line, jigsaws_line(rng)]) + "\n"
+        fast, slow = parse_both(text)
+        assert isinstance(fast, tuple)
+        assert fast == slow
+        assert fast[1] == 2 * before + 1
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661\u0660"])
+    def test_tokens_only_float_accepts_fall_back(self, token):
+        rng = np.random.default_rng(12)
+        text = jigsaws_line(rng) + "\n" + " ".join(["2.0"] * 75 + [token]) + "\n"
+        assert ingest._load_jigsaws(io.StringIO(text)) is None
+        fast, slow = parse_both(text)
+        assert np.array_equal(fast, slow)
+        assert fast[1, -1] == 10.0
+
+    def test_bare_carriage_return_falls_back(self):
+        rng = np.random.default_rng(10)
+        text = jigsaws_line(rng) + "\r" + jigsaws_line(rng) + "\n"
+        fast, slow = parse_both(text)
+        assert fast == slow == ("line 1: expected 76 columns, got 152", 1)
+
+    @pytest.mark.parametrize("text", ["", "\n", "  \n\t\n\n"])
+    def test_empty_input_without_warning(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="empty input"):
+                parse_kinematics(text, "jigsaws")
+
+    def test_file_object_takes_fast_path(self, tmp_path):
+        rng = np.random.default_rng(11)
+        path = tmp_path / "d.txt"
+        path.write_text("".join(jigsaws_line(rng) + "\n" for _ in range(4)))
+        with open(path) as fh:
+            fast = ingest._load_jigsaws(fh)
+        with open(path) as fh:
+            demo = parse_kinematics(fh, "jigsaws")
+        assert fast is not None
+        assert np.array_equal(demo.frames, fast)
 
 
 class TestParseKinematicsCsv:

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.spatial.transform import Rotation
 
 import kinseg.preprocess as pp
 from kinseg.ingest import Demonstration
@@ -16,6 +20,7 @@ from kinseg.preprocess import (
     resolve_subset,
     rotmat_to_quat,
     rows_to_frames,
+    select_channels,
     subsample,
     zscore,
 )
@@ -105,6 +110,84 @@ class TestRotmatToQuat:
             rotmat_to_quat(np.eye(4))
 
 
+def near_pi_rotations(rng, n):
+    axes = rng.normal(size=(n, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    gap = 10.0 ** rng.uniform(-9, -1, size=(n, 1))
+    return Rotation.from_rotvec(axes * (np.pi - gap)).as_matrix()
+
+
+def rotation_stack(seed, n):
+    """Random rotations, near-pi rotations, and the exact pi rotations."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate(
+        [
+            Rotation.random(n, random_state=seed).as_matrix(),
+            near_pi_rotations(rng, n),
+            Rotation.from_rotvec(np.pi * np.eye(3)).as_matrix(),
+            np.eye(3)[None],
+        ]
+    )
+
+
+def scipy_quat(R):
+    # scipy orders (x, y, z, w); reorder and make w >= 0 like rotmat_to_quat
+    q = Rotation.from_matrix(R).as_quat()[:, [3, 0, 1, 2]]
+    q[q[:, 0] < 0] *= -1.0
+    return q
+
+
+class TestBatchedRotmatToQuat:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60))
+    def test_batch_equals_single_calls_bitwise(self, seed, n):
+        R = rotation_stack(seed, n)
+        single = np.array([rotmat_to_quat(m) for m in R])
+        assert np.array_equal(rotmat_to_quat(R), single)
+
+    def test_leading_dimensions_kept(self):
+        R = rotation_stack(0, 10).reshape(2, 12, 3, 3)
+        q = rotmat_to_quat(R)
+        assert q.shape == (2, 12, 4)
+        assert np.array_equal(q[1], rotmat_to_quat(R[1]))
+        assert rotmat_to_quat(np.empty((0, 3, 3))).shape == (0, 4)
+
+    def test_matches_scipy_on_every_pivot_branch(self):
+        R = rotation_stack(4, 2000)
+        q = rotmat_to_quat(R)
+        ref = scipy_quat(R)
+        # exact pi rotations have w = 0, so the overall sign is free
+        err = np.minimum(np.abs(q - ref).max(axis=1), np.abs(q + ref).max(axis=1))
+        assert err.max() <= 1e-15
+        # the largest |q_i| is the largest-pivot branch taken
+        pivots = np.bincount(np.argmax(np.abs(q), axis=1), minlength=4)
+        assert np.all(pivots > 0)
+        # near-pi rotations take the x, y and z branches
+        near_pi = np.argmax(np.abs(q[2000:4000]), axis=1)
+        assert set(near_pi.tolist()) == {1, 2, 3}
+
+    @pytest.mark.parametrize("frame", [0, 7, 19])
+    def test_one_non_orthonormal_frame_rejected(self, frame):
+        R = rotation_stack(5, 10)[:20].copy()
+        R[frame, 0, 1] += 1e-4
+        with pytest.raises(ValueError, match=f"orthonormal.*frame {frame}"):
+            rotmat_to_quat(R)
+
+    @pytest.mark.parametrize("frame", [0, 11, 19])
+    def test_one_reflection_rejected(self, frame):
+        R = rotation_stack(6, 10)[:20].copy()
+        R[frame] = -R[frame]
+        with pytest.raises(ValueError, match=f"reflection.*frame {frame}"):
+            rotmat_to_quat(R)
+
+    def test_first_bad_frame_reported(self):
+        R = rotation_stack(7, 10)[:20].copy()
+        R[4] = -R[4]
+        R[9, 2, 2] += 1e-3
+        with pytest.raises(ValueError, match="reflection.*frame 4"):
+            rotmat_to_quat(R)
+
+
 def warped_double_pass_gain(f, fc, fs):
     # Analytic magnitude of the forward-backward 2nd-order Butterworth
     # designed by bilinear transform with prewarping.
@@ -177,6 +260,54 @@ class TestLowpassFilter:
             lowpass_filter(np.ones(10), 0.0, 30.0)
 
 
+def signal_matrices(min_rows):
+    return hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(min_rows, 80), st.integers(1, 6)),
+        elements=st.floats(-1e6, 1e6, allow_nan=False),
+    )
+
+
+class TestMatrixFilterAndZscore:
+    @settings(max_examples=60, deadline=None)
+    @given(x=signal_matrices(4), fc=st.floats(0.1, 14.0))
+    def test_lowpass_columns_equal_1d_bitwise(self, x, fc):
+        y = lowpass_filter(x, fc, 30.0)
+        assert y.shape == x.shape
+        for c in range(x.shape[1]):
+            assert np.array_equal(y[:, c], lowpass_filter(x[:, c], fc, 30.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=signal_matrices(2))
+    def test_zscore_columns_equal_1d_bitwise(self, x):
+        y = zscore(x)
+        assert y.shape == x.shape
+        for c in range(x.shape[1]):
+            assert np.array_equal(y[:, c], zscore(x[:, c]))
+
+    def test_constant_column_maps_to_zeros(self):
+        rng = np.random.default_rng(8)
+        # 50 x 4.2 has a rounded mean, so its computed sd is ~9e-16, not 0
+        x = np.column_stack([rng.normal(size=50), np.full(50, 4.2), rng.normal(size=50)])
+        y = zscore(x)
+        assert np.array_equal(y[:, 1], np.zeros(50))
+        assert np.allclose(y[:, [0, 2]].std(axis=0), 1.0)
+
+    def test_underflowing_sd_maps_to_zeros(self):
+        x = np.array([[0.0, 1.0], [5e-324, 2.0], [0.0, 3.0]])
+        assert np.array_equal(zscore(x)[:, 0], np.zeros(3))
+
+    def test_rejects_higher_rank(self):
+        with pytest.raises(ValueError, match="1-D or a T x p"):
+            zscore(np.ones((4, 2, 2)))
+        with pytest.raises(ValueError, match="1-D or a T x p"):
+            lowpass_filter(np.ones((8, 2, 2)), 1.5, 30.0)
+
+    def test_matrix_too_short(self):
+        with pytest.raises(ValueError, match="too short"):
+            lowpass_filter(np.ones((3, 5)), 1.5, 30.0)
+
+
 class TestZscore:
     def test_basic(self):
         y = zscore(np.array([1.0, 2.0, 3.0]))
@@ -244,6 +375,13 @@ class TestSubsample:
     def test_bad_factor(self):
         with pytest.raises(ValueError):
             subsample(make_fm(), 0)
+
+    def test_copies_kept_rows(self):
+        # a strided view would keep the full-rate matrix alive
+        fm = make_fm(T=9)
+        out = subsample(fm, 3)
+        assert out.values.flags.c_contiguous
+        assert not np.shares_memory(out.values, fm.values)
 
 
 class TestResolveSubset:
@@ -387,6 +525,29 @@ class TestBuildFeatures:
         assert fm.frame_stride == 1
 
 
+class TestSelectChannels:
+    def test_matches_build_features_subset(self):
+        demo = make_robot_demo()
+        base = build_features(demo)
+        for subset in ("no-pose", "no-velocity", "no-distance", "1,8,29", "all"):
+            expected = build_features(demo, subset)
+            got = select_channels(base, subset)
+            assert np.array_equal(got.values, expected.values)
+            assert got.channel_names == expected.channel_names
+
+    def test_all_returns_input(self):
+        base = build_features(make_robot_demo())
+        assert select_channels(base, "all") is base
+
+    def test_names_follow_indices(self):
+        got = select_channels(build_features(make_robot_demo()), "32,1")
+        assert got.channel_names == ["right_pos_x", "dist"]
+
+    def test_needs_32_channels(self):
+        with pytest.raises(ValueError, match="32"):
+            select_channels(make_fm(p=4), "1,2")
+
+
 class TestRawFeatures:
     def test_passthrough(self):
         demo = Demonstration(
@@ -433,6 +594,13 @@ class TestAugment:
     def test_too_short(self):
         with pytest.raises(ValueError):
             augment(make_fm(T=3), 3)
+
+    def test_channel_names(self):
+        fm = FeatureMatrix(
+            values=np.zeros((4, 2)), sample_rate_hz=1.0, channel_names=["a", "b"]
+        )
+        assert augment(fm, 1).channel_names == ["a_t0", "b_t0", "a_t1", "b_t1"]
+        assert augment(make_fm(p=2), 0).channel_names == ["c0_t0", "c1_t0"]
 
     def test_carries_frame_bookkeeping(self):
         fm = subsample(make_fm(T=12), 3)
