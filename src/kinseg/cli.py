@@ -21,6 +21,7 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,43 +256,6 @@ class RunResult:
     augmented: dict[str, _preprocess.AugmentedMatrix]
 
 
-def _empty_report() -> _metrics.EvaluationReport:
-    return _metrics.EvaluationReport(
-        accuracy=None,
-        nmi=None,
-        si_pred=None,
-        si_truth=None,
-        per_label_accuracy={},
-        confusion_labels=[],
-        confusion=np.zeros((0, 0), dtype=int),
-        n_frames_evaluated=0,
-    )
-
-
-def _score(
-    pred_frames, truth_frames, rows, pred_rows, truth_rows, with_accuracy
-) -> _metrics.EvaluationReport:
-    """Report over annotated frames; silhouettes over augmented rows.
-
-    si_pred covers every row (the clustering's own geometry); si_truth only
-    rows with an annotated reference label.
-    """
-    pairs = [(p, t) for p, t in zip(pred_frames, truth_frames) if t != FILL]
-    if not pairs:
-        report = _empty_report()
-    else:
-        pred, truth = zip(*pairs)
-        report = _metrics.evaluate(pred, truth, with_accuracy=with_accuracy)
-    if rows is not None and len(pred_rows) >= 2:
-        report.si_pred = _metrics._try_silhouette(rows, pred_rows)
-        annotated = [i for i, t in enumerate(truth_rows) if t != FILL]
-        if len(annotated) >= 2:
-            report.si_truth = _metrics._try_silhouette(
-                rows[annotated], [truth_rows[i] for i in annotated]
-            )
-    return report
-
-
 def run_pipeline(config: RunConfig, dataset: dict[str, LoadedDemo]) -> RunResult:
     """Fit on the non-init demonstrations and score the annotated ones."""
     mapping, sidecar = _load_mapping(config)
@@ -351,13 +315,14 @@ def run_pipeline(config: RunConfig, dataset: dict[str, LoadedDemo]) -> RunResult
         X = augmented[demo_id]
         truth_frames = expand_labels(transcripts[demo_id], item.n_frames, FILL)
         truth_rows = _preprocess.labels_at_rows(truth_frames, X, X.n_rows)
-        per_demo[demo_id] = _score(
+        per_demo[demo_id] = _metrics.evaluate(
             predictions[demo_id],
             truth_frames,
-            X.values,
-            row_predictions[demo_id],
-            truth_rows,
-            with_accuracy,
+            with_accuracy=with_accuracy,
+            X=X.values,
+            pred_rows=row_predictions[demo_id],
+            truth_rows=truth_rows,
+            unannotated=FILL,
         )
         pooled_pred_frames.extend(predictions[demo_id])
         pooled_truth_frames.extend(truth_frames)
@@ -365,17 +330,15 @@ def run_pipeline(config: RunConfig, dataset: dict[str, LoadedDemo]) -> RunResult
         pooled_pred_rows.extend(row_predictions[demo_id])
         pooled_truth_rows.extend(truth_rows)
 
-    if pooled_rows:
-        report = _score(
-            pooled_pred_frames,
-            pooled_truth_frames,
-            np.vstack(pooled_rows),
-            pooled_pred_rows,
-            pooled_truth_rows,
-            with_accuracy,
-        )
-    else:
-        report = _empty_report()
+    report = _metrics.evaluate(
+        pooled_pred_frames,
+        pooled_truth_frames,
+        with_accuracy=with_accuracy,
+        X=np.vstack(pooled_rows) if pooled_rows else None,
+        pred_rows=pooled_pred_rows,
+        truth_rows=pooled_truth_rows,
+        unannotated=FILL,
+    )
     return RunResult(model, report, per_demo, predictions, row_predictions, augmented)
 
 
@@ -546,8 +509,10 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}")
 
 
-def _str_list(text: str) -> list[str]:
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
+def _subset_list(text: str) -> list[str]:
+    """Comma-separated feature subsets; '+' joins the 1-based channel indices
+    of one subset, so "1,8+29" is the subsets {1} and {8, 29}."""
+    return [tok.strip().replace("+", ",") for tok in text.split(",") if tok.strip()]
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
@@ -633,9 +598,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_arguments(p)
     p.add_argument(
         "--subsets",
-        type=_str_list,
+        type=_subset_list,
         required=True,
-        help="comma-separated subset names",
+        help="comma-separated subsets, each a name (all, no-pose, no-velocity, "
+        "no-distance) or 1-based channel indices joined by '+': "
+        "'1,8+29' runs channel 1 alone, then channels 8 and 29 together",
     )
     p.set_defaults(
         run=lambda args: _sweep(
@@ -671,6 +638,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"kinseg: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -678,7 +649,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.run(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            return args.run(args)
     except ConfigError as exc:
         print(f"kinseg: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -168,19 +168,34 @@ def evaluate(
     X=None,
     pred_rows: Sequence | None = None,
     truth_rows: Sequence | None = None,
+    unannotated=None,
 ) -> EvaluationReport:
     """Assemble the report from frame-level labelings and, optionally, the
-    augmented sample matrix with row-level labelings for the silhouettes."""
+    augmented sample matrix with row-level labelings for the silhouettes.
+
+    Frames and rows whose reference label equals `unannotated` are left out
+    of every metric except si_pred, which scores the clustering's own
+    geometry over all rows. With no frame left, accuracy and nmi are None.
+    """
     _check_lengths(pred, truth)
+    if unannotated is not None:
+        kept = [i for i, t in enumerate(truth) if t != unannotated]
+        pred = [pred[i] for i in kept]
+        truth = [truth[i] for i in kept]
     names, counts = confusion_matrix(pred, truth)
+    scored = len(pred) > 0
     si_pred = si_truth = None
-    if X is not None and pred_rows is not None:
-        si_pred = _try_silhouette(X, pred_rows)
-    if X is not None and truth_rows is not None:
-        si_truth = _try_silhouette(X, truth_rows)
+    if X is not None:
+        data = np.asarray(getattr(X, "values", X), dtype=float)
+        if pred_rows is not None:
+            si_pred = _try_silhouette(data, pred_rows)
+        if truth_rows is not None:
+            rows = [i for i, t in enumerate(truth_rows) if t != unannotated]
+            si_truth = _try_silhouette(data[rows], [truth_rows[i] for i in rows])
+    with_accuracy = with_accuracy and scored
     return EvaluationReport(
         accuracy=accuracy(pred, truth) if with_accuracy else None,
-        nmi=nmi(pred, truth),
+        nmi=nmi(pred, truth) if scored else None,
         si_pred=si_pred,
         si_truth=si_truth,
         per_label_accuracy=per_label_accuracy(pred, truth) if with_accuracy else {},

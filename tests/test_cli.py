@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -284,6 +285,34 @@ class TestSweepAndAblate:
             "row_index,from_label,to_label,right_pos_x_t0,dist_t0,right_pos_x_t1,dist_t1"
         )
 
+    def test_ablate_joins_indices_with_plus(self, robot_dir, tmp_path):
+        common = [
+            "--data-dir", str(robot_dir),
+            "--init", "weak",
+            "--init-demos", "run0",
+            "--window", "1",
+            "--seed", "3",
+        ]
+        code = main(
+            ["ablate", "--output-dir", str(tmp_path / "abl"), "--subsets", "1,8+29"]
+            + common
+        )
+        assert code == 0
+        with open(tmp_path / "abl" / "ablate.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[0] for row in rows] == ["1", "8,29"]
+        out = tmp_path / "seg"
+        assert main(["segment", "--output-dir", str(out), "--subset", "8,29"] + common) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert rows[1][1:] == [
+            "" if report[k] is None else repr(float(report[k]))
+            for k in ("accuracy", "nmi", "si_pred", "si_truth")
+        ]
+
+    def test_ablate_help_names_the_joiner(self, capsys):
+        assert main(["ablate", "--help"]) == 0
+        assert "8+29" in capsys.readouterr().out
+
     def test_subset_rejected_on_raw_data(self, synth_dir, tmp_path, capsys):
         code = run_segment(synth_dir, tmp_path / "x", ["--subset", "no-pose"])
         assert code == 1
@@ -434,6 +463,22 @@ class TestConfigFile:
         ])
         assert code == 1
         assert "wnidow" in capsys.readouterr().err
+
+
+class TestWarnings:
+    def test_small_label_warning_on_stderr(self, synth_dir, tmp_path, capsys):
+        # W=9 makes 4 x 10 = 40 columns; each label of synth00 has fewer
+        # annotated rows than that, so weak init warns for every label.
+        assert run_segment(synth_dir, tmp_path / "out", ["--window", "9"]) == 0
+        err = capsys.readouterr().err
+        lines = [line for line in err.splitlines() if line.startswith("kinseg: warning:")]
+        assert lines, err
+        assert all("at dimension 40" in line for line in lines)
+        assert "label 'R0' has" in err
+
+    def test_no_warning_with_enough_rows(self, weak_run, synth_dir, tmp_path, capsys):
+        assert run_segment(synth_dir, tmp_path / "out") == 0
+        assert "warning" not in capsys.readouterr().err
 
 
 class TestErrorExits:
