@@ -80,12 +80,15 @@ class RunConfig:
 _INT_FIELDS = {"subsample_factor", "window", "em_max_iter", "seed", "k"}
 _FLOAT_FIELDS = {"fc_hz", "em_tol", "sample_rate_hz"}
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+_STR_FIELDS = _CONFIG_FIELDS - _INT_FIELDS - _FLOAT_FIELDS - {"init_demos"}
 
 
 def _coerce(name: str, value):
     if value is None:
         return None
     try:
+        if isinstance(value, bool) and name in _INT_FIELDS | _FLOAT_FIELDS:
+            raise TypeError
         if name in _INT_FIELDS:
             if isinstance(value, float) and value != int(value):
                 raise ValueError
@@ -97,7 +100,14 @@ def _coerce(name: str, value):
     if name == "init_demos":
         if isinstance(value, str):
             value = [tok for tok in value.split(",") if tok]
-        return tuple(str(v) for v in value)
+        if isinstance(value, list) and all(isinstance(v, str) for v in value):
+            return tuple(value)
+        raise ConfigError(
+            f"config field 'init_demos': expected a string or a list of strings, "
+            f"got {value!r}"
+        )
+    if name in _STR_FIELDS and not isinstance(value, str):
+        raise ConfigError(f"config field {name!r}: expected a string, got {value!r}")
     return value
 
 
@@ -253,7 +263,7 @@ class RunResult:
     per_demo: dict[str, _metrics.EvaluationReport]
     predictions: dict[str, list[str]]  # per-frame labels on the original grid
     row_predictions: dict[str, list[str]]
-    augmented: dict[str, _preprocess.AugmentedMatrix]
+    augmented: dict[str, _preprocess.FeatureMatrix]
 
 
 def run_pipeline(config: RunConfig, dataset: dict[str, LoadedDemo]) -> RunResult:
@@ -272,7 +282,7 @@ def run_pipeline(config: RunConfig, dataset: dict[str, LoadedDemo]) -> RunResult
         if demo_id not in dataset:
             raise ValueError(f"init demonstration {demo_id!r} not in the dataset")
 
-    augmented: dict[str, _preprocess.AugmentedMatrix] = {}
+    augmented: dict[str, _preprocess.FeatureMatrix] = {}
     for demo_id, item in dataset.items():
         fm = _run_features(config, demo_id, item)
         augmented[demo_id] = _preprocess.augment(fm, config.window)
@@ -281,12 +291,11 @@ def run_pipeline(config: RunConfig, dataset: dict[str, LoadedDemo]) -> RunResult
     if not fit_ids:
         raise ValueError("every demonstration is an init demonstration; nothing to fit")
 
+    fit_data = np.vstack([augmented[d].values for d in fit_ids])
     if config.init_method == "weak":
         init = _weak_init_model(config, dataset, transcripts, augmented)
     else:
-        init = _kmeans_init_model(config, transcripts, augmented, fit_ids)
-
-    fit_data = np.vstack([augmented[d].values for d in fit_ids])
+        init = _kmeans_init_model(config, transcripts, fit_data)
     model = _gmm.em_fit(
         fit_data, init, tol=config.em_tol, max_iter=config.em_max_iter
     )
@@ -314,7 +323,7 @@ def run_pipeline(config: RunConfig, dataset: dict[str, LoadedDemo]) -> RunResult
         item = dataset[demo_id]
         X = augmented[demo_id]
         truth_frames = expand_labels(transcripts[demo_id], item.n_frames, FILL)
-        truth_rows = _preprocess.labels_at_rows(truth_frames, X, X.n_rows)
+        truth_rows = _preprocess.labels_at_rows(truth_frames, X)
         per_demo[demo_id] = _metrics.evaluate(
             predictions[demo_id],
             truth_frames,
@@ -352,7 +361,7 @@ def _weak_init_model(config, dataset, transcripts, augmented) -> _gmm.GmmModel:
         item = dataset[demo_id]
         X = augmented[demo_id]
         frame_labels = expand_labels(transcripts[demo_id], item.n_frames, FILL)
-        row_labels = _preprocess.labels_at_rows(frame_labels, X, X.n_rows)
+        row_labels = _preprocess.labels_at_rows(frame_labels, X)
         keep = [i for i, lab in enumerate(row_labels) if lab != FILL]
         if not keep:
             raise ValueError(
@@ -362,7 +371,7 @@ def _weak_init_model(config, dataset, transcripts, augmented) -> _gmm.GmmModel:
     return _gmm.weak_init(labeled)
 
 
-def _kmeans_init_model(config, transcripts, augmented, fit_ids) -> _gmm.GmmModel:
+def _kmeans_init_model(config, transcripts, fit_data) -> _gmm.GmmModel:
     if config.k is not None:
         k = config.k
     else:
@@ -372,7 +381,6 @@ def _kmeans_init_model(config, transcripts, augmented, fit_ids) -> _gmm.GmmModel
                 "k-means init needs --k when no transcripts are available"
             )
         k = len(labels)
-    fit_data = np.vstack([augmented[d].values for d in fit_ids])
     return _gmm.kmeans_init(fit_data, k, config.seed)
 
 
@@ -443,10 +451,13 @@ def _sweep(config: RunConfig, field: str, values: list, csv_name: str) -> int:
     """One pipeline run and CSV row of metrics per value of a config field
     that leaves the base features unchanged (window or feature_subset)."""
     name = field.removeprefix("feature_")
+    configs = [dataclasses.replace(config, **{field: value}) for value in values]
+    for run_config in configs:  # a bad value fails before any work is done
+        _validate(run_config)
     dataset = load_dataset(config)
     rows = []
-    for value in values:
-        result = run_pipeline(dataclasses.replace(config, **{field: value}), dataset)
+    for value, run_config in zip(values, configs):
+        result = run_pipeline(run_config, dataset)
         rows.append([str(value)] + _metric_row(result.report))
         print(f"{name}={value}: ", end="")
         _print_report_line(result.report)
@@ -504,15 +515,21 @@ class _Parser(argparse.ArgumentParser):
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}")
+    return values
 
 
 def _subset_list(text: str) -> list[str]:
     """Comma-separated feature subsets; '+' joins the 1-based channel indices
     of one subset, so "1,8+29" is the subsets {1} and {8, 29}."""
-    return [tok.strip().replace("+", ",") for tok in text.split(",") if tok.strip()]
+    subsets = [tok.strip().replace("+", ",") for tok in text.split(",") if tok.strip()]
+    if not subsets:
+        raise argparse.ArgumentTypeError(f"expected comma-separated subsets: {text!r}")
+    return subsets
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:

@@ -8,9 +8,13 @@ covariance between x(t) and x(t+1) is what encodes the per-gesture linear
 regime, so diagonal covariances would discard the very structure being
 clustered.
 
+A GmmModel is the mixture as stacked arrays, component k at index k of
+each: means (K x D), covariances (K x D x D), weights (K, summing to 1) and
+labels (a K-tuple of gesture names, or None for anonymous components),
+plus the per-iteration log-likelihoods of the EM run that produced it.
+
 One numeric kernel serves EM, the log-likelihood, the posteriors and the
-predictions. It works on the mixture as stacked arrays (means K x D,
-covariances K x D x D, weights K). All K covariances are factored with one
+predictions, directly on those arrays. All K covariances are factored with one
 batched Cholesky, C_k = L_k L_k^T, and the precision factors P_k = L_k^-T
 are concatenated into one D x (K*D) matrix, so the Mahalanobis terms of a
 block of rows come from a single GEMM: ||x P_k - mu_k P_k||^2 (as in
@@ -46,32 +50,28 @@ class NumericalError(RuntimeError):
 
 
 @dataclass
-class GmmComponent:
-    mean: np.ndarray
-    covariance: np.ndarray
-    weight: float
-    label: str | None = None
-
-
-@dataclass
 class GmmModel:
-    components: list[GmmComponent]
-    dimension: int
+    """A Gaussian mixture as stacked arrays; component k sits at index k."""
+
+    means: np.ndarray  # K x D
+    covariances: np.ndarray  # K x D x D
+    weights: np.ndarray  # K
+    labels: tuple[str | None, ...]  # gesture name, or None when anonymous
     fit_trace: list[float] = field(default_factory=list)
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        return self.means.shape[0]
 
     @property
-    def weights(self) -> np.ndarray:
-        return np.array([c.weight for c in self.components])
+    def dimension(self) -> int:
+        return self.means.shape[1]
 
     def has_labels(self) -> bool:
-        return all(c.label is not None for c in self.components)
+        return all(label is not None for label in self.labels)
 
     def component_name(self, k: int) -> str:
-        label = self.components[k].label
+        label = self.labels[k]
         return label if label is not None else f"cluster_{k}"
 
 
@@ -93,15 +93,23 @@ def regularize_covariance(cov: np.ndarray) -> np.ndarray:
     return cov + eps[..., None, None] * np.eye(cov.shape[-1])
 
 
-def _class_component(rows: np.ndarray, weight: float, label: str | None) -> GmmComponent:
+def _moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and biased (1/n) centered scatter of a block of rows."""
     mean = rows.mean(axis=0)
     diff = rows - mean
-    cov = diff.T @ diff / rows.shape[0]
-    return GmmComponent(
-        mean=mean,
-        covariance=regularize_covariance(cov),
-        weight=weight,
-        label=label,
+    return mean, diff.T @ diff / rows.shape[0]
+
+
+def _group_model(data: np.ndarray, groups, labels) -> GmmModel:
+    """One component per row mask: the rows' mean, their regularized
+    covariance, and their share of all rows as weight."""
+    means, scatters = zip(*(_moments(data[g]) for g in groups))
+    counts = np.array([np.count_nonzero(g) for g in groups])
+    return GmmModel(
+        means=np.array(means),
+        covariances=regularize_covariance(np.array(scatters)),
+        weights=counts / data.shape[0],
+        labels=tuple(labels),
     )
 
 
@@ -134,28 +142,23 @@ def weak_init(
             )
         matrices.append(values)
         all_labels.extend(labels)
-    data = np.vstack(matrices)
     labels = np.array(all_labels, dtype=object)
-    total = data.shape[0]
-
-    components = []
-    for name in sorted(set(all_labels)):
-        rows = data[labels == name]
-        if rows.shape[0] < 2:
-            raise ValueError(
-                f"label {name!r} has only {rows.shape[0]} row(s); need at least 2"
-            )
-        if rows.shape[0] <= dim:
+    names = sorted(set(all_labels))
+    if not names:
+        raise ValueError("no labeled rows in any demonstration")
+    groups = [labels == name for name in names]
+    for name, group in zip(names, groups):
+        n_rows = np.count_nonzero(group)
+        if n_rows < 2:
+            raise ValueError(f"label {name!r} has only {n_rows} row(s); need at least 2")
+        if n_rows <= dim:
             warnings.warn(
-                f"label {name!r} has {rows.shape[0]} row(s) at dimension {dim}; "
+                f"label {name!r} has {n_rows} row(s) at dimension {dim}; "
                 "its covariance is singular up to the ridge",
                 RuntimeWarning,
                 stacklevel=2,
             )
-        components.append(_class_component(rows, rows.shape[0] / total, name))
-    if not components:
-        raise ValueError("no labeled rows in any demonstration")
-    return GmmModel(components=components, dimension=dim)
+    return _group_model(np.vstack(matrices), groups, names)
 
 
 def kmeans_init(X, k: int, seed: int) -> GmmModel:
@@ -166,7 +169,7 @@ def kmeans_init(X, k: int, seed: int) -> GmmModel:
     farthest from its assigned centroid.
     """
     data = _as_matrix(X)
-    n, dim = data.shape
+    n = data.shape[0]
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < k:
@@ -185,11 +188,8 @@ def kmeans_init(X, k: int, seed: int) -> GmmModel:
         for j in range(k):
             centers[j] = data[assignment == j].mean(axis=0)
 
-    components = [
-        _class_component(data[assignment == j], np.sum(assignment == j) / n, None)
-        for j in range(k)
-    ]
-    return GmmModel(components=components, dimension=dim)
+    groups = [assignment == j for j in range(k)]
+    return _group_model(data, groups, [None] * k)
 
 
 def _kmeans_pp_seeds(data: np.ndarray, k: int, rng) -> np.ndarray:
@@ -236,16 +236,6 @@ def _fix_empty_clusters(assignment, dist2, k):
         assignment[farthest] = j
         own[farthest] = -np.inf  # a re-seeded point cannot move again
     return assignment
-
-
-def _stack(model: GmmModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(means K x D, covariances K x D x D, weights K) as fresh arrays."""
-    comps = model.components
-    return (
-        np.array([c.mean for c in comps], dtype=float),
-        np.array([c.covariance for c in comps], dtype=float),
-        np.array([c.weight for c in comps], dtype=float),
-    )
 
 
 def _log_densities(data: np.ndarray, means, covariances, weights) -> np.ndarray:
@@ -310,7 +300,7 @@ def _model_log_densities(model: GmmModel, X) -> np.ndarray:
         raise ValueError(
             f"data dimension {data.shape[1]} does not match model {model.dimension}"
         )
-    return _log_densities(data, *_stack(model))
+    return _log_densities(data, model.means, model.covariances, model.weights)
 
 
 def log_likelihood(model: GmmModel, X) -> float:
@@ -341,7 +331,9 @@ def em_fit(X, init: GmmModel, tol: float = 1e-6, max_iter: int = 300) -> GmmMode
         raise ValueError(
             f"data dimension {dim} does not match init model {init.dimension}"
         )
-    means, covariances, weights = _stack(init)
+    means = np.array(init.means, dtype=float)
+    covariances = np.array(init.covariances, dtype=float)
+    weights = np.array(init.weights, dtype=float)
     fit_trace: list[float] = []
     mass_floor = 10.0 * dim * np.finfo(float).eps
     prev_ll = None
@@ -368,11 +360,7 @@ def em_fit(X, init: GmmModel, tol: float = 1e-6, max_iter: int = 300) -> GmmMode
         covariances[live] = regularize_covariance(scatter / live_mass[:, :, None])
         floored = np.maximum(mass, mass_floor)
         weights = floored / floored.sum()
-    components = [
-        GmmComponent(mean, cov, float(weight), c.label)
-        for mean, cov, weight, c in zip(means, covariances, weights, init.components)
-    ]
-    return GmmModel(components=components, dimension=dim, fit_trace=fit_trace)
+    return GmmModel(means, covariances, weights, init.labels, fit_trace)
 
 
 def predict_labels(model: GmmModel, X) -> tuple[list[str], np.ndarray]:
@@ -416,12 +404,14 @@ def dumps_model(model: GmmModel) -> str:
         "dimension": model.dimension,
         "components": [
             {
-                "label": c.label,
-                "weight": float(c.weight),
-                "mean": [float(v) for v in c.mean],
-                "covariance": [[float(v) for v in row] for row in c.covariance],
+                "label": label,
+                "weight": float(weight),
+                "mean": mean.tolist(),
+                "covariance": covariance.tolist(),
             }
-            for c in model.components
+            for label, weight, mean, covariance in zip(
+                model.labels, model.weights, model.means, model.covariances
+            )
         ],
         "fit_trace": [float(v) for v in model.fit_trace],
     }
@@ -432,18 +422,15 @@ def loads_model(text: str) -> GmmModel:
     doc = json.loads(text)
     if doc.get("format") != "kinseg-gmm":
         raise ValueError("not a mixture model file")
-    components = [
-        GmmComponent(
-            mean=np.array(c["mean"], dtype=float),
-            covariance=np.array(c["covariance"], dtype=float),
-            weight=float(c["weight"]),
-            label=c["label"],
-        )
-        for c in doc["components"]
-    ]
+    components = doc["components"]
+    k, dim = len(components), int(doc["dimension"])
     return GmmModel(
-        components=components,
-        dimension=int(doc["dimension"]),
+        means=np.array([c["mean"] for c in components], dtype=float).reshape(k, dim),
+        covariances=np.array(
+            [c["covariance"] for c in components], dtype=float
+        ).reshape(k, dim, dim),
+        weights=np.array([c["weight"] for c in components], dtype=float),
+        labels=tuple(c["label"] for c in components),
         fit_trace=[float(v) for v in doc["fit_trace"]],
     )
 

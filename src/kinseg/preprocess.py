@@ -49,8 +49,8 @@ NAMED_SUBSETS = {
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Preprocessed trajectory; row i sits at original frame
-    frame_origin + i * frame_stride."""
+    """Preprocessed trajectory, or its window-augmented states; row i sits
+    at original frame frame_origin + i * frame_stride."""
 
     values: np.ndarray  # T x p
     sample_rate_hz: float
@@ -67,7 +67,7 @@ class FeatureMatrix:
         object.__setattr__(self, "values", values)
 
     @property
-    def n_frames(self) -> int:
+    def n_rows(self) -> int:
         return self.values.shape[0]
 
     @property
@@ -76,25 +76,6 @@ class FeatureMatrix:
 
     def frame_index(self, row: int) -> int:
         """Original-grid frame index of a feature row."""
-        return self.frame_origin + row * self.frame_stride
-
-
-@dataclass(frozen=True)
-class AugmentedMatrix:
-    """Window-augmented states: row t = [x(t), x(t+1), ..., x(t+W)]."""
-
-    values: np.ndarray  # (T - W) x p*(W+1)
-    window: int
-    base_channels: int
-    frame_origin: int = 0
-    frame_stride: int = 1
-    channel_names: list[str] = field(default_factory=list)  # "<name>_t<w>"
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    def frame_index(self, row: int) -> int:
         return self.frame_origin + row * self.frame_stride
 
 
@@ -312,36 +293,33 @@ def raw_features(demo: Demonstration, *, subsample_factor: int = 1) -> FeatureMa
     return subsample(fm, subsample_factor)
 
 
-def augment(fm: FeatureMatrix, window: int) -> AugmentedMatrix:
-    """Stack W+1 consecutive frames: row t = [x(t), ..., x(t+W)].
+def augment(fm: FeatureMatrix, window: int) -> FeatureMatrix:
+    """Stack W+1 consecutive rows: row t = [x(t), ..., x(t+W)].
 
-    The label of augmented row t is the label of frame t. Column names are
-    "<channel>_t<w>"; unnamed channels are called c0, c1, ...
+    The label of augmented row t is the label of row t, so the origin,
+    stride and rate carry over. Column names are "<channel>_t<w>"; unnamed
+    channels are called c0, c1, ...
     """
     if window < 0:
         raise ValueError("window must be >= 0")
-    T = fm.n_frames
+    T = fm.n_rows
     if T <= window:
-        raise ValueError(f"need more than {window} frames, got {T}")
+        raise ValueError(f"need more than {window} rows, got {T}")
     blocks = [fm.values[w : T - window + w] for w in range(window + 1)]
     names = fm.channel_names or [f"c{i}" for i in range(fm.n_channels)]
-    return AugmentedMatrix(
+    return replace(
+        fm,
         values=np.hstack(blocks),
-        window=window,
-        base_channels=fm.n_channels,
-        frame_origin=fm.frame_origin,
-        frame_stride=fm.frame_stride,
         channel_names=[f"{name}_t{w}" for w in range(window + 1) for name in names],
     )
 
 
-def labels_at_rows(frame_labels, fm: FeatureMatrix, n_rows: int | None = None) -> list:
-    """Pick the original-grid labels that align with feature/augmented rows."""
-    count = fm.n_frames if n_rows is None else n_rows
-    return [frame_labels[fm.frame_index(i)] for i in range(count)]
+def labels_at_rows(frame_labels, fm: FeatureMatrix) -> list:
+    """Pick the original-grid labels at the anchor frames of fm's rows."""
+    return [frame_labels[fm.frame_index(i)] for i in range(fm.n_rows)]
 
 
-def rows_to_frames(row_labels, X: AugmentedMatrix, n_frames: int) -> list:
+def rows_to_frames(row_labels, X: FeatureMatrix, n_frames: int) -> list:
     """Project per-row labels back onto the original frame grid.
 
     Nearest-previous rule: frame f takes the label of the last row whose

@@ -75,7 +75,7 @@ def _run_pair(seed, *, window=1, sigma=0.05, n_regimes=4, p=6, contraction=0.95,
         demo, labels = synth.generate(model)
         fm = preprocess.raw_features(demo)
         X = preprocess.augment(fm, window)
-        row_labels = preprocess.labels_at_rows(labels, X, X.n_rows)
+        row_labels = preprocess.labels_at_rows(labels, X)
         return X, row_labels
 
     Xa, la = make(seed * 1000 + 1)

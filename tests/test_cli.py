@@ -133,7 +133,7 @@ class TestSegmentCommand:
     def test_model_reloadable(self, weak_run):
         model = load_model(weak_run / "model.json")
         assert model.has_labels()
-        assert {c.label for c in model.components} == {"R0", "R1", "R2"}
+        assert set(model.labels) == {"R0", "R1", "R2"}
 
     def test_transitions_header(self, weak_run):
         head = (weak_run / "transitions" / "synth01.csv").read_text().splitlines()[0]
@@ -157,6 +157,27 @@ class TestSegmentCommand:
         assert isinstance(report["nmi"], float)
         model = load_model(out / "model.json")
         assert not model.has_labels()
+
+    def test_kmeans_init_and_em_share_the_fit_rows(self, synth_dir, tmp_path, monkeypatch):
+        import kinseg.gmm as gmm_mod
+
+        seen = {}
+        for name in ("kmeans_init", "em_fit"):
+            def record(data, *args, _name=name, _real=getattr(gmm_mod, name), **kwargs):
+                seen[_name] = data
+                return _real(data, *args, **kwargs)
+
+            monkeypatch.setattr(gmm_mod, name, record)
+        code = main([
+            "segment",
+            "--data-dir", str(synth_dir),
+            "--output-dir", str(tmp_path / "km"),
+            "--init", "kmeans",
+            "--window", "1",
+        ])
+        assert code == 0
+        assert seen["kmeans_init"] is seen["em_fit"]
+        assert seen["em_fit"].shape == (3 * (360 // 3 - 1), 8)  # every demo, subsampled
 
     def test_deterministic_reruns(self, synth_dir, weak_run, tmp_path):
         out = tmp_path / "rerun"
@@ -319,6 +340,55 @@ class TestSweepAndAblate:
         assert "kinematic" in capsys.readouterr().err
 
 
+class TestSweepValueValidation:
+    """A bad sweep value is a config error, found before any run starts."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep-window", "--w-values", "1,-1"], "window must be >= 0"),
+            (["ablate", "--subsets", "1,99"], "explicit feature indices must lie in 1..32"),
+        ],
+        ids=["w-values", "subsets"],
+    )
+    def test_bad_value_fails_before_work(
+        self, robot_dir, tmp_path, monkeypatch, capsys, argv, message
+    ):
+        import kinseg.cli as cli_mod
+
+        loads = []
+        monkeypatch.setattr(cli_mod, "load_dataset", lambda config: loads.append(config))
+        out = tmp_path / "out"
+        code = main(argv + [
+            "--data-dir", str(robot_dir),
+            "--output-dir", str(out),
+            "--init", "weak",
+            "--init-demos", "run0",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"kinseg: config error: {message}" in captured.err
+        assert loads == []
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep-window", "--w-values", ","], ["ablate", "--subsets", ","]],
+        ids=["w-values", "subsets"],
+    )
+    def test_empty_value_list_is_usage_error(self, robot_dir, tmp_path, argv):
+        out = tmp_path / "out"
+        code = main(argv + [
+            "--data-dir", str(robot_dir),
+            "--output-dir", str(out),
+            "--init", "weak",
+            "--init-demos", "run0",
+        ])
+        assert code == 1
+        assert not out.exists()
+
+
 @pytest.fixture
 def build_calls(monkeypatch):
     """Ids of the demonstrations passed to build_features, in call order."""
@@ -463,6 +533,43 @@ class TestConfigFile:
         ])
         assert code == 1
         assert "wnidow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"init_demos": 5},
+            {"init_demos": ["synth00", 5]},
+            {"feature_subset": 5},
+            {"data_dir": 5},
+            {"mapping": 5},
+            {"window": True},
+            {"em_tol": False},
+        ],
+        ids=[
+            "init_demos-int",
+            "init_demos-list-with-int",
+            "feature_subset-int",
+            "data_dir-int",
+            "mapping-int",
+            "window-bool",
+            "em_tol-bool",
+        ],
+    )
+    def test_wrongly_typed_value_rejected(self, synth_dir, tmp_path, capsys, doc):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        flags = {
+            "data_dir": ["--data-dir", str(synth_dir)],
+            "init_demos": ["--init-demos", "synth00"],
+        }
+        argv = ["segment", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]
+        for name, extra in flags.items():
+            if name not in doc:  # a flag would override the file's value
+                argv += extra
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"kinseg: config error: config field {next(iter(doc))!r}" in err
 
 
 class TestWarnings:

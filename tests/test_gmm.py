@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -8,7 +9,6 @@ from scipy import linalg
 
 from kinseg.gmm import (
     ROW_BLOCK,
-    GmmComponent,
     GmmModel,
     NumericalError,
     dumps_model,
@@ -26,16 +26,28 @@ from kinseg.gmm import (
 )
 
 
+def mixture(*components):
+    """GmmModel from one (mean, covariance, weight[, label]) per component."""
+    padded = [tuple(c) + (None,) * (4 - len(c)) for c in components]
+    means, covariances, weights, labels = zip(*padded)
+    return GmmModel(
+        np.array(means, dtype=float),
+        np.array(covariances, dtype=float),
+        np.array(weights, dtype=float),
+        labels,
+    )
+
+
 def naive_density(model, x):
     # Direct-formula mixture density, kept independent of the log-domain path.
     total = 0.0
     d = model.dimension
-    for c in model.components:
-        diff = x - c.mean
-        inv = np.linalg.inv(c.covariance)
-        det = np.linalg.det(c.covariance)
+    for mean, covariance, weight in zip(model.means, model.covariances, model.weights):
+        diff = x - mean
+        inv = np.linalg.inv(covariance)
+        det = np.linalg.det(covariance)
         e = np.exp(-0.5 * diff @ inv @ diff)
-        total += c.weight * e / np.sqrt((2 * np.pi) ** d * det)
+        total += weight * e / np.sqrt((2 * np.pi) ** d * det)
     return total
 
 
@@ -47,12 +59,12 @@ def naive_responsibilities(model, X):
     out = np.zeros((len(X), model.n_components))
     d = model.dimension
     for i, x in enumerate(np.asarray(X)):
-        for k, c in enumerate(model.components):
-            diff = x - c.mean
-            inv = np.linalg.inv(c.covariance)
-            det = np.linalg.det(c.covariance)
+        for k, (mean, covariance) in enumerate(zip(model.means, model.covariances)):
+            diff = x - mean
+            inv = np.linalg.inv(covariance)
+            det = np.linalg.det(covariance)
             out[i, k] = (
-                c.weight
+                model.weights[k]
                 * np.exp(-0.5 * diff @ inv @ diff)
                 / np.sqrt((2 * np.pi) ** d * det)
             )
@@ -67,14 +79,14 @@ def random_model(rng, K, d, labels=None):
     for k in range(K):
         A = rng.normal(size=(d, d))
         comps.append(
-            GmmComponent(
-                mean=rng.normal(0, 3, d),
-                covariance=A @ A.T + 0.5 * np.eye(d),
-                weight=w[k],
-                label=None if labels is None else labels[k],
+            (
+                rng.normal(0, 3, d),
+                A @ A.T + 0.5 * np.eye(d),
+                w[k],
+                None if labels is None else labels[k],
             )
         )
-    return GmmModel(components=comps, dimension=d)
+    return mixture(*comps)
 
 
 class TestDensities:
@@ -88,9 +100,7 @@ class TestDensities:
             ) <= 1e-10 * max(1.0, abs(naive_log_likelihood(model, X)))
 
     def test_single_standard_normal_at_zero(self):
-        model = GmmModel(
-            components=[GmmComponent(np.zeros(1), np.eye(1), 1.0)], dimension=1
-        )
+        model = mixture((np.zeros(1), np.eye(1), 1.0))
         assert abs(log_likelihood(model, np.zeros((1, 1))) - np.log(1 / np.sqrt(2 * np.pi))) < 1e-12
 
     def test_row_duplication_doubles(self):
@@ -121,10 +131,7 @@ class TestDensities:
             log_likelihood(model, np.ones((5, 2)))
 
     def test_singular_covariance_raises(self):
-        model = GmmModel(
-            components=[GmmComponent(np.zeros(2), np.zeros((2, 2)), 1.0)],
-            dimension=2,
-        )
+        model = mixture((np.zeros(2), np.zeros((2, 2)), 1.0))
         with pytest.raises(NumericalError):
             log_likelihood(model, np.ones((3, 2)))
 
@@ -150,9 +157,9 @@ class TestWeakInit:
         X = rng.normal(size=(20, 3))
         model = weak_init([(X, ["g"] * 20)])
         assert model.n_components == 1
-        assert model.components[0].weight == 1.0
-        assert model.components[0].label == "g"
-        assert np.allclose(model.components[0].mean, X.mean(axis=0))
+        assert model.weights[0] == 1.0
+        assert model.labels[0] == "g"
+        assert np.allclose(model.means[0], X.mean(axis=0))
 
     def test_equal_counts_equal_weights(self):
         rng = np.random.default_rng(6)
@@ -166,13 +173,13 @@ class TestWeakInit:
         la = ["p"] * 5 + ["q"] * 3
         lb = ["q"] * 2 + ["p"] * 4
         model = weak_init([(Xa, la), (Xb, lb)])
-        assert [c.label for c in model.components] == ["p", "q"]
+        assert list(model.labels) == ["p", "q"]
         rows_p = np.vstack([Xa[:5], Xb[2:]])
-        assert np.allclose(model.components[0].mean, rows_p.mean(axis=0))
+        assert np.allclose(model.means[0], rows_p.mean(axis=0))
         emp = np.cov(rows_p.T, bias=True)
         eps = 1e-6 * np.mean(np.diag(emp))
-        assert np.allclose(model.components[0].covariance, emp + eps * np.eye(2))
-        assert abs(model.components[0].weight - 9 / 14) < 1e-12
+        assert np.allclose(model.covariances[0], emp + eps * np.eye(2))
+        assert abs(model.weights[0] - 9 / 14) < 1e-12
 
     def test_component_count_matches_dictionary(self):
         rng = np.random.default_rng(8)
@@ -202,8 +209,8 @@ class TestKmeansInit:
         rng = np.random.default_rng(10)
         X = rng.normal(size=(25, 3))
         model = kmeans_init(X, 1, seed=0)
-        assert np.allclose(model.components[0].mean, X.mean(axis=0))
-        assert model.components[0].weight == 1.0
+        assert np.allclose(model.means[0], X.mean(axis=0))
+        assert model.weights[0] == 1.0
 
     def test_two_blobs_recovered(self):
         rng = np.random.default_rng(11)
@@ -211,7 +218,7 @@ class TestKmeansInit:
             [rng.normal(-4, 0.3, (100, 2)), rng.normal(+4, 0.3, (100, 2))]
         )
         model = kmeans_init(X, 2, seed=3)
-        means = sorted(c.mean[0] for c in model.components)
+        means = sorted(model.means[:, 0])
         assert abs(means[0] - (-4)) < 0.1
         assert abs(means[1] - 4) < 0.1
 
@@ -220,15 +227,14 @@ class TestKmeansInit:
         X = rng.normal(size=(60, 3))
         a = kmeans_init(X, 3, seed=7)
         b = kmeans_init(X, 3, seed=7)
-        for ca, cb in zip(a.components, b.components):
-            assert np.array_equal(ca.mean, cb.mean)
-            assert np.array_equal(ca.covariance, cb.covariance)
-            assert ca.weight == cb.weight
+        assert np.array_equal(a.means, b.means)
+        assert np.array_equal(a.covariances, b.covariances)
+        assert np.array_equal(a.weights, b.weights)
 
     def test_labels_unset(self):
         rng = np.random.default_rng(13)
         model = kmeans_init(rng.normal(size=(20, 2)), 2, seed=0)
-        assert all(c.label is None for c in model.components)
+        assert all(label is None for label in model.labels)
         assert not model.has_labels()
 
     def test_k_equals_n(self):
@@ -253,18 +259,15 @@ class TestEmFit:
         X = np.concatenate(
             [rng.normal(-5, 1, 400), rng.normal(+5, 1, 400)]
         ).reshape(-1, 1)
-        init = GmmModel(
-            components=[
-                GmmComponent(np.array([-1.0]), np.array([[4.0]]), 0.5, "neg"),
-                GmmComponent(np.array([+1.0]), np.array([[4.0]]), 0.5, "pos"),
-            ],
-            dimension=1,
+        init = mixture(
+            (np.array([-1.0]), np.array([[4.0]]), 0.5, "neg"),
+            (np.array([+1.0]), np.array([[4.0]]), 0.5, "pos"),
         )
         model = em_fit(X, init, tol=1e-8, max_iter=300)
-        means = [c.mean[0] for c in model.components]
+        means = model.means[:, 0]
         assert abs(means[0] + 5) < 0.2
         assert abs(means[1] - 5) < 0.2
-        assert [c.label for c in model.components] == ["neg", "pos"]
+        assert list(model.labels) == ["neg", "pos"]
 
     def test_fixed_point(self):
         rng = np.random.default_rng(16)
@@ -301,11 +304,10 @@ class TestEmFit:
         # its parameters must survive untouched instead of going NaN
         rng = np.random.default_rng(19)
         X = rng.normal(0, 1, (80, 1))
-        far = GmmComponent(np.array([1e4]), np.array([[1e-2]]), 0.5, "far")
-        near = GmmComponent(np.array([0.5]), np.array([[2.0]]), 0.5, "near")
-        model = em_fit(X, GmmModel([near, far], 1), tol=1e-8, max_iter=40)
-        frozen = model.components[1]
-        assert np.array_equal(frozen.mean, [1e4])
+        far = (np.array([1e4]), np.array([[1e-2]]), 0.5, "far")
+        near = (np.array([0.5]), np.array([[2.0]]), 0.5, "near")
+        model = em_fit(X, mixture(near, far), tol=1e-8, max_iter=40)
+        assert np.array_equal(model.means[1], [1e4])
         assert np.isfinite(model.fit_trace).all()
         assert abs(model.weights.sum() - 1.0) < 1e-9
 
@@ -323,10 +325,9 @@ class TestEmFit:
         rng = np.random.default_rng(22)
         X = rng.normal(size=(50, 2))
         init = kmeans_init(X, 2, seed=0)
-        before = [c.mean.copy() for c in init.components]
+        before = init.means.copy()
         em_fit(X, init, tol=1e-6, max_iter=20)
-        for c, m in zip(init.components, before):
-            assert np.array_equal(c.mean, m)
+        assert np.array_equal(init.means, before)
 
     def test_deterministic(self):
         rng = np.random.default_rng(23)
@@ -334,30 +335,23 @@ class TestEmFit:
         a = em_fit(X, kmeans_init(X, 2, seed=5), tol=1e-6, max_iter=100)
         b = em_fit(X, kmeans_init(X, 2, seed=5), tol=1e-6, max_iter=100)
         assert a.fit_trace == b.fit_trace
-        for ca, cb in zip(a.components, b.components):
-            assert np.array_equal(ca.covariance, cb.covariance)
+        assert np.array_equal(a.covariances, b.covariances)
 
 
 class TestPredictLabels:
     def test_nearest_component_wins(self):
-        model = GmmModel(
-            components=[
-                GmmComponent(np.array([-5.0]), np.eye(1), 0.5, "neg"),
-                GmmComponent(np.array([+5.0]), np.eye(1), 0.5, "pos"),
-            ],
-            dimension=1,
+        model = mixture(
+            (np.array([-5.0]), np.eye(1), 0.5, "neg"),
+            (np.array([+5.0]), np.eye(1), 0.5, "pos"),
         )
         labels, post = predict_labels(model, np.array([[4.0], [-4.0]]))
         assert labels == ["pos", "neg"]
         assert np.abs(post.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_tie_goes_to_lowest_index(self):
-        model = GmmModel(
-            components=[
-                GmmComponent(np.array([-1.0]), np.eye(1), 0.5, "first"),
-                GmmComponent(np.array([+1.0]), np.eye(1), 0.5, "second"),
-            ],
-            dimension=1,
+        model = mixture(
+            (np.array([-1.0]), np.eye(1), 0.5, "first"),
+            (np.array([+1.0]), np.eye(1), 0.5, "second"),
         )
         labels, _ = predict_labels(model, np.array([[0.0]]))
         assert labels == ["first"]
@@ -404,21 +398,51 @@ class TestSerialization:
         back = load_model(path)
         assert back.dimension == model.dimension
         assert back.fit_trace == model.fit_trace
-        for ca, cb in zip(model.components, back.components):
-            assert ca.label == cb.label
-            assert ca.weight == cb.weight
-            assert np.array_equal(ca.mean, cb.mean)
-            assert np.array_equal(ca.covariance, cb.covariance)
+        assert back.labels == model.labels
+        assert np.array_equal(back.weights, model.weights)
+        assert np.array_equal(back.means, model.means)
+        assert np.array_equal(back.covariances, model.covariances)
+
+    def test_v1_layout(self):
+        # the on-disk format: one object per component, keys in this order
+        model = mixture(
+            (np.array([0.5, -1.0]), np.array([[2.0, 0.25], [0.25, 1.0]]), 0.75, "g"),
+            (np.array([0.0, 3.0]), np.eye(2), 0.25),
+        )
+        model.fit_trace.extend([-3.5, -2.0])
+        doc = {
+            "format": "kinseg-gmm",
+            "version": 1,
+            "dimension": 2,
+            "components": [
+                {
+                    "label": "g",
+                    "weight": 0.75,
+                    "mean": [0.5, -1.0],
+                    "covariance": [[2.0, 0.25], [0.25, 1.0]],
+                },
+                {
+                    "label": None,
+                    "weight": 0.25,
+                    "mean": [0.0, 3.0],
+                    "covariance": [[1.0, 0.0], [0.0, 1.0]],
+                },
+            ],
+            "fit_trace": [-3.5, -2.0],
+        }
+        text = dumps_model(model)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        back = loads_model(text)
+        assert back.labels == ("g", None)
+        assert back.means.shape == (2, 2) and back.covariances.shape == (2, 2, 2)
+        assert dumps_model(back) == text
 
     def test_rejects_foreign_json(self):
         with pytest.raises(ValueError, match="mixture"):
             loads_model('{"format": "something-else"}')
 
     def test_dumps_is_self_describing(self):
-        model = GmmModel(
-            components=[GmmComponent(np.zeros(2), np.eye(2), 1.0, "g")],
-            dimension=2,
-        )
+        model = mixture((np.zeros(2), np.eye(2), 1.0, "g"))
         text = dumps_model(model)
         assert '"kinseg-gmm"' in text
         assert text.endswith("\n")
@@ -430,11 +454,11 @@ class TestSerialization:
 def reference_log_densities(model, data):
     out = np.empty((data.shape[0], model.n_components))
     const = -0.5 * data.shape[1] * np.log(2.0 * np.pi)
-    for k, comp in enumerate(model.components):
-        L = np.linalg.cholesky(comp.covariance)
-        z = linalg.solve_triangular(L, (data - comp.mean).T, lower=True)
+    for k in range(model.n_components):
+        L = np.linalg.cholesky(model.covariances[k])
+        z = linalg.solve_triangular(L, (data - model.means[k]).T, lower=True)
         logdet = np.sum(np.log(np.diag(L)))
-        out[:, k] = np.log(comp.weight) + const - logdet - 0.5 * np.sum(z**2, axis=0)
+        out[:, k] = np.log(model.weights[k]) + const - logdet - 0.5 * np.sum(z**2, axis=0)
     return out
 
 
@@ -446,11 +470,7 @@ def reference_logsumexp(logs):
 def reference_em_fit(data, init, tol, max_iter):
     dim = data.shape[1]
     model = GmmModel(
-        components=[
-            GmmComponent(c.mean.copy(), c.covariance.copy(), c.weight, c.label)
-            for c in init.components
-        ],
-        dimension=dim,
+        init.means.copy(), init.covariances.copy(), init.weights.copy(), init.labels
     )
     mass_floor = 10.0 * dim * np.finfo(float).eps
     prev_ll = None
@@ -464,17 +484,17 @@ def reference_em_fit(data, init, tol, max_iter):
         prev_ll = ll
         resp = np.exp(logs - norm[:, None])
         mass = resp.sum(axis=0)
-        for k, comp in enumerate(model.components):
+        for k in range(model.n_components):
             if mass[k] < mass_floor:
                 continue
             mean = resp[:, k] @ data / mass[k]
             diff = data - mean
             cov = (resp[:, k, None] * diff).T @ diff / mass[k]
-            comp.mean = mean
-            comp.covariance = regularize_covariance(cov)
+            model.means[k] = mean
+            model.covariances[k] = regularize_covariance(cov)
         floored = np.maximum(mass, mass_floor)
-        for comp, w in zip(model.components, floored / floored.sum()):
-            comp.weight = float(w)
+        for k, w in enumerate(floored / floored.sum()):
+            model.weights[k] = float(w)
     return model
 
 
@@ -490,7 +510,7 @@ class TestStackedKernel:
     def problem(n, seed):
         rng = np.random.default_rng(seed)
         model = random_model(rng, 3, 4, labels=["a", "b", "c"])
-        centers = np.array([c.mean for c in model.components])
+        centers = model.means
         X = centers[rng.integers(0, 3, n)] + rng.normal(0, 1.5, (n, 4))
         return model, X
 
@@ -515,28 +535,28 @@ class TestStackedKernel:
         assert len(got.fit_trace) == len(ref.fit_trace)
         assert rel_err(got.fit_trace, ref.fit_trace) <= 1e-9
         assert rel_err(got.weights, ref.weights) <= 1e-9
-        for cg, cr in zip(got.components, ref.components):
-            assert cg.label == cr.label
-            assert rel_err(cg.mean, cr.mean) <= 1e-9
-            assert rel_err(cg.covariance, cr.covariance) <= 1e-9
+        assert got.labels == ref.labels
+        for k in range(got.n_components):
+            assert rel_err(got.means[k], ref.means[k]) <= 1e-9
+            assert rel_err(got.covariances[k], ref.covariances[k]) <= 1e-9
 
     def test_frozen_component_matches_reference(self):
         rng = np.random.default_rng(60)
         X = rng.normal(0, 1, (2 * ROW_BLOCK + 3, 1))
-        far = GmmComponent(np.array([1e4]), np.array([[1e-2]]), 0.5, "far")
-        near = GmmComponent(np.array([0.5]), np.array([[2.0]]), 0.5, "near")
-        init = GmmModel([near, far], 1)
+        far = (np.array([1e4]), np.array([[1e-2]]), 0.5, "far")
+        near = (np.array([0.5]), np.array([[2.0]]), 0.5, "near")
+        init = mixture(near, far)
         got = em_fit(X, init, tol=1e-300, max_iter=10)
         ref = reference_em_fit(X, init, tol=1e-300, max_iter=10)
         assert rel_err(got.fit_trace, ref.fit_trace) <= 1e-9
-        assert np.array_equal(got.components[1].mean, [1e4])
-        assert np.array_equal(got.components[1].covariance, [[1e-2]])
-        assert rel_err(got.components[0].covariance, ref.components[0].covariance) <= 1e-9
+        assert np.array_equal(got.means[1], [1e4])
+        assert np.array_equal(got.covariances[1], [[1e-2]])
+        assert rel_err(got.covariances[0], ref.covariances[0]) <= 1e-9
 
     @pytest.mark.parametrize("bad", [0, 1, 2])
     def test_not_positive_definite_names_component(self, bad):
         model = random_model(np.random.default_rng(61), 3, 3)
-        model.components[bad].covariance = -np.eye(3)
+        model.covariances[bad] = -np.eye(3)
         X = np.ones((5, 3))
         for fn in (log_likelihood, responsibilities):
             with pytest.raises(NumericalError, match=f"component {bad} is not positive"):
@@ -548,6 +568,15 @@ class TestStackedKernel:
         rng = np.random.default_rng(62)
         stack = rng.normal(size=(4, 3, 3))
         stack[2] = 0.0
+        batched = regularize_covariance(stack)
+        for single, cov in zip(batched, stack):
+            assert np.array_equal(single, regularize_covariance(cov))
+
+    def test_batched_regularize_matches_single_at_d96(self):
+        # weak and k-means init regularize all K scatters in one call
+        rng = np.random.default_rng(63)
+        A = rng.normal(size=(10, 96, 150))
+        stack = A @ np.swapaxes(A, 1, 2) / 150
         batched = regularize_covariance(stack)
         for single, cov in zip(batched, stack):
             assert np.array_equal(single, regularize_covariance(cov))
@@ -608,7 +637,7 @@ class TestWeakInitSizeWarning:
         labels = ["big"] * 400 + ["tiny"] * 30
         with pytest.warns(RuntimeWarning, match=r"'tiny' has 30 row\(s\) at dimension 96"):
             model = weak_init([(X, labels)])
-        assert [c.label for c in model.components] == ["big", "tiny"]
+        assert list(model.labels) == ["big", "tiny"]
 
     def test_enough_rows_do_not_warn(self):
         rng = np.random.default_rng(71)

@@ -8,7 +8,6 @@ from scipy.spatial.transform import Rotation
 import kinseg.preprocess as pp
 from kinseg.ingest import Demonstration
 from kinseg.preprocess import (
-    AugmentedMatrix,
     FeatureMatrix,
     augment,
     build_features,
@@ -358,7 +357,7 @@ def make_fm(T=9, p=2, rate=30.0):
 class TestSubsample:
     def test_stride_three(self):
         fm = subsample(make_fm(T=9), 3)
-        assert fm.n_frames == 3
+        assert fm.n_rows == 3
         assert np.array_equal(fm.values, make_fm().values[[0, 3, 6]])
         assert fm.sample_rate_hz == 10.0
         assert fm.frame_stride == 3
@@ -452,7 +451,7 @@ class TestBuildFeatures:
     def test_full_shape(self):
         fm = build_features(make_robot_demo())
         assert fm.n_channels == 32
-        assert fm.n_frames == 30  # 90 frames / subsample 3
+        assert fm.n_rows == 30  # 90 frames / subsample 3
         assert fm.frame_stride == 3
         assert np.all(np.isfinite(fm.values))
         assert len(fm.channel_names) == 32
@@ -521,7 +520,7 @@ class TestBuildFeatures:
 
     def test_custom_cutoff_and_factor(self):
         fm = build_features(make_robot_demo(), fc_hz=3.0, subsample_factor=1)
-        assert fm.n_frames == 90
+        assert fm.n_rows == 90
         assert fm.frame_stride == 1
 
 
@@ -567,7 +566,7 @@ class TestAugment:
         fm = make_fm(T=5)
         X = augment(fm, 0)
         assert np.array_equal(X.values, fm.values)
-        assert X.window == 0
+        assert all(name.endswith("_t0") for name in X.channel_names)
 
     def test_direct_construction(self):
         fm = make_fm(T=5, p=2)
@@ -584,12 +583,12 @@ class TestAugment:
         )
         X = augment(fm, 2)
         assert X.values.shape[1] == 96
-        assert X.base_channels == 32
+        assert X.channel_names[31:33] == ["c31_t0", "c0_t1"]
 
     def test_row_count_property(self):
         for w in range(4):
             fm = make_fm(T=9)
-            assert augment(fm, w).n_rows + w == fm.n_frames
+            assert augment(fm, w).n_rows + w == fm.n_rows
 
     def test_too_short(self):
         with pytest.raises(ValueError):
@@ -607,13 +606,14 @@ class TestAugment:
         X = augment(fm, 1)
         assert X.frame_stride == 3
         assert X.frame_index(2) == 6
+        assert X.sample_rate_hz == fm.sample_rate_hz
 
 
 class TestFrameAlignment:
     def test_labels_at_rows_on_augmented(self):
         labels = [f"L{i}" for i in range(12)]
         X = augment(subsample(make_fm(T=12), 3), 1)
-        assert labels_at_rows(labels, X, X.n_rows) == ["L0", "L3", "L6"]
+        assert labels_at_rows(labels, X) == ["L0", "L3", "L6"]
 
     def test_rows_to_frames_nearest_previous(self):
         X = augment(subsample(make_fm(T=12), 3), 1)
@@ -624,3 +624,30 @@ class TestFrameAlignment:
         X = augment(make_fm(T=5), 1)
         with pytest.raises(ValueError):
             rows_to_frames([], X, 5)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        origin=st.integers(0, 50),
+        stride=st.integers(1, 6),
+        window=st.integers(0, 5),
+        rows_past_window=st.integers(1, 30),
+    )
+    def test_alignment_round_trip(self, origin, stride, window, rows_past_window):
+        # any frame grid with T > W rows: every augmented row reads the label
+        # of its anchor frame, and rows_to_frames writes it back there
+        T = window + rows_past_window
+        fm = FeatureMatrix(
+            np.zeros((T, 2)), 10.0, frame_origin=origin, frame_stride=stride
+        )
+        n_frames = origin + T * stride
+        X = augment(fm, window)
+        picked = labels_at_rows([f"f{i}" for i in range(n_frames)], X)
+        assert len(picked) == X.n_rows == T - window
+        assert picked == [f"f{X.frame_index(i)}" for i in range(X.n_rows)]
+        assert [X.frame_index(i) for i in range(X.n_rows)] == list(
+            range(origin, origin + X.n_rows * stride, stride)
+        )
+        row_labels = [f"r{i}" for i in range(X.n_rows)]
+        frames = rows_to_frames(row_labels, X, n_frames)
+        assert len(frames) == n_frames
+        assert [frames[X.frame_index(i)] for i in range(X.n_rows)] == row_labels
