@@ -244,16 +244,17 @@ def _load_mapping(config: RunConfig):
     return mapping, sidecar
 
 
-def _run_features(config: RunConfig, demo_id: str, item: LoadedDemo):
-    """The base features masked to the run's feature subset."""
+def _check_subset(config: RunConfig, dataset: dict[str, LoadedDemo]) -> None:
+    """A feature subset other than "all" needs every demonstration on the
+    kinematic pipeline."""
     if config.feature_subset == "all":
-        return item.features
-    if not item.kinematic:
-        raise ConfigError(
-            "feature subsets apply only to the kinematic pipeline "
-            f"(demonstration {demo_id!r} is processed raw)"
-        )
-    return _preprocess.select_channels(item.features, config.feature_subset)
+        return
+    for demo_id, item in dataset.items():
+        if not item.kinematic:
+            raise ConfigError(
+                "feature subsets apply only to the kinematic pipeline "
+                f"(demonstration {demo_id!r} is processed raw)"
+            )
 
 
 @dataclass
@@ -268,6 +269,7 @@ class RunResult:
 
 def run_pipeline(config: RunConfig, dataset: dict[str, LoadedDemo]) -> RunResult:
     """Fit on the non-init demonstrations and score the annotated ones."""
+    _check_subset(config, dataset)
     mapping, sidecar = _load_mapping(config)
     transcripts: dict[str, Transcript] = {}
     for demo_id, item in dataset.items():
@@ -284,7 +286,9 @@ def run_pipeline(config: RunConfig, dataset: dict[str, LoadedDemo]) -> RunResult
 
     augmented: dict[str, _preprocess.FeatureMatrix] = {}
     for demo_id, item in dataset.items():
-        fm = _run_features(config, demo_id, item)
+        fm = item.features
+        if config.feature_subset != "all":
+            fm = _preprocess.select_channels(fm, config.feature_subset)
         augmented[demo_id] = _preprocess.augment(fm, config.window)
 
     fit_ids = [d for d in dataset if d not in set(config.init_demos)]
@@ -455,6 +459,9 @@ def _sweep(config: RunConfig, field: str, values: list, csv_name: str) -> int:
     for run_config in configs:  # a bad value fails before any work is done
         _validate(run_config)
     dataset = load_dataset(config)
+    # A subset the loaded data cannot take fails before the first run.
+    for run_config in configs:
+        _check_subset(run_config, dataset)
     rows = []
     for value, run_config in zip(values, configs):
         result = run_pipeline(run_config, dataset)

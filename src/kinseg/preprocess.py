@@ -12,7 +12,6 @@ so per-frame labels can be aligned with any downstream matrix.
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import signal as _signal
 
 from kinseg.ingest import Demonstration
 
@@ -139,27 +138,77 @@ def lowpass_filter(signal: np.ndarray, fc_hz: float, fs_hz: float) -> np.ndarray
 
     The section is designed by bilinear transform with prewarping; the net
     magnitude response is the square of the single-pass response. Edges are
-    handled by reflective padding of 3x the filter order, cropped after the
-    backward pass. A T x p matrix is filtered per column.
+    handled by even (reflective) padding of 3x the filter order, cropped
+    after the backward pass. A T x p matrix is filtered per column.
+
+    The result is bit for bit that of scipy.signal's
+    ``filtfilt(*butter(2, fc_hz, fs=fs_hz), x, axis=0, padtype="even",
+    padlen=min(6, T - 1))``: the coefficients, the initial state and the
+    recurrence repeat scipy's floating-point operations in scipy's order,
+    so every rounding is the same.
     """
-    rows = _column_rows(signal)
-    n = rows.shape[1]
+    x = _as_columns(signal)
+    n = x.shape[0]
     if n < 4:
         raise ValueError("signal too short to filter (need length >= 4)")
     if not 0 < fc_hz < fs_hz / 2:
         raise ValueError(
             f"cutoff {fc_hz} Hz must lie in (0, Nyquist={fs_hz / 2} Hz)"
         )
-    b, a = _signal.butter(FILTER_ORDER, fc_hz, btype="low", fs=fs_hz)
-    padlen = min(3 * FILTER_ORDER, n - 1)
-    out = _signal.filtfilt(b, a, rows, axis=1, padtype="even", padlen=padlen)
-    return out.T.reshape(np.shape(signal))
+    b, a = _butter(fc_hz, fs_hz)
+    # Steady state of the step response: zi = A zi + B (scipy's lfilter_zi).
+    companion = np.array([-a[1:], [1.0, 0.0]])
+    zi = np.linalg.solve(np.eye(2) - companion.T, b[1:] - a[1:] * b[0])[:, None]
+    edge = min(3 * FILTER_ORDER, n - 1)
+    ext = np.concatenate([x[edge:0:-1], x, x[-2 : -(edge + 2) : -1]])
+    y = _lfilter(b, a, ext, zi * ext[0])
+    y = _lfilter(b, a, y[::-1], zi * y[-1])
+    return y[::-1][edge : n + edge].reshape(np.shape(signal))
+
+
+def _butter(fc_hz: float, fs_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """(b, a) of the 2nd-order digital Butterworth low-pass, made by the
+    steps of scipy.signal.butter: analog prototype poles at the prewarped
+    cutoff, bilinear transform, then the polynomials of zeros and poles.
+
+    Like scipy, the design runs at the normalized rate fs = 2 (Nyquist 1).
+    """
+    wn = np.float64(fc_hz) / (float(fs_hz) / 2)
+    wo = float(4.0 * np.tan(np.pi * wn / 2.0))  # prewarp: 2 fs tan(pi wn / fs)
+    m = np.arange(-FILTER_ORDER + 1, FILTER_ORDER, 2, dtype=np.float64)
+    analog = wo * -np.exp(1j * np.pi * m / (2 * FILTER_ORDER))
+    # Bilinear transform s -> 2 fs (z - 1) / (z + 1); the prototype has no
+    # finite zeros, so all of them land at z = -1.
+    poles = (4.0 + analog) / (4.0 - analog)
+    gain = wo**FILTER_ORDER * np.real(1.0 / np.prod(4.0 - analog))
+    return gain * np.poly(-np.ones(FILTER_ORDER)), np.poly(poles).real
+
+
+def _lfilter(b, a, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
+    """Order-2 direct form II transposed filter down axis 0 of x (N x p),
+    from state zi (2 x p), in the order of scipy's C loop:
+    y = z0 + b0 x; z0 = (z1 + b1 x) - a1 y; z1 = b2 x - a2 y."""
+    y = np.empty(x.shape)
+    b0x = b[0] * x
+    bx = b[1:, None] * x[:, None, :]  # rows (b1 x, b2 x); bx[t, 0] gains z1
+    a12 = a[1:, None]
+    z = zi.copy()
+    z0, z1 = z
+    ay = np.empty_like(z)
+    # Each step is four ufunc calls writing into place (out passed
+    # positionally, which skips the keyword parsing).
+    for y_t, b0x_t, bx_t, b1x_t in zip(y, b0x, bx, bx[:, 0]):
+        np.add(z0, b0x_t, y_t)
+        np.add(z1, b1x_t, b1x_t)
+        np.multiply(a12, y_t, ay)
+        np.subtract(bx_t, ay, z)
+    return y
 
 
 def zscore(signal: np.ndarray) -> np.ndarray:
     """Normalize to zero mean, unit variance, per column of a T x p matrix;
     a constant column maps to zeros (also when rounding makes its sd > 0)."""
-    rows = _column_rows(signal)
+    rows = np.ascontiguousarray(_as_columns(signal).T)
     if rows.shape[1] < 2:
         raise ValueError("need at least 2 samples")
     sd = rows.std(axis=1, keepdims=True)
@@ -169,16 +218,16 @@ def zscore(signal: np.ndarray) -> np.ndarray:
     return out.T.reshape(np.shape(signal))
 
 
-def _column_rows(signal) -> np.ndarray:
-    """A length-T signal or T x p matrix as p contiguous rows of length T.
+def _as_columns(signal) -> np.ndarray:
+    """A length-T signal or T x p matrix as a T x p float matrix.
 
-    Filtering and reducing contiguous rows gives each column bit-for-bit
-    the result of the 1-D call.
+    zscore reduces contiguous rows of its transpose, which gives each column
+    bit-for-bit the result of the 1-D call (a reduction down axis 0 does not).
     """
     x = np.asarray(signal, dtype=float)
     if x.ndim not in (1, 2):
         raise ValueError("signal must be 1-D or a T x p matrix")
-    return np.ascontiguousarray(x[None, :] if x.ndim == 1 else x.T)
+    return x[:, None] if x.ndim == 1 else x
 
 
 def distance_features(pos_right: np.ndarray, pos_left: np.ndarray) -> np.ndarray:

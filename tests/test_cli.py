@@ -339,6 +339,29 @@ class TestSweepAndAblate:
         assert code == 1
         assert "kinematic" in capsys.readouterr().err
 
+    def test_ablate_subset_rejected_on_raw_data_before_any_run(
+        self, synth_dir, tmp_path, monkeypatch, capsys
+    ):
+        import kinseg.cli as cli_mod
+
+        runs = []
+        monkeypatch.setattr(cli_mod, "run_pipeline", lambda *a: runs.append(a))
+        out = tmp_path / "abl"
+        code = main([
+            "ablate",
+            "--data-dir", str(synth_dir),
+            "--output-dir", str(out),
+            "--init", "weak",
+            "--init-demos", "synth00",
+            "--subsets", "all,no-pose",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "feature subsets apply only to the kinematic pipeline" in captured.err
+        assert runs == []
+        assert "accuracy=" not in captured.out
+        assert not (out / "ablate.csv").exists()
+
 
 class TestSweepValueValidation:
     """A bad sweep value is a config error, found before any run starts."""
@@ -463,6 +486,68 @@ class TestKinematicPipeline:
         assert report["accuracy"] is not None
         t = parse_transcript((out / "predictions" / "run1.txt").read_text())
         assert set(t.labels()) <= {"slow", "fast"}
+
+
+# Imports kinseg.cli with every scipy import refused, then runs the CLI.
+BLOCK_SCIPY = """
+import sys
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"scipy is blocked ({name})")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+from kinseg.cli import main
+
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_python(args):
+    """Run a fresh interpreter that imports kinseg from this checkout."""
+    import subprocess
+    import sys
+
+    import kinseg
+
+    src = os.path.dirname(os.path.dirname(kinseg.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+class TestRuntimeNeedsOnlyNumpy:
+    def test_cli_import_loads_no_scipy(self):
+        proc = run_python([
+            "-c",
+            "import sys, kinseg.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_segment_runs_with_scipy_blocked(self, robot_dir, tmp_path):
+        common = [
+            "--data-dir", str(robot_dir),
+            "--init", "weak",
+            "--init-demos", "run0",
+            "--window", "1",
+            "--seed", "0",
+        ]
+        blocked, plain = tmp_path / "blocked", tmp_path / "plain"
+        proc = run_python(
+            ["-c", BLOCK_SCIPY, "segment", "--output-dir", str(blocked), *common]
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert main(["segment", "--output-dir", str(plain), *common]) == 0
+        report = (blocked / "report.json").read_bytes()
+        assert report == (plain / "report.json").read_bytes()
 
 
 class TestMappingFlag:

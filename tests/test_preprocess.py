@@ -259,6 +259,78 @@ class TestLowpassFilter:
             lowpass_filter(np.ones(10), 0.0, 30.0)
 
 
+def scipy_filtfilt(x, fc, fs):
+    """The reference lowpass_filter reproduces: scipy's butter + filtfilt."""
+    from scipy import signal
+
+    b, a = signal.butter(2, fc, fs=fs)
+    padlen = min(6, len(x) - 1)
+    return signal.filtfilt(b, a, x, axis=0, padtype="even", padlen=padlen)
+
+
+@st.composite
+def cutoffs(draw):
+    """(fc, fs) with fc strictly inside (0, Nyquist)."""
+    fs = draw(st.floats(1.0, 1000.0))
+    fc = draw(st.floats(1e-3, 0.999)) * fs / 2
+    return fc, fs
+
+
+class TestScipyReference:
+    """lowpass_filter is bit for bit scipy.signal's butter/filtfilt."""
+
+    def test_pinned_coefficients(self):
+        b, a = pp._butter(1.5, 30.0)
+        assert [v.hex() for v in b] == [
+            "0x1.490bbd92ae7cap-6", "0x1.490bbd92ae7cap-5", "0x1.490bbd92ae7cap-6",
+        ]
+        assert [v.hex() for v in a] == [
+            "0x1.0000000000000p+0", "-0x1.8f9ee17007683p+0", "0x1.485f3a92649ffp-1",
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=cutoffs())
+    def test_coefficients_equal_scipy(self, pair):
+        from scipy import signal
+
+        b, a = pp._butter(*pair)
+        ref_b, ref_a = signal.butter(2, pair[0], fs=pair[1])
+        assert np.array_equal(b, ref_b) and np.array_equal(a, ref_a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pair=cutoffs(),
+        n=st.one_of(st.integers(4, 12), st.integers(13, 4000)),
+        p=st.one_of(st.none(), st.integers(1, 8)),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(1e-6, 1e6),
+    )
+    def test_filter_equals_scipy_bitwise(self, pair, n, p, seed, scale):
+        rng = np.random.default_rng(seed)
+        shape = (n,) if p is None else (n, p)
+        x = scale * rng.normal(size=shape) + rng.normal(size=shape[1:])
+        y = lowpass_filter(x, *pair)
+        assert y.shape == x.shape
+        assert np.array_equal(y, scipy_filtfilt(x, *pair))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        x=hnp.arrays(
+            np.float64,
+            st.one_of(st.tuples(st.integers(4, 40)), st.tuples(st.integers(4, 40), st.integers(1, 4))),
+            elements=st.floats(-1e6, 1e6, allow_nan=False),
+        ),
+        pair=cutoffs(),
+    )
+    def test_drawn_values_equal_scipy_bitwise(self, x, pair):
+        assert np.array_equal(lowpass_filter(x, *pair), scipy_filtfilt(x, *pair))
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 3000, 6000])
+    def test_benchmark_shapes(self, n):
+        x = np.random.default_rng(n).normal(size=(n, 32))
+        assert np.array_equal(lowpass_filter(x, 1.5, 30.0), scipy_filtfilt(x, 1.5, 30.0))
+
+
 def signal_matrices(min_rows):
     return hnp.arrays(
         np.float64,
