@@ -32,6 +32,7 @@ from kinseg import metrics as _metrics
 from kinseg import preprocess as _preprocess
 from kinseg import synth as _synth
 from kinseg.ingest import (
+    UNANNOTATED,
     ParseError,
     Transcript,
     compress_labels,
@@ -46,8 +47,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
-
-FILL = ""  # internal marker for unannotated frames
 
 
 class ConfigError(Exception):
@@ -150,6 +149,8 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(f"unknown init method {config.init_method!r}")
     if config.init_method == "weak" and not config.init_demos:
         raise ConfigError("weak init needs at least one --init-demos id")
+    if len(set(config.init_demos)) < len(config.init_demos):
+        raise ConfigError(f"an init demonstration id repeats in {list(config.init_demos)}")
     if config.fc_hz <= 0:
         raise ConfigError("fc_hz must be positive")
     if config.sample_rate_hz is not None and config.sample_rate_hz <= 0:
@@ -262,8 +263,8 @@ class RunResult:
     model: _gmm.GmmModel
     report: _metrics.EvaluationReport
     per_demo: dict[str, _metrics.EvaluationReport]
-    predictions: dict[str, list[str]]  # per-frame labels on the original grid
-    row_predictions: dict[str, list[str]]
+    predictions: dict[str, np.ndarray]  # per-frame labels on the original grid
+    row_predictions: dict[str, np.ndarray]
     augmented: dict[str, _preprocess.FeatureMatrix]
 
 
@@ -304,8 +305,8 @@ def run_pipeline(config: RunConfig, dataset: dict[str, LoadedDemo]) -> RunResult
         fit_data, init, tol=config.em_tol, max_iter=config.em_max_iter
     )
 
-    predictions: dict[str, list[str]] = {}
-    row_predictions: dict[str, list[str]] = {}
+    predictions: dict[str, np.ndarray] = {}
+    row_predictions: dict[str, np.ndarray] = {}
     for demo_id, item in dataset.items():
         X = augmented[demo_id]
         row_labels, _ = _gmm.predict_labels(model, X)
@@ -316,17 +317,16 @@ def run_pipeline(config: RunConfig, dataset: dict[str, LoadedDemo]) -> RunResult
 
     with_accuracy = model.has_labels()
     per_demo: dict[str, _metrics.EvaluationReport] = {}
-    pooled_pred_frames: list[str] = []
-    pooled_truth_frames: list[str] = []
-    pooled_rows = []
-    pooled_pred_rows: list[str] = []
-    pooled_truth_rows: list[str] = []
+    # Pred frames, truth frames, rows, pred rows and truth rows of each scored
+    # demonstration; the empty first entry is what pools when none is scored.
+    empty = np.empty(0, dtype=object)
+    pooled = [(empty, empty, fit_data[:0], empty, empty)]
     for demo_id in fit_ids:
         if demo_id not in transcripts:
             continue
         item = dataset[demo_id]
         X = augmented[demo_id]
-        truth_frames = expand_labels(transcripts[demo_id], item.n_frames, FILL)
+        truth_frames = expand_labels(transcripts[demo_id], item.n_frames)
         truth_rows = _preprocess.labels_at_rows(truth_frames, X)
         per_demo[demo_id] = _metrics.evaluate(
             predictions[demo_id],
@@ -335,22 +335,22 @@ def run_pipeline(config: RunConfig, dataset: dict[str, LoadedDemo]) -> RunResult
             X=X.values,
             pred_rows=row_predictions[demo_id],
             truth_rows=truth_rows,
-            unannotated=FILL,
         )
-        pooled_pred_frames.extend(predictions[demo_id])
-        pooled_truth_frames.extend(truth_frames)
-        pooled_rows.append(X.values)
-        pooled_pred_rows.extend(row_predictions[demo_id])
-        pooled_truth_rows.extend(truth_rows)
+        pooled.append(
+            (predictions[demo_id], truth_frames, X.values,
+             row_predictions[demo_id], truth_rows)
+        )
 
+    pred_frames, truth_frames, rows, pred_rows, truth_rows = (
+        np.concatenate(parts) for parts in zip(*pooled)
+    )
     report = _metrics.evaluate(
-        pooled_pred_frames,
-        pooled_truth_frames,
+        pred_frames,
+        truth_frames,
         with_accuracy=with_accuracy,
-        X=np.vstack(pooled_rows) if pooled_rows else None,
-        pred_rows=pooled_pred_rows,
-        truth_rows=pooled_truth_rows,
-        unannotated=FILL,
+        X=rows,
+        pred_rows=pred_rows,
+        truth_rows=truth_rows,
     )
     return RunResult(model, report, per_demo, predictions, row_predictions, augmented)
 
@@ -364,14 +364,14 @@ def _weak_init_model(config, dataset, transcripts, augmented) -> _gmm.GmmModel:
             )
         item = dataset[demo_id]
         X = augmented[demo_id]
-        frame_labels = expand_labels(transcripts[demo_id], item.n_frames, FILL)
+        frame_labels = expand_labels(transcripts[demo_id], item.n_frames)
         row_labels = _preprocess.labels_at_rows(frame_labels, X)
-        keep = [i for i, lab in enumerate(row_labels) if lab != FILL]
-        if not keep:
+        keep = row_labels != UNANNOTATED
+        if not keep.any():
             raise ValueError(
                 f"init demonstration {demo_id!r} has no annotated rows"
             )
-        labeled.append((X.values[keep], [row_labels[i] for i in keep]))
+        labeled.append((X.values[keep], row_labels[keep]))
     return _gmm.weak_init(labeled)
 
 
@@ -394,7 +394,7 @@ def _write_segment_outputs(config, dataset, result: RunResult) -> None:
     os.makedirs(os.path.join(out, "transitions"), exist_ok=True)
 
     for demo_id in sorted(dataset):
-        t = compress_labels(result.predictions[demo_id], FILL)
+        t = compress_labels(result.predictions[demo_id])
         with open(os.path.join(out, "predictions", f"{demo_id}.txt"), "w") as fh:
             fh.write(serialize_transcript(t))
 

@@ -131,7 +131,7 @@ def weak_init(
     dim = None
     for X, labels in labeled:
         values = _as_matrix(X)
-        labels = list(labels)
+        labels = np.asarray(labels, dtype=object)
         if len(labels) != values.shape[0]:
             raise ValueError("label count does not match row count")
         if dim is None:
@@ -141,12 +141,11 @@ def weak_init(
                 f"dimension mismatch across demonstrations ({values.shape[1]} vs {dim})"
             )
         matrices.append(values)
-        all_labels.extend(labels)
-    labels = np.array(all_labels, dtype=object)
-    names = sorted(set(all_labels))
-    if not names:
+        all_labels.append(labels)
+    names, codes = np.unique(np.concatenate(all_labels), return_inverse=True)
+    if not len(names):
         raise ValueError("no labeled rows in any demonstration")
-    groups = [labels == name for name in names]
+    groups = [codes == k for k in range(len(names))]
     for name, group in zip(names, groups):
         n_rows = np.count_nonzero(group)
         if n_rows < 2:
@@ -363,15 +362,16 @@ def em_fit(X, init: GmmModel, tol: float = 1e-6, max_iter: int = 300) -> GmmMode
     return GmmModel(means, covariances, weights, init.labels, fit_trace)
 
 
-def predict_labels(model: GmmModel, X) -> tuple[list[str], np.ndarray]:
-    """Most likely component per row, plus the full posterior matrix.
+def predict_labels(model: GmmModel, X) -> tuple[np.ndarray, np.ndarray]:
+    """Most likely component name per row, as an object array, plus the
+    full posterior matrix.
 
     Ties go to the lowest component index. Components without a label get
     the synthetic name "cluster_<index>".
     """
     post = responsibilities(model, X)
-    best = np.argmax(post, axis=1)
-    return [model.component_name(k) for k in best], post
+    names = [model.component_name(k) for k in range(model.n_components)]
+    return np.array(names, dtype=object)[np.argmax(post, axis=1)], post
 
 
 @dataclass(frozen=True)
@@ -386,13 +386,12 @@ def transition_points(labels: Sequence[str], X) -> list[TransitionPoint]:
     """Label-change events: one entry at each t with label(t) != label(t+1),
     carrying the feature vector at t+1."""
     data = _as_matrix(X)
-    labels = list(labels)
+    labels = np.asarray(labels, dtype=object)
     if len(labels) != data.shape[0]:
         raise ValueError("label count does not match row count")
     return [
-        TransitionPoint(t, data[t + 1], labels[t], labels[t + 1])
-        for t in range(len(labels) - 1)
-        if labels[t] != labels[t + 1]
+        TransitionPoint(int(t), data[t + 1], labels[t], labels[t + 1])
+        for t in np.flatnonzero(labels[1:] != labels[:-1])
     ]
 
 

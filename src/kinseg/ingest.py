@@ -10,13 +10,14 @@ names, one frame per row). Transcripts are "start end label" lines with
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 JIGSAWS_TOTAL_COLUMNS = 76
 PSM_COLUMNS = 38
 JIGSAWS_RATE_HZ = 30.0
+UNANNOTATED = ""  # label of the frames no transcript segment covers
 
 # 19 variables per arm: position, row-major rotation matrix, linear
 # velocity, angular velocity, gripper angle.
@@ -267,30 +268,26 @@ def serialize_transcript(t: Transcript) -> str:
     return "".join(f"{s.start} {s.end} {s.label}\n" for s in t.segments)
 
 
-def expand_labels(t: Transcript, n_frames: int, fill: str = "") -> list[str]:
-    """Per-frame labels (0-based, length n_frames); uncovered frames get fill."""
-    labels = [fill] * n_frames
+def expand_labels(t: Transcript, n_frames: int) -> np.ndarray:
+    """Per-frame labels as an object array (0-based, length n_frames);
+    frames no segment covers hold UNANNOTATED."""
+    labels = np.full(max(n_frames, 0), UNANNOTATED, dtype=object)
     for s in t.segments:
         if s.end > n_frames:
             raise ValueError(
                 f"segment {s} exceeds trajectory length {n_frames}"
             )
-        for i in range(s.start - 1, s.end):
-            labels[i] = s.label
+        labels[s.start - 1 : s.end] = s.label
     return labels
 
 
-def compress_labels(labels: Iterable[str], fill: str = "") -> Transcript:
-    """Inverse of expand_labels: contiguous runs become segments, fill runs gaps."""
-    segments = []
-    start = None
-    current = None
-    for i, label in enumerate(labels):
-        if label != current:
-            if current is not None and current != fill:
-                segments.append(Segment(start + 1, i, current))
-            start, current = i, label
-        n = i + 1
-    if current is not None and current != fill:
-        segments.append(Segment(start + 1, n, current))
-    return Transcript(tuple(segments))
+def compress_labels(labels: Sequence[str]) -> Transcript:
+    """Inverse of expand_labels: contiguous runs become segments, and
+    UNANNOTATED runs become gaps."""
+    labels = np.asarray(labels, dtype=object)
+    # runs start at frame 0 (if there is one) and wherever the label changes
+    starts = np.flatnonzero(np.r_[len(labels) > 0, labels[1:] != labels[:-1]])
+    runs = zip(starts.tolist(), starts[1:].tolist() + [len(labels)], labels[starts])
+    return Transcript(
+        tuple(Segment(i + 1, j, label) for i, j, label in runs if label != UNANNOTATED)
+    )

@@ -13,24 +13,50 @@ from typing import Sequence
 
 import numpy as np
 
+from kinseg.ingest import UNANNOTATED
+
 
 def _check_lengths(a, b):
     if len(a) != len(b):
         raise ValueError(f"sequence lengths differ: {len(a)} vs {len(b)}")
 
 
+def confusion_matrix(pred: Sequence, truth: Sequence) -> tuple[list[str], np.ndarray]:
+    """Counts over the sorted union of labels; rows = truth, cols = pred.
+
+    One np.unique over truth and pred together codes both axes alike, and
+    one np.bincount over the code pairs fills the matrix.
+    """
+    _check_lengths(pred, truth)
+    both = [np.asarray(truth, dtype=object), np.asarray(pred, dtype=object)]
+    names, codes = np.unique(np.concatenate(both), return_inverse=True)
+    k, n = len(names), len(truth)
+    counts = np.bincount(codes[:n] * k + codes[n:], minlength=k * k).reshape(k, k)
+    return names.tolist(), counts
+
+
+def _counts(pred: Sequence, truth: Sequence) -> tuple[list[str], np.ndarray]:
+    """confusion_matrix of two labelings that must not be empty."""
+    names, counts = confusion_matrix(pred, truth)
+    if len(truth) == 0:
+        raise ValueError("empty sequences")
+    return names, counts
+
+
 def accuracy(pred: Sequence, truth: Sequence) -> float:
     """Fraction of frames whose predicted label matches the reference."""
-    _check_lengths(pred, truth)
-    if len(pred) == 0:
-        raise ValueError("empty sequences")
-    matches = sum(p == t for p, t in zip(pred, truth))
-    return matches / len(pred)
+    _, counts = _counts(pred, truth)
+    return int(np.trace(counts)) / len(truth)
 
 
-def _entropy(counts: np.ndarray, n: int) -> float:
-    p = counts[counts > 0] / n
-    return float(-np.sum(p * np.log(p)))
+def per_label_accuracy(pred: Sequence, truth: Sequence) -> dict[str, float]:
+    """Per reference label: correct frames / frames carrying that label."""
+    return _per_label_accuracy(*_counts(pred, truth))
+
+
+def _per_label_accuracy(names: list[str], counts: np.ndarray) -> dict[str, float]:
+    totals = counts.sum(axis=1).tolist()
+    return {name: int(counts[i, i]) / totals[i] for i, name in enumerate(names) if totals[i]}
 
 
 def nmi(x: Sequence, y: Sequence) -> float:
@@ -40,17 +66,18 @@ def nmi(x: Sequence, y: Sequence) -> float:
     both are constant their (single-block) partitions coincide and the
     score is 1.
     """
-    _check_lengths(x, y)
-    n = len(x)
-    if n == 0:
-        raise ValueError("empty sequences")
-    xs = np.asarray(x, dtype=object)
-    ys = np.asarray(y, dtype=object)
-    _, xi = np.unique(xs, return_inverse=True)
-    _, yi = np.unique(ys, return_inverse=True)
-    kx, ky = xi.max() + 1, yi.max() + 1
-    joint = np.zeros((kx, ky))
-    np.add.at(joint, (xi, yi), 1.0)
+    return _nmi(_counts(x, y)[1].T)
+
+
+def _entropy(counts: np.ndarray, n: int) -> float:
+    p = counts[counts > 0] / n
+    return float(-np.sum(p * np.log(p)))
+
+
+def _nmi(joint: np.ndarray) -> float:
+    """NMI of the joint counts, rows X and columns Y; all-zero rows and
+    columns (labels only the other sequence carries) drop out."""
+    n = int(joint.sum())
     hx = _entropy(joint.sum(axis=1), n)
     hy = _entropy(joint.sum(axis=0), n)
     if hx == 0.0 or hy == 0.0:
@@ -72,7 +99,7 @@ def silhouette_samples(X, labels: Sequence) -> np.ndarray:
     with s = 0 when the sample coincides with both means.
     """
     data = np.asarray(getattr(X, "values", X), dtype=float)
-    labels = np.asarray(list(labels), dtype=object)
+    labels = np.asarray(labels, dtype=object)
     if data.shape[0] != labels.shape[0]:
         raise ValueError("label count does not match row count")
     names, idx = np.unique(labels, return_inverse=True)
@@ -99,31 +126,6 @@ def silhouette_index(X, labels: Sequence) -> float:
     """Mean of the normalized per-sample silhouettes (s + 1) / 2, in [0, 1]."""
     s = silhouette_samples(X, labels)
     return float(np.mean((s + 1.0) / 2.0))
-
-
-def per_label_accuracy(pred: Sequence, truth: Sequence) -> dict[str, float]:
-    """Per reference label: correct frames / frames carrying that label."""
-    _check_lengths(pred, truth)
-    if len(pred) == 0:
-        raise ValueError("empty sequences")
-    correct: dict[str, int] = {}
-    total: dict[str, int] = {}
-    for p, t in zip(pred, truth):
-        total[t] = total.get(t, 0) + 1
-        if p == t:
-            correct[t] = correct.get(t, 0) + 1
-    return {t: correct.get(t, 0) / n for t, n in sorted(total.items())}
-
-
-def confusion_matrix(pred: Sequence, truth: Sequence) -> tuple[list[str], np.ndarray]:
-    """Counts over the sorted union of labels; rows = truth, cols = pred."""
-    _check_lengths(pred, truth)
-    names = sorted(set(pred) | set(truth))
-    index = {name: i for i, name in enumerate(names)}
-    counts = np.zeros((len(names), len(names)), dtype=int)
-    for p, t in zip(pred, truth):
-        counts[index[t], index[p]] += 1
-    return names, counts
 
 
 @dataclass
@@ -168,40 +170,40 @@ def evaluate(
     X=None,
     pred_rows: Sequence | None = None,
     truth_rows: Sequence | None = None,
-    unannotated=None,
 ) -> EvaluationReport:
     """Assemble the report from frame-level labelings and, optionally, the
     augmented sample matrix with row-level labelings for the silhouettes.
 
-    Frames and rows whose reference label equals `unannotated` are left out
-    of every metric except si_pred, which scores the clustering's own
-    geometry over all rows. With no frame left, accuracy and nmi are None.
+    Frames and rows whose reference label is UNANNOTATED are left out of
+    every metric except si_pred, which scores the clustering's own geometry
+    over all rows. One confusion count over the kept frames gives accuracy,
+    per-label accuracy and NMI; with no frame left, accuracy and nmi are
+    None.
     """
     _check_lengths(pred, truth)
-    if unannotated is not None:
-        kept = [i for i, t in enumerate(truth) if t != unannotated]
-        pred = [pred[i] for i in kept]
-        truth = [truth[i] for i in kept]
-    names, counts = confusion_matrix(pred, truth)
-    scored = len(pred) > 0
+    pred, truth = np.asarray(pred, dtype=object), np.asarray(truth, dtype=object)
+    kept = truth != UNANNOTATED
+    names, counts = confusion_matrix(pred[kept], truth[kept])
+    n_frames = int(counts.sum())
     si_pred = si_truth = None
     if X is not None:
         data = np.asarray(getattr(X, "values", X), dtype=float)
         if pred_rows is not None:
             si_pred = _try_silhouette(data, pred_rows)
         if truth_rows is not None:
-            rows = [i for i, t in enumerate(truth_rows) if t != unannotated]
-            si_truth = _try_silhouette(data[rows], [truth_rows[i] for i in rows])
-    with_accuracy = with_accuracy and scored
+            truth_rows = np.asarray(truth_rows, dtype=object)
+            rows = truth_rows != UNANNOTATED
+            si_truth = _try_silhouette(data[rows], truth_rows[rows])
+    with_accuracy = with_accuracy and n_frames > 0
     return EvaluationReport(
-        accuracy=accuracy(pred, truth) if with_accuracy else None,
-        nmi=nmi(pred, truth) if scored else None,
+        accuracy=int(np.trace(counts)) / n_frames if with_accuracy else None,
+        nmi=_nmi(counts.T) if n_frames else None,
         si_pred=si_pred,
         si_truth=si_truth,
-        per_label_accuracy=per_label_accuracy(pred, truth) if with_accuracy else {},
+        per_label_accuracy=_per_label_accuracy(names, counts) if with_accuracy else {},
         confusion_labels=names,
         confusion=counts,
-        n_frames_evaluated=len(pred),
+        n_frames_evaluated=n_frames,
     )
 
 

@@ -74,7 +74,7 @@ class FeatureMatrix:
         return self.values.shape[1]
 
     def frame_index(self, row: int) -> int:
-        """Original-grid frame index of a feature row."""
+        """Original-grid frame index of a feature row (or of an array of rows)."""
         return self.frame_origin + row * self.frame_stride
 
 
@@ -363,23 +363,24 @@ def augment(fm: FeatureMatrix, window: int) -> FeatureMatrix:
     )
 
 
-def labels_at_rows(frame_labels, fm: FeatureMatrix) -> list:
-    """Pick the original-grid labels at the anchor frames of fm's rows."""
-    return [frame_labels[fm.frame_index(i)] for i in range(fm.n_rows)]
+def labels_at_rows(frame_labels, fm: FeatureMatrix) -> np.ndarray:
+    """Pick the original-grid labels at the anchor frames of fm's rows, as
+    an object array (UNANNOTATED where the frame is unannotated); a row
+    anchored past the frame grid raises IndexError."""
+    return np.asarray(frame_labels, dtype=object)[fm.frame_index(np.arange(fm.n_rows))]
 
 
-def rows_to_frames(row_labels, X: FeatureMatrix, n_frames: int) -> list:
-    """Project per-row labels back onto the original frame grid.
+def rows_to_frames(row_labels, X: FeatureMatrix, n_frames: int) -> np.ndarray:
+    """Project per-row labels back onto the original frame grid, as an
+    object array.
 
     Nearest-previous rule: frame f takes the label of the last row whose
     anchor frame does not exceed f; frames before the first anchor take the
     first row's label.
     """
+    row_labels = np.asarray(row_labels, dtype=object)
     n_rows = len(row_labels)
     if n_rows == 0:
         raise ValueError("no row labels to project")
-    out = []
-    for f in range(n_frames):
-        i = (f - X.frame_origin) // X.frame_stride
-        out.append(row_labels[min(max(i, 0), n_rows - 1)])
-    return out
+    rows = (np.arange(n_frames) - X.frame_origin) // X.frame_stride
+    return row_labels[np.clip(rows, 0, n_rows - 1)]

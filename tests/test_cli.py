@@ -1,11 +1,16 @@
 import csv
+import dataclasses
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+from kinseg import cli
 from kinseg.cli import main
 from kinseg.gmm import NumericalError, load_model
 from kinseg.ingest import (
@@ -657,6 +662,84 @@ class TestConfigFile:
         assert f"kinseg: config error: config field {next(iter(doc))!r}" in err
 
 
+# Each config field: its flag, and values that pass validation alone.
+_CONFIG_VALUES = {
+    "data_dir": ("--data-dir", st.sampled_from(["data", "other/data"])),
+    "output_dir": ("--output-dir", st.sampled_from(["out", "other/out"])),
+    "layout": ("--layout", st.sampled_from(["auto", "jigsaws", "csv"])),
+    "sample_rate_hz": ("--sample-rate", st.floats(0.5, 500.0)),
+    "preprocessing": ("--preprocessing", st.sampled_from(["auto", "kinematic", "raw"])),
+    "fc_hz": ("--fc", st.floats(0.01, 20.0)),
+    "subsample_factor": ("--subsample", st.integers(1, 6)),
+    "window": ("--window", st.integers(0, 8)),
+    "feature_subset": ("--subset", st.sampled_from(["all", "no-pose", "1,8", "29"])),
+    "em_tol": ("--em-tol", st.floats(1e-12, 0.1)),
+    "em_max_iter": ("--em-max-iter", st.integers(1, 1000)),
+    "seed": ("--seed", st.integers(0, 2**31 - 1)),
+    "init_method": ("--init", st.sampled_from(["weak", "kmeans"])),
+    "init_demos": ("--init-demos", st.lists(
+        st.sampled_from(["d00", "d01", "synth02"]), min_size=1, max_size=3, unique=True
+    )),
+    "k": ("--k", st.integers(1, 20)),
+    "mapping": ("--mapping", st.sampled_from(["builtin", "rules.txt"])),
+    "sidecar": ("--sidecar", st.sampled_from(["sidecar.json"])),
+}
+
+
+def _file_form(name, value, data):
+    """A value as a config file may spell it: integral floats for integer
+    fields, a comma-separated string or a list for init_demos."""
+    if name in cli._INT_FIELDS and data.draw(st.booleans()):
+        return float(value)
+    if name == "init_demos" and data.draw(st.booleans()):
+        return ",".join(value)
+    return value
+
+
+def _flag_form(value):
+    if isinstance(value, list):
+        return ",".join(value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+class TestConfigPrecedence:
+    def test_every_field_has_a_flag(self):
+        assert set(_CONFIG_VALUES) == {f.name for f in dataclasses.fields(cli.RunConfig)}
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_defaults_then_file_then_flags(self, data):
+        file_doc, argv, expected = {}, [], {}
+        for name, (flag, values) in _CONFIG_VALUES.items():
+            in_file, in_flags = data.draw(st.booleans()), data.draw(st.booleans())
+            if in_file:
+                value = data.draw(values)
+                file_doc[name] = _file_form(name, value, data)
+                expected[name] = value
+            if in_flags:
+                value = data.draw(values)
+                argv += [flag, _flag_form(value)]
+                expected[name] = value
+        if "init_demos" in expected:
+            expected["init_demos"] = tuple(expected["init_demos"])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.json")
+            with open(path, "w") as fh:
+                json.dump(file_doc, fh)
+            args = cli.build_parser().parse_args(["segment", "--config", path, *argv])
+            merged = cli.RunConfig(**expected)
+            if not merged.data_dir or not merged.output_dir or (
+                merged.init_method == "weak" and not merged.init_demos
+            ):
+                with pytest.raises(cli.ConfigError):
+                    cli.resolve_config(args)
+                return
+            config = cli.resolve_config(args)
+        assert config == merged
+        for f in dataclasses.fields(config):  # the same types, not just equal
+            assert type(getattr(config, f.name)) is type(getattr(merged, f.name))
+
+
 class TestWarnings:
     def test_small_label_warning_on_stderr(self, synth_dir, tmp_path, capsys):
         # W=9 makes 4 x 10 = 40 columns; each label of synth00 has fewer
@@ -709,6 +792,31 @@ class TestErrorExits:
         ])
         assert code == 1
         assert "init" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("form", ["flag", "config-list"])
+    def test_repeated_init_demo(self, synth_dir, tmp_path, monkeypatch, capsys, form):
+        # A repeated id would count its annotated rows twice in weak init;
+        # it is a config error, raised before any recording is read.
+        loads = []
+        monkeypatch.setattr(cli, "load_dataset", lambda config: loads.append(config))
+        argv = [
+            "segment",
+            "--data-dir", str(synth_dir),
+            "--output-dir", str(tmp_path / "out"),
+            "--init", "weak",
+        ]
+        if form == "flag":
+            argv += ["--init-demos", "synth00,synth01,synth00"]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"init_demos": ["synth00", "synth01", "synth00"]}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "kinseg: config error: an init demonstration id repeats" in err
+        assert "synth00" in err
+        assert loads == []
+        assert not (tmp_path / "out").exists()
 
     def test_init_demo_not_in_dataset(self, synth_dir, tmp_path, capsys):
         code = run_segment(synth_dir, tmp_path / "out",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinseg.dictionary import (
     FOLLOWING,
@@ -81,6 +83,40 @@ class TestParseMapping:
     def test_unmapped_lookup(self):
         with pytest.raises(ValueError, match="'G9'"):
             parse_mapping("G1 -> L1\n").rule_for("G9")
+
+
+# Label tokens as in transcripts: no whitespace and none of the syntax
+# characters # - > | @ , (a '-' alone is allowed: "G-1" is a fine label).
+_names = st.from_regex(r"[A-Za-z0-9_.][A-Za-z0-9_.-]*", fullmatch=True)
+_fraction = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def mapping_rules(draw, source):
+    scope = draw(st.sampled_from([WHOLE_SEGMENT, SPLIT, FOLLOWING]))
+    if scope == FOLLOWING:
+        return MappingRule(source, (), FOLLOWING)
+    n_targets = 1 if scope == WHOLE_SEGMENT else draw(st.integers(2, 4))
+    targets = tuple(draw(st.lists(_names, min_size=n_targets, max_size=n_targets)))
+    fractions = ()
+    if scope == SPLIT and draw(st.booleans()):
+        fractions = tuple(draw(st.lists(_fraction, min_size=n_targets - 1,
+                                        max_size=n_targets - 1)))
+    return MappingRule(source, targets, scope, fractions)
+
+
+@st.composite
+def mappings(draw):
+    sources = draw(st.lists(_names, min_size=1, max_size=6, unique=True))
+    return LabelMapping({s: draw(mapping_rules(s)) for s in sources})
+
+
+class TestMappingRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(m=mappings())
+    def test_serialize_parse(self, m):
+        # any mapping the file syntax can express survives serialize -> parse
+        assert parse_mapping(serialize_mapping(m)) == m
 
 
 class TestMappingRule:
@@ -202,8 +238,8 @@ class TestApplyMapping:
             t = Transcript(tuple(segments))
             out = apply_mapping(t, m)
             n = t.segments[-1].end + 1
-            before = sum(1 for lab in expand_labels(t, n, "") if lab != "")
-            after = sum(1 for lab in expand_labels(out, n, "") if lab != "")
+            before = sum(1 for lab in expand_labels(t, n) if lab != "")
+            after = sum(1 for lab in expand_labels(out, n) if lab != "")
             assert before == after
 
     def test_pure_rename_idempotent(self):

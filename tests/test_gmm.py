@@ -345,7 +345,7 @@ class TestPredictLabels:
             (np.array([+5.0]), np.eye(1), 0.5, "pos"),
         )
         labels, post = predict_labels(model, np.array([[4.0], [-4.0]]))
-        assert labels == ["pos", "neg"]
+        assert list(labels) == ["pos", "neg"]
         assert np.abs(post.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_tie_goes_to_lowest_index(self):

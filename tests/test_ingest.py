@@ -295,11 +295,11 @@ class TestTranscriptInvariants:
 class TestExpandLabels:
     def test_contiguous(self):
         t = Transcript((Segment(1, 2, "A"), Segment(3, 4, "B")))
-        assert expand_labels(t, 4) == ["A", "A", "B", "B"]
+        assert list(expand_labels(t, 4)) == ["A", "A", "B", "B"]
 
     def test_fill_at_edges(self):
         t = Transcript((Segment(2, 3, "A"),))
-        assert expand_labels(t, 4, fill="-") == ["-", "A", "A", "-"]
+        assert list(expand_labels(t, 4)) == ["", "A", "A", ""]
 
     def test_too_long_segment(self):
         t = Transcript((Segment(1, 5, "A"),))
@@ -328,7 +328,7 @@ class TestExpandLabels:
             if not segments:
                 continue
             t = Transcript(tuple(segments))
-            labels = expand_labels(t, n, fill="")
+            labels = list(expand_labels(t, n))
             expected = []
             start = None
             for i, lab in enumerate(labels + ["\0"]):
@@ -337,7 +337,7 @@ class TestExpandLabels:
                         expected.append(Segment(start + 1, i, labels[start]))
                     start = i
             # adjacent same-label original segments merge in the recompression
-            assert compress_labels(labels, fill="").segments == tuple(expected)
+            assert compress_labels(labels).segments == tuple(expected)
 
 
 class TestCompressLabels:
@@ -346,5 +346,5 @@ class TestCompressLabels:
         assert t.segments == (Segment(1, 2, "A"), Segment(3, 4, "B"))
 
     def test_fill_becomes_gap(self):
-        t = compress_labels(["", "A", "A", ""], fill="")
+        t = compress_labels(["", "A", "A", ""])
         assert t.segments == (Segment(2, 3, "A"),)
