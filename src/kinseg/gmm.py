@@ -24,17 +24,37 @@ responsibility-weighted scatter blockwise. Rows are processed in blocks of
 ROW_BLOCK, so no temporary grows with the row count beyond the N x K
 posteriors.
 
+Both block loops split across WORKERS threads (the usable CPUs); numpy
+releases the GIL inside BLAS calls and ufunc loops. kinseg/__init__.py pins
+BLAS to one thread, so the threads do not contend with BLAS's own. The
+E-step splits the rows into contiguous runs of whole blocks, each filling
+its rows of the N x K output; every row's log densities are computed by the
+same calls as without the split. The scatter splits the components into
+contiguous groups, and each group accumulates its blocks in the same order
+as one pass would. The batched Cholesky and inverse, and every sum over
+rows (resp^T X, the masses, the log-sum-exp), stay single calls on the
+calling thread. So every array has the same bytes for any worker count.
+The calling thread allocates each part's work buffers and runs the first
+part itself: buffers allocated in the pool's threads would grow glibc's
+per-thread arenas and the peak RSS. Mixtures below SPLIT_FLOOR, and every
+mixture when the BLAS pin did not take effect, run on the calling thread.
+
 All likelihood computations run in the log domain with max-subtraction;
 covariances are regularized with a scale-relative ridge at initialization
 and after every M-step so Cholesky factorizations always succeed.
 """
 
+import contextvars
+import functools
 import json
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+
+from kinseg import BLAS_PINNED
 
 REG_SCALE = 1e-6  # ridge = REG_SCALE * mean diagonal entry
 REG_FLOOR = 1e-12  # absolute fallback for exactly-zero covariances
@@ -43,6 +63,23 @@ KMEANS_MAX_ITER = 100
 # GEMMs, small enough that the K x ROW_BLOCK x D scatter temporaries stay
 # a few MB (the block size measured fastest with the lowest peak RSS).
 ROW_BLOCK = 256
+# Mixtures with fewer multiply-adds per row than this (K x D^2) run their
+# kernels on the calling thread. The threads hand the GIL over around each
+# numpy call, and below this a block holds too little BLAS work to pay for
+# that. EM on 5,988 rows at K=10 on 2 vCPUs, split against serial: 1.34x the
+# time at D=24, 1.05x at D=48, 0.90x at D=64, 0.78x at D=96.
+SPLIT_FLOOR = 1 << 15
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Threads the kernels split across. Without the one-thread BLAS pin, BLAS
+# threads would contend with these for the cores, so the kernels stay serial.
+WORKERS = _usable_cpus() if BLAS_PINNED else 1
 
 
 class NumericalError(RuntimeError):
@@ -237,12 +274,51 @@ def _fix_empty_clusters(assignment, dist2, k):
     return assignment
 
 
+def _runs(total: int, k: int, dim: int) -> list[int]:
+    """Boundaries of the contiguous runs of range(total) that a kernel pass
+    over a K-component, D-dimensional mixture splits into: one per worker,
+    lengths within one, or a single run below SPLIT_FLOOR."""
+    parts = 1 if k * dim * dim < SPLIT_FLOOR else max(1, min(WORKERS, total))
+    return [total * i // parts for i in range(parts + 1)]
+
+
+@functools.cache
+def _pool(size: int):
+    from concurrent.futures import ThreadPoolExecutor  # only once a pass splits
+
+    return ThreadPoolExecutor(size, thread_name_prefix="kinseg")
+
+
+# A forked child inherits the pools but not their threads; work submitted to
+# them would wait forever.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _run(fn, parts: list[tuple]) -> None:
+    """fn(*args) for every args in parts: the first on the calling thread, the
+    others on a pool of WORKERS - 1 threads, each in a copy of the caller's
+    context (which carries numpy's errstate). Returns once all are done."""
+    futures = [
+        _pool(WORKERS - 1).submit(contextvars.copy_context().run, fn, *args)
+        for args in parts[1:]
+    ]
+    try:
+        fn(*parts[0])
+    finally:
+        for future in futures:
+            future.exception()  # wait even if this thread's part raised
+    for future in futures:
+        future.result()
+
+
 def _log_densities(data: np.ndarray, means, covariances, weights) -> np.ndarray:
     """N x K matrix of log(w_k) + log N(x; mu_k, C_k) of a stacked mixture.
 
     With C_k = L_k L_k^T and P_k = L_k^-T side by side in pcat (D x K*D), a
     block of rows gets all K Mahalanobis terms from one GEMM:
-    ||x P_k - mu_k P_k||^2.
+    ||x P_k - mu_k P_k||^2. At SPLIT_FLOOR and above, the row blocks split
+    into contiguous runs, one per worker.
     """
     k, dim = means.shape
     try:
@@ -266,25 +342,50 @@ def _log_densities(data: np.ndarray, means, covariances, weights) -> np.ndarray:
     logdet = np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
     bias = np.log(weights) - 0.5 * dim * np.log(2.0 * np.pi) - logdet
 
-    out = np.empty((data.shape[0], k))
-    for start in range(0, data.shape[0], ROW_BLOCK):
-        y = data[start : start + ROW_BLOCK] @ pcat
-        y -= offsets
-        y = y.reshape(y.shape[0], k, dim)
-        out[start : start + ROW_BLOCK] = bias - 0.5 * np.einsum("bkd,bkd->bk", y, y)
+    n = data.shape[0]
+    out = np.empty((n, k))
+    n_blocks = -(-n // ROW_BLOCK)
+    bounds = [min(b * ROW_BLOCK, n) for b in _runs(n_blocks, k, dim)]
+
+    def part(lo, hi, y):
+        for start in range(lo, hi, ROW_BLOCK):
+            stop = min(start + ROW_BLOCK, hi)
+            block = np.matmul(data[start:stop], pcat, out=y[: stop - start])
+            block -= offsets
+            block = block.reshape(stop - start, k, dim)
+            q = np.einsum("bkd,bkd->bk", block, block, out=out[start:stop])
+            q *= -0.5
+            q += bias
+
+    _run(part, [
+        (lo, hi, np.empty((ROW_BLOCK, k * dim))) for lo, hi in zip(bounds, bounds[1:])
+    ])
     return out
 
 
 def _scatter(data: np.ndarray, resp: np.ndarray, means: np.ndarray) -> np.ndarray:
     """K x D x D sums over rows of r_ik (x_i - mu_k)(x_i - mu_k)^T, accumulated
-    one row block at a time as Z_k^T Z_k with Z_k = (x - mu_k) sqrt(r_k)."""
+    one row block at a time as Z_k^T Z_k with Z_k = (x - mu_k) sqrt(r_k).
+    At SPLIT_FLOOR and above, the components split into contiguous groups,
+    one per worker; each group keeps the block order, so every sum is the
+    same."""
     k, dim = means.shape
+    n = data.shape[0]
     out = np.zeros((k, dim, dim))
-    for start in range(0, data.shape[0], ROW_BLOCK):
-        stop = start + ROW_BLOCK
-        z = data[None, start:stop, :] - means[:, None, :]
-        z *= np.sqrt(resp[start:stop].T)[:, :, None]
-        out += np.swapaxes(z, 1, 2) @ z
+    bounds = _runs(k, k, dim)
+
+    def part(lo, hi, z, w, s):
+        for start in range(0, n, ROW_BLOCK):
+            stop = min(start + ROW_BLOCK, n)
+            zb = np.subtract(data[start:stop], means[lo:hi, None, :], out=z[:, : stop - start])
+            zb *= np.sqrt(resp[start:stop, lo:hi].T, out=w[:, : stop - start])[:, :, None]
+            out[lo:hi] += np.matmul(np.swapaxes(zb, 1, 2), zb, out=s)
+
+    _run(part, [
+        (lo, hi, np.empty((hi - lo, ROW_BLOCK, dim)), np.empty((hi - lo, ROW_BLOCK)),
+         np.empty((hi - lo, dim, dim)))
+        for lo, hi in zip(bounds, bounds[1:])
+    ])
     return out
 
 

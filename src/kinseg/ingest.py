@@ -271,7 +271,9 @@ def serialize_transcript(t: Transcript) -> str:
 def expand_labels(t: Transcript, n_frames: int) -> np.ndarray:
     """Per-frame labels as an object array (0-based, length n_frames);
     frames no segment covers hold UNANNOTATED."""
-    labels = np.full(max(n_frames, 0), UNANNOTATED, dtype=object)
+    if n_frames < 0:
+        raise ValueError(f"trajectory length must be >= 0, got {n_frames}")
+    labels = np.full(n_frames, UNANNOTATED, dtype=object)
     for s in t.segments:
         if s.end > n_frames:
             raise ValueError(

@@ -306,6 +306,15 @@ class TestExpandLabels:
         with pytest.raises(ValueError, match="exceeds"):
             expand_labels(t, 4)
 
+    def test_negative_length_empty_transcript(self):
+        with pytest.raises(ValueError, match="trajectory length must be >= 0, got -1"):
+            expand_labels(Transcript(()), -1)
+
+    def test_negative_length_with_segments(self):
+        t = Transcript((Segment(1, 2, "A"),))
+        with pytest.raises(ValueError, match="trajectory length must be >= 0, got -2"):
+            expand_labels(t, -2)
+
     def test_length_always_n_frames(self):
         t = Transcript((Segment(3, 6, "A"),))
         assert len(expand_labels(t, 11)) == 11

@@ -34,6 +34,8 @@ from kinseg.preprocess import FeatureMatrix, augment, labels_at_rows, rows_to_fr
 
 
 def ref_expand_labels(t, n_frames, fill=""):
+    if n_frames < 0:
+        raise ValueError(f"trajectory length must be >= 0, got {n_frames}")
     labels = [fill] * n_frames
     for s in t.segments:
         if s.end > n_frames:
@@ -212,14 +214,15 @@ class TestAgainstReferences:
     @given(t=transcripts(), extra=st.integers(-3, 5))
     def test_expand_labels(self, t, extra):
         n = (t.segments[-1].end if t.segments else 0) + extra
-        if extra < 0 and t.segments:
-            with pytest.raises(ValueError, match="exceeds"):
+        if extra < 0:
+            match = f"must be >= 0, got {n}" if n < 0 else "exceeds"
+            with pytest.raises(ValueError, match=match):
                 ref_expand_labels(t, n)
-            with pytest.raises(ValueError, match="exceeds"):
+            with pytest.raises(ValueError, match=match):
                 expand_labels(t, n)
             return
-        out = expand_labels(t, n)  # a negative n with no segment gives no frames
-        assert out.dtype == object and out.shape == (max(n, 0),)
+        out = expand_labels(t, n)
+        assert out.dtype == object and out.shape == (n,)
         assert list(out) == ref_expand_labels(t, n)
 
     @settings(max_examples=100, deadline=None)
