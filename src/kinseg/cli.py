@@ -34,7 +34,6 @@ from kinseg import synth as _synth
 from kinseg.ingest import (
     UNANNOTATED,
     ParseError,
-    Transcript,
     compress_labels,
     expand_labels,
     parse_kinematics,
@@ -178,12 +177,14 @@ class LoadedDemo:
     features: _preprocess.FeatureMatrix  # before any feature subset or window
     kinematic: bool  # features from the kinematic pipeline, not raw columns
     n_frames: int  # length of the recording's frame grid
-    transcript: Transcript | None
+    truth: np.ndarray | None  # per-frame labels, remapped; None without a transcript
 
 
 def load_dataset(config: RunConfig) -> dict[str, LoadedDemo]:
-    """Read every recording (and its transcript when present), sorted by id,
-    and build its base features once for every run of the command."""
+    """Read every recording (and its transcript when present), sorted by id.
+    Build its base features, and expand its transcript, remapped when a
+    mapping is set, to frame labels once for every run of the command."""
+    mapping, sidecar = _load_mapping(config)
     kin_dir = os.path.join(config.data_dir, "kinematics")
     if not os.path.isdir(kin_dir):
         raise OSError(f"no kinematics directory at {kin_dir}")
@@ -194,6 +195,11 @@ def load_dataset(config: RunConfig) -> dict[str, LoadedDemo]:
     )
     if not files:
         raise OSError(f"no kinematic files (.txt or .csv) in {kin_dir}")
+    first: dict[str, str] = {}
+    for name in files:
+        other = first.setdefault(os.path.splitext(name)[0], name)
+        if other != name:
+            raise ValueError(f"{other} and {name} share a demonstration id")
     dataset: dict[str, LoadedDemo] = {}
     for name in files:
         demo_id, ext = os.path.splitext(name)
@@ -208,7 +214,7 @@ def load_dataset(config: RunConfig) -> dict[str, LoadedDemo]:
                 )
             except ParseError as exc:
                 raise ParseError(f"{name}: {exc}") from None
-        transcript = None
+        truth = None
         tpath = os.path.join(config.data_dir, "transcripts", f"{demo_id}.txt")
         if os.path.isfile(tpath):
             with open(tpath) as fh:
@@ -216,6 +222,11 @@ def load_dataset(config: RunConfig) -> dict[str, LoadedDemo]:
                     transcript = parse_transcript(fh)
                 except ParseError as exc:
                     raise ParseError(f"{demo_id}.txt: {exc}") from None
+            if mapping is not None:
+                transcript = _dictionary.apply_mapping(
+                    transcript, mapping, sidecar, demo_id=demo_id
+                )
+            truth = expand_labels(transcript, demo.n_frames)
         mode = config.preprocessing
         kinematic = mode == "kinematic" or (mode == "auto" and demo.n_channels == 38)
         if kinematic:
@@ -226,7 +237,7 @@ def load_dataset(config: RunConfig) -> dict[str, LoadedDemo]:
             features = _preprocess.raw_features(
                 demo, subsample_factor=config.subsample_factor
             )
-        dataset[demo_id] = LoadedDemo(features, kinematic, demo.n_frames, transcript)
+        dataset[demo_id] = LoadedDemo(features, kinematic, demo.n_frames, truth)
     return dataset
 
 
@@ -271,16 +282,6 @@ class RunResult:
 def run_pipeline(config: RunConfig, dataset: dict[str, LoadedDemo]) -> RunResult:
     """Fit on the non-init demonstrations and score the annotated ones."""
     _check_subset(config, dataset)
-    mapping, sidecar = _load_mapping(config)
-    transcripts: dict[str, Transcript] = {}
-    for demo_id, item in dataset.items():
-        if item.transcript is None:
-            continue
-        t = item.transcript
-        if mapping is not None:
-            t = _dictionary.apply_mapping(t, mapping, sidecar, demo_id=demo_id)
-        transcripts[demo_id] = t
-
     for demo_id in config.init_demos:
         if demo_id not in dataset:
             raise ValueError(f"init demonstration {demo_id!r} not in the dataset")
@@ -298,22 +299,26 @@ def run_pipeline(config: RunConfig, dataset: dict[str, LoadedDemo]) -> RunResult
 
     fit_data = np.vstack([augmented[d].values for d in fit_ids])
     if config.init_method == "weak":
-        init = _weak_init_model(config, dataset, transcripts, augmented)
+        init = _weak_init_model(config, dataset, augmented)
     else:
-        init = _kmeans_init_model(config, transcripts, fit_data)
+        init = _kmeans_init_model(config, dataset, fit_data)
     model = _gmm.em_fit(
         fit_data, init, tol=config.em_tol, max_iter=config.em_max_iter
     )
 
-    predictions: dict[str, np.ndarray] = {}
-    row_predictions: dict[str, np.ndarray] = {}
-    for demo_id, item in dataset.items():
-        X = augmented[demo_id]
-        row_labels, _ = _gmm.predict_labels(model, X)
-        row_predictions[demo_id] = row_labels
-        predictions[demo_id] = _preprocess.rows_to_frames(
-            row_labels, X, item.n_frames
+    # One prediction over every demonstration's rows; each demonstration's
+    # labels are its slice. The stacked copy lives only for the call.
+    labels = _gmm.predict_labels(
+        model, np.vstack([augmented[d].values for d in dataset])
+    )
+    ends = np.cumsum([augmented[d].n_rows for d in dataset])
+    row_predictions = dict(zip(dataset, np.split(labels, ends[:-1])))
+    predictions = {
+        demo_id: _preprocess.rows_to_frames(
+            row_predictions[demo_id], augmented[demo_id], item.n_frames
         )
+        for demo_id, item in dataset.items()
+    }
 
     with_accuracy = model.has_labels()
     per_demo: dict[str, _metrics.EvaluationReport] = {}
@@ -322,11 +327,10 @@ def run_pipeline(config: RunConfig, dataset: dict[str, LoadedDemo]) -> RunResult
     empty = np.empty(0, dtype=object)
     pooled = [(empty, empty, fit_data[:0], empty, empty)]
     for demo_id in fit_ids:
-        if demo_id not in transcripts:
+        truth_frames = dataset[demo_id].truth
+        if truth_frames is None:
             continue
-        item = dataset[demo_id]
         X = augmented[demo_id]
-        truth_frames = expand_labels(transcripts[demo_id], item.n_frames)
         truth_rows = _preprocess.labels_at_rows(truth_frames, X)
         per_demo[demo_id] = _metrics.evaluate(
             predictions[demo_id],
@@ -355,17 +359,16 @@ def run_pipeline(config: RunConfig, dataset: dict[str, LoadedDemo]) -> RunResult
     return RunResult(model, report, per_demo, predictions, row_predictions, augmented)
 
 
-def _weak_init_model(config, dataset, transcripts, augmented) -> _gmm.GmmModel:
+def _weak_init_model(config, dataset, augmented) -> _gmm.GmmModel:
     labeled = []
     for demo_id in config.init_demos:
-        if demo_id not in transcripts:
+        truth = dataset[demo_id].truth
+        if truth is None:
             raise ValueError(
                 f"init demonstration {demo_id!r} has no transcript"
             )
-        item = dataset[demo_id]
         X = augmented[demo_id]
-        frame_labels = expand_labels(transcripts[demo_id], item.n_frames)
-        row_labels = _preprocess.labels_at_rows(frame_labels, X)
+        row_labels = _preprocess.labels_at_rows(truth, X)
         keep = row_labels != UNANNOTATED
         if not keep.any():
             raise ValueError(
@@ -375,11 +378,14 @@ def _weak_init_model(config, dataset, transcripts, augmented) -> _gmm.GmmModel:
     return _gmm.weak_init(labeled)
 
 
-def _kmeans_init_model(config, transcripts, fit_data) -> _gmm.GmmModel:
-    if config.k is not None:
-        k = config.k
-    else:
-        labels = _dictionary.dictionary_labels(list(transcripts.values()))
+def _kmeans_init_model(config, dataset, fit_data) -> _gmm.GmmModel:
+    k = config.k
+    if k is None:
+        labels = set()
+        for item in dataset.values():
+            if item.truth is not None:
+                labels.update(item.truth)
+        labels.discard(UNANNOTATED)
         if not labels:
             raise ConfigError(
                 "k-means init needs --k when no transcripts are available"

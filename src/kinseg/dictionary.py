@@ -26,7 +26,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Sequence, TextIO
+from typing import TextIO
 
 from kinseg.ingest import Segment, Transcript
 
@@ -109,19 +109,6 @@ def parse_mapping(text: str | TextIO) -> LabelMapping:
         except ValueError as exc:
             raise ValueError(f"mapping line {lineno}: {exc}") from None
     return LabelMapping(rules)
-
-
-def serialize_mapping(mapping: LabelMapping) -> str:
-    lines = []
-    for rule in mapping.rules.values():
-        if rule.scope == FOLLOWING:
-            lines.append(f"{rule.source} -> >")
-            continue
-        rhs = " | ".join(rule.targets)
-        if rule.fractions:
-            rhs += " @ " + ",".join(str(f) for f in rule.fractions)
-        lines.append(f"{rule.source} -> {rhs}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_sidecar(text: str | TextIO) -> Sidecar:
@@ -246,10 +233,3 @@ def _neighbor_target(t: Transcript, mapping: LabelMapping, idx: int) -> str:
         "for the 'following' rule"
     )
 
-
-def dictionary_labels(transcripts: Sequence[Transcript]) -> list[str]:
-    """Sorted distinct labels across transcripts; the count feeds K."""
-    labels: set[str] = set()
-    for t in transcripts:
-        labels.update(s.label for s in t.segments)
-    return sorted(labels)

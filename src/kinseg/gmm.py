@@ -13,16 +13,16 @@ each: means (K x D), covariances (K x D x D), weights (K, summing to 1) and
 labels (a K-tuple of gesture names, or None for anonymous components),
 plus the per-iteration log-likelihoods of the EM run that produced it.
 
-One numeric kernel serves EM, the log-likelihood, the posteriors and the
-predictions, directly on those arrays. All K covariances are factored with one
-batched Cholesky, C_k = L_k L_k^T, and the precision factors P_k = L_k^-T
-are concatenated into one D x (K*D) matrix, so the Mahalanobis terms of a
-block of rows come from a single GEMM: ||x P_k - mu_k P_k||^2 (as in
-scikit-learn's GaussianMixture with precisions_cholesky_). The M-step
-takes all means as one product resp^T X and accumulates the centered,
-responsibility-weighted scatter blockwise. Rows are processed in blocks of
-ROW_BLOCK, so no temporary grows with the row count beyond the N x K
-posteriors.
+One numeric kernel serves EM and the predictions, directly on those arrays;
+a prediction is the argmax of its log densities. All K covariances are
+factored with one batched Cholesky, C_k = L_k L_k^T, and the precision
+factors P_k = L_k^-T are concatenated into one D x (K*D) matrix, so the
+Mahalanobis terms of a block of rows come from a single GEMM:
+||x P_k - mu_k P_k||^2 (as in scikit-learn's GaussianMixture with
+precisions_cholesky_). The M-step takes all means as one product resp^T X
+and accumulates the centered, responsibility-weighted scatter blockwise.
+Rows are processed in blocks of ROW_BLOCK, so no temporary grows with the
+row count beyond N x K arrays.
 
 Both block loops split across WORKERS threads (the usable CPUs); numpy
 releases the GIL inside BLAS calls and ufunc loops. kinseg/__init__.py pins
@@ -394,26 +394,6 @@ def _logsumexp_rows(logs: np.ndarray) -> np.ndarray:
     return m + np.log(np.sum(np.exp(logs - m[:, None]), axis=1))
 
 
-def _model_log_densities(model: GmmModel, X) -> np.ndarray:
-    data = _as_matrix(X)
-    if data.shape[1] != model.dimension:
-        raise ValueError(
-            f"data dimension {data.shape[1]} does not match model {model.dimension}"
-        )
-    return _log_densities(data, model.means, model.covariances, model.weights)
-
-
-def log_likelihood(model: GmmModel, X) -> float:
-    """Total log-density of the data under the mixture."""
-    return float(np.sum(_logsumexp_rows(_model_log_densities(model, X))))
-
-
-def responsibilities(model: GmmModel, X) -> np.ndarray:
-    """Posterior component probabilities per row (rows sum to 1)."""
-    logs = _model_log_densities(model, X)
-    return np.exp(logs - _logsumexp_rows(logs)[:, None])
-
-
 def em_fit(X, init: GmmModel, tol: float = 1e-6, max_iter: int = 300) -> GmmModel:
     """Refine a mixture by EM until the relative log-likelihood change
     drops below tol or max_iter iterations are reached.
@@ -463,16 +443,21 @@ def em_fit(X, init: GmmModel, tol: float = 1e-6, max_iter: int = 300) -> GmmMode
     return GmmModel(means, covariances, weights, init.labels, fit_trace)
 
 
-def predict_labels(model: GmmModel, X) -> tuple[np.ndarray, np.ndarray]:
-    """Most likely component name per row, as an object array, plus the
-    full posterior matrix.
+def predict_labels(model: GmmModel, X) -> np.ndarray:
+    """Most likely component name per row, as an object array: the argmax
+    of the rows' log densities, so no posteriors are formed.
 
     Ties go to the lowest component index. Components without a label get
     the synthetic name "cluster_<index>".
     """
-    post = responsibilities(model, X)
+    data = _as_matrix(X)
+    if data.shape[1] != model.dimension:
+        raise ValueError(
+            f"data dimension {data.shape[1]} does not match model {model.dimension}"
+        )
+    logs = _log_densities(data, model.means, model.covariances, model.weights)
     names = [model.component_name(k) for k in range(model.n_components)]
-    return np.array(names, dtype=object)[np.argmax(post, axis=1)], post
+    return np.array(names, dtype=object)[np.argmax(logs, axis=1)]
 
 
 @dataclass(frozen=True)

@@ -118,21 +118,6 @@ def rotmat_to_quat(R: np.ndarray) -> np.ndarray:
     return q.reshape(R.shape[:-2] + (4,))
 
 
-def quat_to_rotmat(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a quaternion (w, x, y, z); q is normalized first."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (4,):
-        raise ValueError("q must have 4 components")
-    w, x, y, z = q / np.linalg.norm(q)
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
 def lowpass_filter(signal: np.ndarray, fc_hz: float, fs_hz: float) -> np.ndarray:
     """Zero-phase low-pass: 2nd-order Butterworth applied forward-backward.
 

@@ -82,11 +82,11 @@ def _run_pair(seed, *, window=1, sigma=0.05, n_regimes=4, p=6, contraction=0.95,
     Xb, lb = make(seed * 1000 + 2)
     init = gmm.weak_init([(Xa.values, la)])
     model = gmm.em_fit(Xb.values, init, tol=1e-6, max_iter=300)
-    pred, _ = gmm.predict_labels(model, Xb)
+    pred = gmm.predict_labels(model, Xb)
 
     km = gmm.kmeans_init(Xb.values, init.n_components, seed)
     km_model = gmm.em_fit(Xb.values, km, tol=1e-6, max_iter=300)
-    km_pred, _ = gmm.predict_labels(km_model, Xb)
+    km_pred = gmm.predict_labels(km_model, Xb)
     return (
         metrics.accuracy(pred, lb),
         metrics.nmi(pred, lb),
@@ -210,7 +210,8 @@ def test_quaternion_and_filter():
     for _ in range(100):
         R = Rotation.random(random_state=rng).as_matrix()
         q = preprocess.rotmat_to_quat(R)
-        worst_rt = max(worst_rt, float(np.max(np.abs(preprocess.quat_to_rotmat(q) - R))))
+        back = Rotation.from_quat(q[..., [1, 2, 3, 0]]).as_matrix()
+        worst_rt = max(worst_rt, float(np.max(np.abs(back - R))))
 
     fs, fc = 30.0, 1.5
     t = np.arange(3000) / fs

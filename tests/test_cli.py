@@ -294,6 +294,52 @@ class TestSweepAndAblate:
         assert main(argv) == 0
         assert build_calls == ["run0", "run1"]
 
+    def test_ablate_maps_transcripts_once(self, robot_dir, tmp_path, count_calls):
+        import kinseg.dictionary as dictionary
+
+        parses = count_calls(dictionary, "parse_mapping")
+        remaps = count_calls(dictionary, "apply_mapping")
+        expands = count_calls(cli, "expand_labels")
+        rules = tmp_path / "rules.txt"
+        rules.write_text("slow -> S\nfast -> F\n")
+        argv = [
+            "ablate",
+            "--data-dir", str(robot_dir),
+            "--output-dir", str(tmp_path / "abl"),
+            "--init", "weak",
+            "--init-demos", "run0",
+            "--window", "1",
+            "--mapping", str(rules),
+            "--subsets", "all,1,29",
+        ]
+        assert main(argv) == 0
+        assert len(parses) == 1
+        assert len(remaps) == len(expands) == 2  # one per demonstration
+
+    def test_segment_predicts_once(self, synth_dir, tmp_path, count_calls):
+        import kinseg.gmm as gmm_mod
+
+        calls = count_calls(gmm_mod, "predict_labels")
+        assert run_segment(synth_dir, tmp_path / "seg") == 0
+        assert len(calls) == 1
+        (_, rows), _ = calls[0]
+        assert rows.shape == (3 * (360 // 3 - 1), 8)  # every demo, init demo included
+
+    def test_sweep_predicts_once_per_run(self, synth_dir, tmp_path, count_calls):
+        import kinseg.gmm as gmm_mod
+
+        calls = count_calls(gmm_mod, "predict_labels")
+        argv = [
+            "sweep-window",
+            "--data-dir", str(synth_dir),
+            "--output-dir", str(tmp_path / "sw"),
+            "--init", "weak",
+            "--init-demos", "synth00",
+            "--w-values", "0,1,2",
+        ]
+        assert main(argv) == 0
+        assert len(calls) == 3
+
     def test_subset_transitions_header(self, robot_dir, tmp_path):
         out = tmp_path / "seg"
         argv = [
@@ -433,6 +479,25 @@ def build_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, name) wraps module.name and returns the list that
+    collects the (args, kwargs) of each call."""
+
+    def install(module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return install
+
+
 @pytest.fixture(scope="session")
 def robot_dir(tmp_path_factory):
     """38-channel dataset in the robot file layout, two gestures per run."""
@@ -553,6 +618,65 @@ class TestRuntimeNeedsOnlyNumpy:
         assert main(["segment", "--output-dir", str(plain), *common]) == 0
         report = (blocked / "report.json").read_bytes()
         assert report == (plain / "report.json").read_bytes()
+
+
+def copy_synth(synth_dir, data, relabel=lambda name, text: text, transcripts=True):
+    """Copy of the session synth dataset; relabel(name, text) edits each
+    transcript's text, and transcripts=False leaves them out."""
+    (data / "kinematics").mkdir(parents=True)
+    (data / "transcripts").mkdir()
+    for i in range(3):
+        name = f"synth{i:02d}"
+        (data / "kinematics" / f"{name}.csv").write_bytes(
+            (synth_dir / "kinematics" / f"{name}.csv").read_bytes()
+        )
+        if transcripts:
+            text = (synth_dir / "transcripts" / f"{name}.txt").read_text()
+            (data / "transcripts" / f"{name}.txt").write_text(relabel(name, text))
+    return data
+
+
+class TestKmeansDefaultK:
+    """Without --k, k-means takes one component per distinct truth label."""
+
+    @staticmethod
+    def components(data, out, extra=()):
+        argv = [
+            "segment",
+            "--data-dir", str(data),
+            "--output-dir", str(out),
+            "--init", "kmeans",
+            "--window", "1",
+        ] + list(extra)
+        assert main(argv) == 0
+        return load_model(out / "model.json").n_components
+
+    def test_three_labels(self, synth_dir, tmp_path):
+        assert self.components(synth_dir, tmp_path / "out") == 3
+
+    def test_union_across_demos(self, synth_dir, tmp_path):
+        def relabel(name, text):
+            return text.replace("R2", "R9") if name == "synth02" else text
+
+        data = copy_synth(synth_dir, tmp_path / "data", relabel)
+        assert self.components(data, tmp_path / "out") == 4
+
+    def test_counts_mapped_labels(self, synth_dir, tmp_path):
+        rules = tmp_path / "rules.txt"
+        rules.write_text("R0 -> A\nR1 -> A\nR2 -> B\n")
+        out = tmp_path / "out"
+        assert self.components(synth_dir, out, ["--mapping", str(rules)]) == 2
+
+    def test_no_transcripts(self, synth_dir, tmp_path, capsys):
+        data = copy_synth(synth_dir, tmp_path / "data", transcripts=False)
+        code = main([
+            "segment",
+            "--data-dir", str(data),
+            "--output-dir", str(tmp_path / "out"),
+            "--init", "kmeans",
+        ])
+        assert code == 1
+        assert "k-means init needs --k" in capsys.readouterr().err
 
 
 class TestMappingFlag:
@@ -840,6 +964,36 @@ class TestErrorExits:
         code = run_segment(data, tmp_path / "out")
         assert code == 2
         assert "transcript" in capsys.readouterr().err
+
+    def test_duplicate_demo_id(self, synth_dir, tmp_path, count_calls, capsys):
+        # d.csv and d.txt would both be keyed "d"; the later one used to
+        # replace the earlier one without a word.
+        data = copy_synth(synth_dir, tmp_path / "data")
+        (data / "kinematics" / "synth01.txt").write_text("not read\n")
+        parsed = count_calls(cli, "parse_kinematics")
+        code = run_segment(data, tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "kinseg: data error: synth01.csv and synth01.txt share" in err
+        assert parsed == []
+        assert not (tmp_path / "out").exists()
+
+    def test_transcript_past_recording_on_kmeans_init_demo(self, synth_dir, tmp_path, capsys):
+        # Every transcript is expanded at load, so an init demo's is checked
+        # even when k-means init never reads it.
+        data = copy_synth(synth_dir, tmp_path / "data")
+        with open(data / "transcripts" / "synth00.txt", "a") as fh:
+            fh.write("361 400 R0\n")
+        code = main([
+            "segment",
+            "--data-dir", str(data),
+            "--output-dir", str(tmp_path / "out"),
+            "--init", "kmeans",
+            "--init-demos", "synth00",
+            "--k", "3",
+        ])
+        assert code == 2
+        assert "exceeds trajectory length 360" in capsys.readouterr().err
 
     def test_numerical_failure_maps_to_three(self, synth_dir, tmp_path, monkeypatch, capsys):
         import kinseg.cli as cli_mod

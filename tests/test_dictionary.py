@@ -12,12 +12,24 @@ from kinseg.dictionary import (
     WHOLE_SEGMENT,
     apply_mapping,
     default_mapping,
-    dictionary_labels,
     parse_mapping,
     parse_sidecar,
-    serialize_mapping,
 )
 from kinseg.ingest import Segment, Transcript, expand_labels
+
+
+def serialize_mapping(mapping: LabelMapping) -> str:
+    """Mapping file text that parse_mapping reads back to the same rules."""
+    lines = []
+    for rule in mapping.rules.values():
+        if rule.scope == FOLLOWING:
+            lines.append(f"{rule.source} -> >")
+            continue
+        rhs = " | ".join(rule.targets)
+        if rule.fractions:
+            rhs += " @ " + ",".join(str(f) for f in rule.fractions)
+        lines.append(f"{rule.source} -> {rhs}")
+    return "\n".join(lines) + "\n"
 
 
 class TestParseMapping:
@@ -291,19 +303,3 @@ class TestDefaultMapping:
         for source in ("G3", "G6", "G11"):
             rule = m.rule_for(source)
             assert len(rule.fractions) == len(rule.targets) - 1
-
-
-class TestDictionaryLabels:
-    def test_union_sorted(self):
-        t1 = Transcript((Segment(1, 2, "G3"), Segment(3, 4, "G1")))
-        t2 = Transcript((Segment(1, 2, "G2"),))
-        assert dictionary_labels([t1, t2]) == ["G1", "G2", "G3"]
-
-    def test_empty(self):
-        assert dictionary_labels([]) == []
-
-    def test_three_label_count(self):
-        t = Transcript(
-            (Segment(1, 2, "G1"), Segment(3, 4, "G2"), Segment(5, 6, "G3"))
-        )
-        assert len(dictionary_labels([t])) == 3

@@ -104,8 +104,20 @@ class TestWorkerInvariance:
         model, X, _ = problem(n, 3, 4, 100 + n)
 
         def predict():
-            labels, post = predict_labels(model, X)
-            return [labels.astype(str), post]
+            return [predict_labels(model, X).astype(str)]
+
+        assert_same_for_all_workers(split, predict)
+
+    def test_predict_labels_stacked(self, split):
+        # One prediction over the stacked demos equals one per demo.
+        model, X, _ = problem(sum(ROW_COUNTS), 3, 4, 105)
+        ends = np.cumsum(ROW_COUNTS)
+
+        def predict():
+            stacked = predict_labels(model, X)
+            for part, demo in zip(np.split(stacked, ends[:-1]), np.split(X, ends[:-1])):
+                assert np.array_equal(part, predict_labels(model, demo))
+            return [stacked.astype(str)]
 
         assert_same_for_all_workers(split, predict)
 
