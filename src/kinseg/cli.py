@@ -183,7 +183,8 @@ class LoadedDemo:
 def load_dataset(config: RunConfig) -> dict[str, LoadedDemo]:
     """Read every recording (and its transcript when present), sorted by id.
     Build its base features, and expand its transcript, remapped when a
-    mapping is set, to frame labels once for every run of the command."""
+    mapping is set, to frame labels once for every run of the command.
+    Every recording must give the first one's feature channels."""
     mapping, sidecar = _load_mapping(config)
     kin_dir = os.path.join(config.data_dir, "kinematics")
     if not os.path.isdir(kin_dir):
@@ -220,13 +221,13 @@ def load_dataset(config: RunConfig) -> dict[str, LoadedDemo]:
             with open(tpath) as fh:
                 try:
                     transcript = parse_transcript(fh)
-                except ParseError as exc:
-                    raise ParseError(f"{demo_id}.txt: {exc}") from None
-            if mapping is not None:
-                transcript = _dictionary.apply_mapping(
-                    transcript, mapping, sidecar, demo_id=demo_id
-                )
-            truth = expand_labels(transcript, demo.n_frames)
+                    if mapping is not None:
+                        transcript = _dictionary.apply_mapping(
+                            transcript, mapping, sidecar, demo_id=demo_id
+                        )
+                    truth = expand_labels(transcript, demo.n_frames)
+                except ValueError as exc:
+                    raise type(exc)(f"{demo_id}.txt: {exc}") from None
         mode = config.preprocessing
         kinematic = mode == "kinematic" or (mode == "auto" and demo.n_channels == 38)
         if kinematic:
@@ -236,6 +237,12 @@ def load_dataset(config: RunConfig) -> dict[str, LoadedDemo]:
         else:
             features = _preprocess.raw_features(
                 demo, subsample_factor=config.subsample_factor
+            )
+        base = next(iter(dataset.values()), None)
+        if base is not None and features.channel_names != base.features.channel_names:
+            raise ValueError(
+                f"{name}: its feature channels differ from those of {files[0]} "
+                f"({features.n_channels} channels against {base.features.n_channels})"
             )
         dataset[demo_id] = LoadedDemo(features, kinematic, demo.n_frames, truth)
     return dataset

@@ -4,8 +4,9 @@ A mapping file turns one gesture vocabulary into another: plain renames
 (adjacent segments that end up with the same label coalesce), ordered
 splits at externally supplied boundary frames, and a context rule that
 absorbs a segment into its neighbor's class. Split boundaries are data,
-not algorithm: a per-demonstration sidecar supplies exact frames; a rule
-may carry default fractions used when the sidecar is silent.
+not algorithm: a per-demonstration sidecar supplies exact frames; a split
+rule may carry default fractions, one per boundary, used when the sidecar
+is silent.
 
 Mapping file syntax, one rule per line ('#' starts a comment):
 
@@ -13,6 +14,7 @@ Mapping file syntax, one rule per line ('#' starts a comment):
     G3  -> L1 | L2            split (boundaries from sidecar or fractions)
     G6  -> L5 | L3 @ 0.5      split with default boundary fraction(s)
     G5  -> >                  absorb into the following segment's class
+                              ('>' stands alone: no other target, no fraction)
 
 Sidecar files are JSON:
 
@@ -30,31 +32,21 @@ from typing import TextIO
 
 from kinseg.ingest import Segment, Transcript
 
-WHOLE_SEGMENT = "whole_segment"
-SPLIT = "split"
-FOLLOWING = "following"
-
 
 @dataclass(frozen=True)
 class MappingRule:
+    """One mapping line. Its targets give its kind: none is the context rule
+    ('>'), one is a rename, more than one is a split."""
+
     source: str
     targets: tuple[str, ...]
-    scope: str
     fractions: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.scope == SPLIT:
-            if len(self.targets) < 2:
-                raise ValueError("split rule needs at least two targets")
-            if self.fractions and len(self.fractions) != len(self.targets) - 1:
-                raise ValueError("need one fraction per internal boundary")
-            if any(not 0.0 < f < 1.0 for f in self.fractions):
-                raise ValueError("fractions must lie strictly in (0, 1)")
-        elif self.scope == WHOLE_SEGMENT:
-            if len(self.targets) != 1:
-                raise ValueError("rename rule takes exactly one target")
-        elif self.scope != FOLLOWING:
-            raise ValueError(f"unknown scope {self.scope!r}")
+        if self.fractions and len(self.fractions) != len(self.targets) - 1:
+            raise ValueError("need no fractions or one per internal split boundary")
+        if any(not 0.0 < f < 1.0 for f in self.fractions):
+            raise ValueError("fractions must lie strictly in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -90,9 +82,6 @@ def parse_mapping(text: str | TextIO) -> LabelMapping:
             raise ValueError(f"mapping line {lineno}: empty source or target")
         if source in rules:
             raise ValueError(f"mapping line {lineno}: duplicate rule for {source!r}")
-        if rhs == ">":
-            rules[source] = MappingRule(source, (), FOLLOWING)
-            continue
         fractions: tuple[float, ...] = ()
         if "@" in rhs:
             rhs, frac_part = (part.strip() for part in rhs.split("@", 1))
@@ -103,9 +92,12 @@ def parse_mapping(text: str | TextIO) -> LabelMapping:
         targets = tuple(tok.strip() for tok in rhs.split("|"))
         if any(not t for t in targets):
             raise ValueError(f"mapping line {lineno}: empty target name")
-        scope = SPLIT if len(targets) > 1 else WHOLE_SEGMENT
+        if ">" in targets:
+            if targets != (">",) or fractions:
+                raise ValueError(f"mapping line {lineno}: '>' must stand alone")
+            targets = ()
         try:
-            rules[source] = MappingRule(source, targets, scope, fractions)
+            rules[source] = MappingRule(source, targets, fractions)
         except ValueError as exc:
             raise ValueError(f"mapping line {lineno}: {exc}") from None
     return LabelMapping(rules)
@@ -187,12 +179,12 @@ def apply_mapping(
     pieces: list[Segment] = []
     for idx, segment in enumerate(t.segments):
         rule = mapping.rule_for(segment.label)
-        if rule.scope == FOLLOWING:
+        if not rule.targets:
             target = sidecar.overrides.get((demo_id, idx))
             if target is None:
                 target = _neighbor_target(t, mapping, idx)
             pieces.append(Segment(segment.start, segment.end, target))
-        elif rule.scope == WHOLE_SEGMENT:
+        elif len(rule.targets) == 1:
             pieces.append(Segment(segment.start, segment.end, rule.targets[0]))
         else:
             explicit = sidecar.boundaries.get((demo_id, idx))
@@ -226,7 +218,7 @@ def _neighbor_target(t: Transcript, mapping: LabelMapping, idx: int) -> str:
         *((j, -1) for j in range(idx - 1, -1, -1)),
     ):
         rule = mapping.rule_for(t.segments[j].label)
-        if rule.scope != FOLLOWING:
+        if rule.targets:
             return rule.targets[adjacent]
     raise ValueError(
         f"segment {t.segments[idx]}: no neighbor with a concrete target "

@@ -97,13 +97,6 @@ class Transcript:
             prev_end = s.end
         object.__setattr__(self, "segments", segs)
 
-    def labels(self) -> list[str]:
-        return sorted({s.label for s in self.segments})
-
-    @property
-    def n_segments(self) -> int:
-        return len(self.segments)
-
 
 def _lines(text: str | TextIO) -> Iterable[tuple[int, str]]:
     stream = io.StringIO(text) if isinstance(text, str) else text

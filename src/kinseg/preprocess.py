@@ -4,9 +4,10 @@ distance signals, subsampling, and sliding-window state augmentation.
 The full pipeline turns a 38-channel two-arm recording into a 32-channel
 feature matrix (per arm: position, orientation quaternion, linear and
 angular velocity, gripper angle; plus four inter-arm distance signals),
-low-pass filtered, z-scored per channel, and subsampled. Feature rows keep
-their position in the original frame grid via (frame_origin, frame_stride)
-so per-frame labels can be aligned with any downstream matrix.
+low-pass filtered, z-scored per channel, and subsampled. The frame grid of
+a feature matrix is its stride: row i sits at original frame
+i * frame_stride, so per-frame labels can be aligned with any downstream
+matrix.
 """
 
 from dataclasses import dataclass, field, replace
@@ -49,12 +50,10 @@ NAMED_SUBSETS = {
 @dataclass(frozen=True)
 class FeatureMatrix:
     """Preprocessed trajectory, or its window-augmented states; row i sits
-    at original frame frame_origin + i * frame_stride."""
+    at original frame i * frame_stride."""
 
     values: np.ndarray  # T x p
-    sample_rate_hz: float
     channel_names: list[str] = field(default_factory=list)
-    frame_origin: int = 0
     frame_stride: int = 1
 
     def __post_init__(self):
@@ -72,10 +71,6 @@ class FeatureMatrix:
     @property
     def n_channels(self) -> int:
         return self.values.shape[1]
-
-    def frame_index(self, row: int) -> int:
-        """Original-grid frame index of a feature row (or of an array of rows)."""
-        return self.frame_origin + row * self.frame_stride
 
 
 def rotmat_to_quat(R: np.ndarray) -> np.ndarray:
@@ -227,7 +222,7 @@ def distance_features(pos_right: np.ndarray, pos_left: np.ndarray) -> np.ndarray
 
 
 def subsample(fm: FeatureMatrix, factor: int) -> FeatureMatrix:
-    """Keep rows 0, factor, 2*factor, ...; rate and stride adjust with it.
+    """Keep rows 0, factor, 2*factor, ...; the stride grows by the factor.
 
     The kept rows are copied, so the full-rate matrix is not held alive.
     """
@@ -238,29 +233,24 @@ def subsample(fm: FeatureMatrix, factor: int) -> FeatureMatrix:
     return replace(
         fm,
         values=np.ascontiguousarray(fm.values[::factor]),
-        sample_rate_hz=fm.sample_rate_hz / factor,
         frame_stride=fm.frame_stride * factor,
     )
 
 
-def resolve_subset(subset) -> tuple[str, list[int]]:
+def resolve_subset(subset: str) -> tuple[str, list[int]]:
     """Resolve a feature subset to (name, kept 0-based indices of the 32).
 
-    Accepts a named subset ("all", "no-pose", "no-velocity", "no-distance"),
-    a comma-separated string of 1-based indices to keep, or an iterable of
-    1-based indices.
+    Accepts a named subset ("all", "no-pose", "no-velocity", "no-distance")
+    or a comma-separated string of 1-based indices to keep.
     """
-    if isinstance(subset, str):
-        name = subset.strip()
-        if name in NAMED_SUBSETS:
-            dropped = set(NAMED_SUBSETS[name])
-            return name, [i for i in range(32) if i + 1 not in dropped]
-        try:
-            keep = sorted({int(tok) for tok in name.split(",")})
-        except ValueError:
-            raise ValueError(f"unknown feature subset {subset!r}") from None
-    else:
-        keep = sorted({int(i) for i in subset})
+    name = subset.strip()
+    if name in NAMED_SUBSETS:
+        dropped = set(NAMED_SUBSETS[name])
+        return name, [i for i in range(32) if i + 1 not in dropped]
+    try:
+        keep = sorted({int(tok) for tok in name.split(",")})
+    except ValueError:
+        raise ValueError(f"unknown feature subset {subset!r}") from None
     if not keep or keep[0] < 1 or keep[-1] > 32:
         raise ValueError("explicit feature indices must lie in 1..32")
     return ",".join(str(i) for i in keep), [i - 1 for i in keep]
@@ -274,7 +264,6 @@ def _arm_features(arm: np.ndarray) -> np.ndarray:
 
 def build_features(
     demo: Demonstration,
-    subset="all",
     *,
     fc_hz: float = DEFAULT_CUTOFF_HZ,
     subsample_factor: int = DEFAULT_SUBSAMPLE,
@@ -282,8 +271,8 @@ def build_features(
     """Run the fixed preprocessing pipeline on a 38-channel demonstration.
 
     Order: quaternion conversion, distance channels (from unnormalized
-    positions), low-pass filter, z-score, subsample, then subset masking
-    (select_channels). Filter and z-score work per channel.
+    positions), low-pass filter, z-score, subsample. Filter and z-score work
+    per channel; select_channels then keeps a feature subset.
     """
     if demo.n_channels != 38:
         raise ValueError(
@@ -298,11 +287,10 @@ def build_features(
         ]
     )
     values = zscore(lowpass_filter(values, fc_hz, demo.sample_rate_hz))
-    fm = FeatureMatrix(values, demo.sample_rate_hz, list(FULL_CHANNEL_NAMES))
-    return select_channels(subsample(fm, subsample_factor), subset)
+    return subsample(FeatureMatrix(values, list(FULL_CHANNEL_NAMES)), subsample_factor)
 
 
-def select_channels(fm: FeatureMatrix, subset) -> FeatureMatrix:
+def select_channels(fm: FeatureMatrix, subset: str) -> FeatureMatrix:
     """Keep the channels of a feature subset (see resolve_subset) of the
     32-channel kinematic features."""
     if fm.n_channels != 32:
@@ -319,20 +307,16 @@ def select_channels(fm: FeatureMatrix, subset) -> FeatureMatrix:
 
 def raw_features(demo: Demonstration, *, subsample_factor: int = 1) -> FeatureMatrix:
     """Use a demonstration's columns directly as features (generic data)."""
-    fm = FeatureMatrix(
-        values=demo.frames,
-        sample_rate_hz=demo.sample_rate_hz,
-        channel_names=list(demo.channel_names),
-    )
+    fm = FeatureMatrix(values=demo.frames, channel_names=list(demo.channel_names))
     return subsample(fm, subsample_factor)
 
 
 def augment(fm: FeatureMatrix, window: int) -> FeatureMatrix:
     """Stack W+1 consecutive rows: row t = [x(t), ..., x(t+W)].
 
-    The label of augmented row t is the label of row t, so the origin,
-    stride and rate carry over. Column names are "<channel>_t<w>"; unnamed
-    channels are called c0, c1, ...
+    The label of augmented row t is the label of row t, so the stride
+    carries over. Column names are "<channel>_t<w>"; unnamed channels are
+    called c0, c1, ...
     """
     if window < 0:
         raise ValueError("window must be >= 0")
@@ -352,7 +336,7 @@ def labels_at_rows(frame_labels, fm: FeatureMatrix) -> np.ndarray:
     """Pick the original-grid labels at the anchor frames of fm's rows, as
     an object array (UNANNOTATED where the frame is unannotated); a row
     anchored past the frame grid raises IndexError."""
-    return np.asarray(frame_labels, dtype=object)[fm.frame_index(np.arange(fm.n_rows))]
+    return np.asarray(frame_labels, dtype=object)[np.arange(fm.n_rows) * fm.frame_stride]
 
 
 def rows_to_frames(row_labels, X: FeatureMatrix, n_frames: int) -> np.ndarray:
@@ -360,12 +344,11 @@ def rows_to_frames(row_labels, X: FeatureMatrix, n_frames: int) -> np.ndarray:
     object array.
 
     Nearest-previous rule: frame f takes the label of the last row whose
-    anchor frame does not exceed f; frames before the first anchor take the
-    first row's label.
+    anchor frame does not exceed f (row 0 is anchored at frame 0).
     """
     row_labels = np.asarray(row_labels, dtype=object)
     n_rows = len(row_labels)
     if n_rows == 0:
         raise ValueError("no row labels to project")
-    rows = (np.arange(n_frames) - X.frame_origin) // X.frame_stride
-    return row_labels[np.clip(rows, 0, n_rows - 1)]
+    rows = np.arange(n_frames) // X.frame_stride
+    return row_labels[np.minimum(rows, n_rows - 1)]

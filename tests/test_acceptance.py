@@ -265,9 +265,9 @@ def _robot_demo(T=120):
 def test_feature_shapes():
     demo = _robot_demo()
     full = preprocess.build_features(demo)
-    no_pose = preprocess.build_features(demo, "no-pose")
-    no_vel = preprocess.build_features(demo, "no-velocity")
-    no_dist = preprocess.build_features(demo, "no-distance")
+    no_pose = preprocess.select_channels(full, "no-pose")
+    no_vel = preprocess.select_channels(full, "no-velocity")
+    no_dist = preprocess.select_channels(full, "no-distance")
     augmented = preprocess.augment(full, 2)
     shapes = (
         full.n_channels,

@@ -82,7 +82,7 @@ class TestSynthCommand:
         assert demo.frames.shape == (360, 4)
         t = parse_transcript((synth_dir / "transcripts" / "synth00.txt").read_text())
         assert t.segments[-1].end == 360
-        assert set(t.labels()) == {"R0", "R1", "R2"}
+        assert {s.label for s in t.segments} == {"R0", "R1", "R2"}
 
     def test_seed_repeat_identical_bytes(self, synth_dir, tmp_path):
         other = tmp_path / "again"
@@ -133,7 +133,7 @@ class TestSegmentCommand:
             t = parse_transcript(
                 (weak_run / "predictions" / f"synth{i:02d}.txt").read_text()
             )
-            assert set(t.labels()) <= {"R0", "R1", "R2"}
+            assert {s.label for s in t.segments} <= {"R0", "R1", "R2"}
 
     def test_model_reloadable(self, weak_run):
         model = load_model(weak_run / "model.json")
@@ -555,7 +555,7 @@ class TestKinematicPipeline:
         report = json.loads((out / "report.json").read_text())
         assert report["accuracy"] is not None
         t = parse_transcript((out / "predictions" / "run1.txt").read_text())
-        assert set(t.labels()) <= {"slow", "fast"}
+        assert {s.label for s in t.segments} <= {"slow", "fast"}
 
 
 # Imports kinseg.cli with every scipy import refused, then runs the CLI.
@@ -698,9 +698,34 @@ class TestMappingFlag:
         out = tmp_path / "out"
         assert run_segment(data, out, ["--mapping", str(rules)]) == 0
         t = parse_transcript((out / "predictions" / "synth01.txt").read_text())
-        assert set(t.labels()) <= {"L1", "L2", "L3"}
+        assert {s.label for s in t.segments} <= {"L1", "L2", "L3"}
         report = json.loads((out / "report.json").read_text())
         assert set(report["confusion"]["labels"]) <= {"L1", "L2", "L3"}
+
+
+def test_builtin_mapping_on_suturing_data(tmp_path, capsys):
+    # JIGSAWS-shaped recordings with all ten suturing gestures, G10 included
+    import sys
+
+    bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import jigsaws_data
+    finally:
+        sys.path.remove(bench)
+    jigsaws_data.write_dataset(str(tmp_path / "data"), 1, 3, 900)
+    out = tmp_path / "out"
+    assert main([
+        "segment",
+        "--data-dir", str(tmp_path / "data"),
+        "--output-dir", str(out),
+        "--init", "weak",
+        "--init-demos", "d00",
+        "--window", "1",
+        "--mapping", "builtin",
+    ]) == 0
+    labels = json.loads((out / "report.json").read_text())["confusion"]["labels"]
+    assert "G10" in labels and "L1" in labels and "G5" not in labels
 
 
 class TestConfigFile:
@@ -993,7 +1018,79 @@ class TestErrorExits:
             "--k", "3",
         ])
         assert code == 2
-        assert "exceeds trajectory length 360" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "synth00.txt: " in err
+        assert "exceeds trajectory length 360" in err
+
+    def test_unmapped_label_names_transcript(self, synth_dir, tmp_path, capsys):
+        rules = tmp_path / "rules.txt"
+        rules.write_text("R0 -> A\nR1 -> A\n")
+        code = run_segment(synth_dir, tmp_path / "out", ["--mapping", str(rules)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "kinseg: data error: synth00.txt: no mapping rule for label 'R2'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", ["R0 -> A @ 0.5", "R0 -> > @ 0.5", "R0 -> > | A"])
+    def test_rejected_mapping_line(self, synth_dir, tmp_path, capsys, line):
+        # a fraction on a rename used to be dropped, and '>' next to anything
+        # else used to be read as a label named '>'
+        rules = tmp_path / "rules.txt"
+        rules.write_text(f"R1 -> B\nR2 -> B\n{line}\n")
+        code = run_segment(synth_dir, tmp_path / "out", ["--mapping", str(rules)])
+        assert code == 2
+        assert "kinseg: data error: mapping line 3: " in capsys.readouterr().err
+
+    def test_recording_with_other_width(self, synth_dir, tmp_path, count_calls, capsys):
+        data = copy_synth(synth_dir, tmp_path / "data")
+        wide = tmp_path / "wide"
+        assert main(["synth", "--output-dir", str(wide), "--n-demos", "1",
+                     "--dim", "6", "--segments", "6", "--segment-frames", "60"]) == 0
+        (data / "kinematics" / "synth01.csv").write_bytes(
+            (wide / "kinematics" / "synth00.csv").read_bytes()
+        )
+        fits = count_calls(cli._gmm, "em_fit")
+        code = run_segment(data, tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "kinseg: data error: synth01.csv: its feature channels differ " \
+            "from those of synth00.csv (6 channels against 4)" in err
+        assert fits == []
+        assert not (tmp_path / "out").exists()
+
+    def test_recording_with_reordered_columns(self, synth_dir, tmp_path, capsys):
+        # same width, so the rows would stack; the columns would not line up
+        data = copy_synth(synth_dir, tmp_path / "data")
+        path = data / "kinematics" / "synth02.csv"
+        header, body = path.read_text().split("\n", 1)
+        names = header.split(",")
+        path.write_text(",".join([names[1], names[0], *names[2:]]) + "\n" + body)
+        code = run_segment(data, tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "synth02.csv: its feature channels differ from those of synth00.csv" in err
+
+    def test_csv_beside_robot_files(self, robot_dir, tmp_path):
+        # a 38-column CSV takes the kinematic pipeline, like the robot files
+        data = tmp_path / "data"
+        for sub in ("kinematics", "transcripts"):
+            (data / sub).mkdir(parents=True)
+            for f in (robot_dir / sub).iterdir():
+                (data / sub / f.name).write_bytes(f.read_bytes())
+        robot = data / "kinematics" / "run1.txt"
+        demo = parse_kinematics(robot.read_text(), "jigsaws", id="run1")
+        (data / "kinematics" / "run1.csv").write_text(
+            serialize_kinematics(demo, "generic_csv")
+        )
+        robot.unlink()
+        assert main([
+            "segment",
+            "--data-dir", str(data),
+            "--output-dir", str(tmp_path / "out"),
+            "--init", "weak",
+            "--init-demos", "run0",
+            "--window", "1",
+        ]) == 0
 
     def test_numerical_failure_maps_to_three(self, synth_dir, tmp_path, monkeypatch, capsys):
         import kinseg.cli as cli_mod

@@ -4,12 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinseg.dictionary import (
-    FOLLOWING,
     LabelMapping,
     MappingRule,
     Sidecar,
-    SPLIT,
-    WHOLE_SEGMENT,
     apply_mapping,
     default_mapping,
     parse_mapping,
@@ -22,7 +19,7 @@ def serialize_mapping(mapping: LabelMapping) -> str:
     """Mapping file text that parse_mapping reads back to the same rules."""
     lines = []
     for rule in mapping.rules.values():
-        if rule.scope == FOLLOWING:
+        if not rule.targets:
             lines.append(f"{rule.source} -> >")
             continue
         rhs = " | ".join(rule.targets)
@@ -36,19 +33,17 @@ class TestParseMapping:
     def test_rename(self):
         m = parse_mapping("G2 -> L1\n")
         rule = m.rule_for("G2")
-        assert rule.scope == WHOLE_SEGMENT
         assert rule.targets == ("L1",)
 
     def test_split_with_fractions(self):
         m = parse_mapping("G3 -> L1 | L2 @ 0.5\n")
         rule = m.rule_for("G3")
-        assert rule.scope == SPLIT
         assert rule.targets == ("L1", "L2")
         assert rule.fractions == (0.5,)
 
     def test_split_without_fractions(self):
         rule = parse_mapping("G6 -> L5 | L3\n").rule_for("G6")
-        assert rule.scope == SPLIT
+        assert rule.targets == ("L5", "L3")
         assert rule.fractions == ()
 
     def test_three_way_split(self):
@@ -58,7 +53,8 @@ class TestParseMapping:
 
     def test_following(self):
         rule = parse_mapping("G5 -> >\n").rule_for("G5")
-        assert rule.scope == FOLLOWING
+        assert rule.targets == ()
+        assert rule.fractions == ()
 
     def test_comments_and_blanks(self):
         m = parse_mapping("# header\n\nG1 -> G1  # inline\n")
@@ -88,6 +84,17 @@ class TestParseMapping:
         with pytest.raises(ValueError):
             parse_mapping("G1 -> A | B | C @ 0.5\n")
 
+    def test_fraction_on_rename(self):
+        # a rename has no internal boundary, so a fraction is an error, not
+        # a value that is silently dropped
+        with pytest.raises(ValueError, match="line 1: need no fractions"):
+            parse_mapping("G2 -> L1 @ 0.5\n")
+
+    @pytest.mark.parametrize("rhs", ["> @ 0.5", "> | A", "A | >", "> | >"])
+    def test_following_stands_alone(self, rhs):
+        with pytest.raises(ValueError, match="line 1: '>' must stand alone"):
+            parse_mapping(f"G5 -> {rhs}\n")
+
     def test_serialize_round_trip(self):
         text = "G2 -> L1\nG3 -> L1 | L2 @ 0.5\nG5 -> >\n"
         assert serialize_mapping(parse_mapping(text)) == text
@@ -105,16 +112,14 @@ _fraction = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_ma
 
 @st.composite
 def mapping_rules(draw, source):
-    scope = draw(st.sampled_from([WHOLE_SEGMENT, SPLIT, FOLLOWING]))
-    if scope == FOLLOWING:
-        return MappingRule(source, (), FOLLOWING)
-    n_targets = 1 if scope == WHOLE_SEGMENT else draw(st.integers(2, 4))
+    # no targets: context rule; one: rename; more: split
+    n_targets = draw(st.integers(0, 4))
     targets = tuple(draw(st.lists(_names, min_size=n_targets, max_size=n_targets)))
     fractions = ()
-    if scope == SPLIT and draw(st.booleans()):
+    if n_targets > 1 and draw(st.booleans()):
         fractions = tuple(draw(st.lists(_fraction, min_size=n_targets - 1,
                                         max_size=n_targets - 1)))
-    return MappingRule(source, targets, scope, fractions)
+    return MappingRule(source, targets, fractions)
 
 
 @st.composite
@@ -132,17 +137,10 @@ class TestMappingRoundTrip:
 
 
 class TestMappingRule:
-    def test_split_needs_two_targets(self):
-        with pytest.raises(ValueError):
-            MappingRule("G", ("A",), SPLIT)
-
-    def test_rename_single_target(self):
-        with pytest.raises(ValueError):
-            MappingRule("G", ("A", "B"), WHOLE_SEGMENT)
-
-    def test_unknown_scope(self):
-        with pytest.raises(ValueError):
-            MappingRule("G", ("A",), "sideways")
+    @pytest.mark.parametrize("targets", [(), ("A",)])
+    def test_fraction_needs_a_split(self, targets):
+        with pytest.raises(ValueError, match="one per internal split boundary"):
+            MappingRule("G", targets, (0.5,))
 
 
 class TestApplyMapping:
@@ -282,10 +280,10 @@ class TestDefaultMapping:
         m = default_mapping()
         assert m.rule_for("G2").targets == ("L1",)
         assert m.rule_for("G3").targets == ("L1", "L2")
-        assert m.rule_for("G5").scope == FOLLOWING
+        assert m.rule_for("G5").targets == ()
         assert m.rule_for("G6").targets == ("L5", "L3")
         assert m.rule_for("G11").targets == ("L7", "L9", "L10")
-        for identity in ("G1", "G4", "G8", "G9"):
+        for identity in ("G1", "G4", "G8", "G9", "G10"):
             assert m.rule_for(identity).targets == (identity,)
 
     def test_target_label_count(self):
@@ -293,9 +291,9 @@ class TestDefaultMapping:
         targets = set()
         for rule in m.rules.values():
             targets.update(rule.targets)
-        # 6 attested L-classes (L1,L2,L3,L5 + L7,L9,L10) plus 4 identities
+        # 7 attested L-classes (L1,L2,L3,L5 + L7,L9,L10) plus 5 identities
         assert targets == {
-            "L1", "L2", "L3", "L5", "L7", "L9", "L10", "G1", "G4", "G8", "G9",
+            "L1", "L2", "L3", "L5", "L7", "L9", "L10", "G1", "G4", "G8", "G9", "G10",
         }
 
     def test_splits_carry_default_fractions(self):
