@@ -1,4 +1,4 @@
-"""Command-line workflow: synthesize, segment, evaluate, ablate, sweep.
+"""Command-line workflow: segment, evaluate, ablate, sweep.
 
 Dataset layout on disk is one directory with two subdirectories:
 
@@ -30,7 +30,6 @@ from kinseg import dictionary as _dictionary
 from kinseg import gmm as _gmm
 from kinseg import metrics as _metrics
 from kinseg import preprocess as _preprocess
-from kinseg import synth as _synth
 from kinseg.ingest import (
     UNANNOTATED,
     ParseError,
@@ -38,7 +37,6 @@ from kinseg.ingest import (
     expand_labels,
     parse_kinematics,
     parse_transcript,
-    serialize_kinematics,
     serialize_transcript,
 )
 
@@ -250,6 +248,8 @@ def load_dataset(config: RunConfig) -> dict[str, LoadedDemo]:
 
 def _load_mapping(config: RunConfig):
     if config.mapping is None:
+        if config.sidecar is not None:
+            raise ConfigError("--sidecar needs --mapping: a sidecar refines its rules")
         return None, None
     if config.mapping == "builtin":
         mapping = _dictionary.default_mapping()
@@ -259,7 +259,10 @@ def _load_mapping(config: RunConfig):
     sidecar = None
     if config.sidecar is not None:
         with open(config.sidecar) as fh:
-            sidecar = _dictionary.parse_sidecar(fh)
+            try:
+                sidecar = _dictionary.parse_sidecar(fh)
+            except ValueError as exc:
+                raise ValueError(f"{config.sidecar}: {exc}") from None
     return mapping, sidecar
 
 
@@ -491,40 +494,6 @@ def _sweep(config: RunConfig, field: str, values: list, csv_name: str) -> int:
     return EXIT_OK
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    if args.n_demos < 1:
-        raise ConfigError("need at least one demonstration")
-    if args.noise_sigma < 0:
-        raise ConfigError("noise sigma must be >= 0")
-    regimes = _synth.make_random_regimes(
-        args.regimes, args.dim, args.seed, args.contraction
-    )
-    schedule = _synth.cycling_schedule(args.regimes, args.segments, args.segment_frames)
-    noise_cov = (args.noise_sigma**2) * np.eye(args.dim)
-    kin_dir = os.path.join(args.output_dir, "kinematics")
-    tr_dir = os.path.join(args.output_dir, "transcripts")
-    os.makedirs(kin_dir, exist_ok=True)
-    os.makedirs(tr_dir, exist_ok=True)
-    transcript = _synth.schedule_transcript(schedule)
-    for i in range(args.n_demos):
-        demo_id = f"synth{i:02d}"
-        model = _synth.SwitchedLds(
-            regimes=tuple(regimes),
-            noise_cov=noise_cov,
-            schedule=schedule,
-            x0=np.zeros(args.dim),
-            seed=args.seed + i,
-            sample_rate_hz=args.rate,
-        )
-        demo, _ = _synth.generate(model, id=demo_id)
-        with open(os.path.join(kin_dir, f"{demo_id}.csv"), "w") as fh:
-            fh.write(serialize_kinematics(demo, "generic_csv"))
-        with open(os.path.join(tr_dir, f"{demo_id}.txt"), "w") as fh:
-            fh.write(serialize_transcript(transcript))
-    print(f"wrote {args.n_demos} demonstration(s) into {args.output_dir}")
-    return EXIT_OK
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; the contract here says 1."""
 
@@ -647,31 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
     )
 
-    p = sub.add_parser("synth", help="generate a labeled synthetic dataset")
-    p.add_argument("--output-dir", dest="output_dir", required=True)
-    p.add_argument("--n-demos", dest="n_demos", type=int, default=2)
-    p.add_argument("--regimes", type=int, default=4, help="number of dynamics regimes")
-    p.add_argument("--dim", type=int, default=6, help="state dimension")
-    p.add_argument("--contraction", type=float, default=_synth.DEFAULT_CONTRACTION)
-    p.add_argument(
-        "--noise-sigma",
-        dest="noise_sigma",
-        type=float,
-        default=0.05,
-        help="process-noise standard deviation (isotropic)",
-    )
-    p.add_argument("--segments", type=int, default=12, help="segments per demonstration")
-    p.add_argument(
-        "--segment-frames",
-        dest="segment_frames",
-        type=int,
-        default=150,
-        help="frames per segment",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rate", type=float, default=30.0, help="nominal sample rate in Hz")
-    p.set_defaults(run=cmd_synth)
-
     return parser
 
 
@@ -695,7 +639,7 @@ def main(argv=None) -> int:
     except (ParseError, OSError) as exc:
         print(f"kinseg: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (_gmm.NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (_gmm.NumericalError, np.linalg.LinAlgError) as exc:
         print(f"kinseg: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

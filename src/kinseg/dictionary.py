@@ -104,18 +104,43 @@ def parse_mapping(text: str | TextIO) -> LabelMapping:
 
 
 def parse_sidecar(text: str | TextIO) -> Sidecar:
+    """Parse the JSON shape in the module docstring; any other shape, an
+    unknown key included, raises ValueError."""
     doc = json.loads(text if isinstance(text, str) else text.read())
-    boundaries = {
-        (demo_id, int(seg_idx)): tuple(int(f) for f in frames)
-        for demo_id, per_seg in doc.get("boundaries", {}).items()
-        for seg_idx, frames in per_seg.items()
-    }
-    overrides = {
-        (demo_id, int(seg_idx)): str(label)
-        for demo_id, per_seg in doc.get("overrides", {}).items()
-        for seg_idx, label in per_seg.items()
-    }
-    return Sidecar(boundaries=boundaries, overrides=overrides)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a sidecar holds a JSON object, not {type(doc).__name__}")
+    unknown = sorted(set(doc) - {"boundaries", "overrides"})
+    if unknown:
+        raise ValueError(
+            f"unknown sidecar key(s) {unknown}; expected 'boundaries', 'overrides'"
+        )
+    entries: dict[str, dict] = {}
+    for key, expected, valid in (
+        ("boundaries", "a list of integer frames",
+         lambda v: isinstance(v, list) and all(type(f) is int for f in v)),
+        ("overrides", "a non-empty label", lambda v: isinstance(v, str) and v != ""),
+    ):
+        per_demo = doc.get(key, {})
+        if not isinstance(per_demo, dict):
+            raise ValueError(
+                f"sidecar {key!r}: expected an object keyed by demonstration id"
+            )
+        entries[key] = {}
+        for demo_id, per_seg in per_demo.items():
+            if not isinstance(per_seg, dict):
+                raise ValueError(f"sidecar {key!r} of {demo_id!r}: expected an object "
+                                 "keyed by segment index")
+            for seg_idx, value in per_seg.items():
+                if not seg_idx.isdecimal() or not valid(value):
+                    raise ValueError(
+                        f"sidecar {key!r} of {demo_id!r}: expected a 0-based segment "
+                        f"index keying {expected}, got {seg_idx!r}: {value!r}"
+                    )
+                entries[key][demo_id, int(seg_idx)] = value
+    return Sidecar(
+        boundaries={k: tuple(frames) for k, frames in entries["boundaries"].items()},
+        overrides=entries["overrides"],
+    )
 
 
 def default_mapping() -> LabelMapping:

@@ -1,4 +1,4 @@
-"""Parsers and writers for kinematic recordings and gesture transcripts.
+"""Parse kinematic recordings; parse and write gesture transcripts.
 
 Two on-disk layouts are supported: the robot dataset layout (76
 whitespace-separated reals per line, of which the last 38 columns are the
@@ -206,32 +206,6 @@ def _parse_csv(text, *, id, sample_rate_hz):
         sample_rate_hz=sample_rate_hz if sample_rate_hz is not None else JIGSAWS_RATE_HZ,
         channel_names=header,
     )
-
-
-def serialize_kinematics(demo: Demonstration, layout: str = "generic_csv") -> str:
-    """Write a Demonstration back to text.
-
-    The jigsaws layout zero-fills the 38 master-manipulator columns the
-    parser discards, so parse -> serialize -> parse is identity on the
-    retained channels.
-    """
-    if layout == "jigsaws":
-        if demo.n_channels != PSM_COLUMNS:
-            raise ValueError(f"jigsaws layout requires {PSM_COLUMNS} channels")
-        pad = "0.0 " * (JIGSAWS_TOTAL_COLUMNS - PSM_COLUMNS)
-        lines = [
-            pad + " ".join(repr(float(v)) for v in row) for row in demo.frames
-        ]
-        return "\n".join(lines) + "\n"
-    if layout == "generic_csv":
-        names = demo.channel_names or [f"c{i}" for i in range(demo.n_channels)]
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(names)
-        for row in demo.frames:
-            writer.writerow([repr(float(v)) for v in row])
-        return out.getvalue()
-    raise ValueError(f"unknown layout {layout!r}")
 
 
 def parse_transcript(text: str | TextIO) -> Transcript:

@@ -237,8 +237,8 @@ def subsample(fm: FeatureMatrix, factor: int) -> FeatureMatrix:
     )
 
 
-def resolve_subset(subset: str) -> tuple[str, list[int]]:
-    """Resolve a feature subset to (name, kept 0-based indices of the 32).
+def resolve_subset(subset: str) -> list[int]:
+    """Resolve a feature subset to the kept 0-based indices of the 32.
 
     Accepts a named subset ("all", "no-pose", "no-velocity", "no-distance")
     or a comma-separated string of 1-based indices to keep.
@@ -246,14 +246,14 @@ def resolve_subset(subset: str) -> tuple[str, list[int]]:
     name = subset.strip()
     if name in NAMED_SUBSETS:
         dropped = set(NAMED_SUBSETS[name])
-        return name, [i for i in range(32) if i + 1 not in dropped]
+        return [i for i in range(32) if i + 1 not in dropped]
     try:
         keep = sorted({int(tok) for tok in name.split(",")})
     except ValueError:
         raise ValueError(f"unknown feature subset {subset!r}") from None
     if not keep or keep[0] < 1 or keep[-1] > 32:
         raise ValueError("explicit feature indices must lie in 1..32")
-    return ",".join(str(i) for i in keep), [i - 1 for i in keep]
+    return [i - 1 for i in keep]
 
 
 def _arm_features(arm: np.ndarray) -> np.ndarray:
@@ -295,7 +295,7 @@ def select_channels(fm: FeatureMatrix, subset: str) -> FeatureMatrix:
     32-channel kinematic features."""
     if fm.n_channels != 32:
         raise ValueError(f"subsets need the 32 kinematic channels, got {fm.n_channels}")
-    _, kept = resolve_subset(subset)
+    kept = resolve_subset(subset)
     if len(kept) == 32:
         return fm
     return replace(

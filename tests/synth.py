@@ -6,13 +6,29 @@ noise. Noise is drawn as L z with L the Cholesky factor of the noise
 covariance and z standard normals from a seeded PCG64 generator, so runs
 are reproducible within a platform; cross-platform agreement is
 statistical, not bit-exact.
+
+The tests use it as their oracle: write_dataset lays a labeled dataset out
+on disk for the CLI, and serialize_kinematics writes recordings back to
+text. It needs only numpy and kinseg:
+
+    PYTHONPATH=tests python -c "import synth; synth.write_dataset('data', n_demos=3)"
 """
 
+import csv
+import io
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from kinseg.ingest import Demonstration, Segment, Transcript
+from kinseg.ingest import (
+    JIGSAWS_TOTAL_COLUMNS,
+    PSM_COLUMNS,
+    Demonstration,
+    Segment,
+    Transcript,
+    serialize_transcript,
+)
 
 SPECTRAL_RADIUS_LIMIT = 1.05
 DIVERGENCE_NORM = 1e6
@@ -168,3 +184,69 @@ def cycling_schedule(
 ) -> tuple[tuple[int, int], ...]:
     """Fixed-length segments cycling through the regimes in order."""
     return tuple((segment_frames, k % n_regimes) for k in range(n_segments))
+
+
+def serialize_kinematics(demo: Demonstration, layout: str = "generic_csv") -> str:
+    """Write a Demonstration back to text.
+
+    The jigsaws layout zero-fills the 38 master-manipulator columns the
+    parser discards, so parse -> serialize -> parse is identity on the
+    retained channels.
+    """
+    if layout == "jigsaws":
+        if demo.n_channels != PSM_COLUMNS:
+            raise ValueError(f"jigsaws layout requires {PSM_COLUMNS} channels")
+        pad = "0.0 " * (JIGSAWS_TOTAL_COLUMNS - PSM_COLUMNS)
+        lines = [
+            pad + " ".join(repr(float(v)) for v in row) for row in demo.frames
+        ]
+        return "\n".join(lines) + "\n"
+    if layout == "generic_csv":
+        names = demo.channel_names or [f"c{i}" for i in range(demo.n_channels)]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(names)
+        for row in demo.frames:
+            writer.writerow([repr(float(v)) for v in row])
+        return out.getvalue()
+    raise ValueError(f"unknown layout {layout!r}")
+
+
+def write_dataset(
+    output_dir,
+    *,
+    n_demos: int = 2,
+    regimes: int = 4,
+    dim: int = 6,
+    contraction: float = DEFAULT_CONTRACTION,
+    noise_sigma: float = 0.05,
+    segments: int = 12,
+    segment_frames: int = 150,
+    seed: int = 0,
+    rate: float = 30.0,
+) -> None:
+    """Write kinematics/synth<NN>.csv and transcripts/synth<NN>.txt: demo i
+    shares the regimes and schedule and draws its noise from seed + i."""
+    matrices = make_random_regimes(regimes, dim, seed, contraction)
+    schedule = cycling_schedule(regimes, segments, segment_frames)
+    noise_cov = (noise_sigma**2) * np.eye(dim)
+    kin_dir = os.path.join(output_dir, "kinematics")
+    tr_dir = os.path.join(output_dir, "transcripts")
+    os.makedirs(kin_dir, exist_ok=True)
+    os.makedirs(tr_dir, exist_ok=True)
+    transcript = schedule_transcript(schedule)
+    for i in range(n_demos):
+        demo_id = f"synth{i:02d}"
+        model = SwitchedLds(
+            regimes=tuple(matrices),
+            noise_cov=noise_cov,
+            schedule=schedule,
+            x0=np.zeros(dim),
+            seed=seed + i,
+            sample_rate_hz=rate,
+        )
+        demo, _ = generate(model, id=demo_id)
+        with open(os.path.join(kin_dir, f"{demo_id}.csv"), "w") as fh:
+            fh.write(serialize_kinematics(demo, "generic_csv"))
+        with open(os.path.join(tr_dir, f"{demo_id}.txt"), "w") as fh:
+            fh.write(serialize_transcript(transcript))

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from kinseg import gmm, metrics, preprocess, synth
+import synth
+from kinseg import gmm, metrics, preprocess
 from kinseg.cli import main
 from kinseg.ingest import Demonstration
 
@@ -289,11 +290,9 @@ def test_feature_shapes():
 
 def test_segment_determinism(tmp_path):
     data = tmp_path / "data"
-    assert main([
-        "synth", "--output-dir", str(data),
-        "--n-demos", "3", "--regimes", "3", "--dim", "4",
-        "--segments", "6", "--segment-frames", "60", "--seed", "7",
-    ]) == 0
+    synth.write_dataset(
+        data, n_demos=3, regimes=3, dim=4, segments=6, segment_frames=60, seed=7
+    )
     outputs = []
     for name in ("first", "second"):
         out = tmp_path / name

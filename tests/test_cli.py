@@ -19,9 +19,9 @@ from kinseg.ingest import (
     Transcript,
     parse_kinematics,
     parse_transcript,
-    serialize_kinematics,
     serialize_transcript,
 )
+from synth import serialize_kinematics, write_dataset
 
 REPORT_KEYS = [
     "accuracy",
@@ -33,20 +33,13 @@ REPORT_KEYS = [
     "n_frames_evaluated",
 ]
 
-SYNTH_ARGS = [
-    "--n-demos", "3",
-    "--regimes", "3",
-    "--dim", "4",
-    "--segments", "6",
-    "--segment-frames", "60",
-    "--seed", "7",
-]
+SYNTH_ARGS = dict(n_demos=3, regimes=3, dim=4, segments=6, segment_frames=60, seed=7)
 
 
 @pytest.fixture(scope="session")
 def synth_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("synthdata")
-    assert main(["synth", "--output-dir", str(d)] + SYNTH_ARGS) == 0
+    write_dataset(d, **SYNTH_ARGS)
     return d
 
 
@@ -68,37 +61,6 @@ def weak_run(synth_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("weakrun")
     assert run_segment(synth_dir, out) == 0
     return out
-
-
-class TestSynthCommand:
-    def test_writes_parseable_dataset(self, synth_dir):
-        for i in range(3):
-            kin = synth_dir / "kinematics" / f"synth{i:02d}.csv"
-            tr = synth_dir / "transcripts" / f"synth{i:02d}.txt"
-            assert kin.is_file() and tr.is_file()
-        demo = parse_kinematics(
-            (synth_dir / "kinematics" / "synth00.csv").read_text(), "generic_csv"
-        )
-        assert demo.frames.shape == (360, 4)
-        t = parse_transcript((synth_dir / "transcripts" / "synth00.txt").read_text())
-        assert t.segments[-1].end == 360
-        assert {s.label for s in t.segments} == {"R0", "R1", "R2"}
-
-    def test_seed_repeat_identical_bytes(self, synth_dir, tmp_path):
-        other = tmp_path / "again"
-        assert main(["synth", "--output-dir", str(other)] + SYNTH_ARGS) == 0
-        for rel in ("kinematics/synth01.csv", "transcripts/synth01.txt"):
-            assert (other / rel).read_bytes() == (synth_dir / rel).read_bytes()
-
-    def test_demos_differ(self, synth_dir):
-        a = (synth_dir / "kinematics" / "synth00.csv").read_bytes()
-        b = (synth_dir / "kinematics" / "synth01.csv").read_bytes()
-        assert a != b
-
-    def test_zero_demos_rejected(self, tmp_path, capsys):
-        code = main(["synth", "--output-dir", str(tmp_path / "x"), "--n-demos", "0"])
-        assert code == 1
-        assert "config error" in capsys.readouterr().err
 
 
 class TestSegmentCommand:
@@ -1041,11 +1003,38 @@ class TestErrorExits:
         assert code == 2
         assert "kinseg: data error: mapping line 3: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [
+        [],
+        {"bondaries": {}},
+        {"boundaries": {"synth01": [1]}},
+        {"boundaries": {"synth01": {"0": 5}}},
+        {"overrides": {"synth01": {"0": ["L1"]}}},
+    ])
+    def test_malformed_sidecar(self, synth_dir, tmp_path, capsys, doc):
+        # each used to end in a traceback or to be read as if well formed
+        sidecar = tmp_path / "sidecar.json"
+        sidecar.write_text(json.dumps(doc))
+        rules = tmp_path / "rules.txt"
+        rules.write_text("R0 -> A\nR1 -> A\nR2 -> B\n")
+        extra = ["--mapping", str(rules), "--sidecar", str(sidecar)]
+        code = run_segment(synth_dir, tmp_path / "out", extra)
+        assert code == 2
+        assert f"kinseg: data error: {sidecar}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sidecar_without_mapping(self, synth_dir, tmp_path, count_calls, capsys):
+        sidecar = tmp_path / "sidecar.json"
+        sidecar.write_text("{}")
+        reads = count_calls(cli, "parse_kinematics")
+        code = run_segment(synth_dir, tmp_path / "out", ["--sidecar", str(sidecar)])
+        assert code == 1
+        assert "--sidecar needs --mapping" in capsys.readouterr().err
+        assert reads == []
+
     def test_recording_with_other_width(self, synth_dir, tmp_path, count_calls, capsys):
         data = copy_synth(synth_dir, tmp_path / "data")
         wide = tmp_path / "wide"
-        assert main(["synth", "--output-dir", str(wide), "--n-demos", "1",
-                     "--dim", "6", "--segments", "6", "--segment-frames", "60"]) == 0
+        write_dataset(wide, n_demos=1, dim=6, segments=6, segment_frames=60)
         (data / "kinematics" / "synth01.csv").write_bytes(
             (wide / "kinematics" / "synth00.csv").read_bytes()
         )

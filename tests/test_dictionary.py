@@ -274,6 +274,19 @@ class TestSidecar:
         assert sc.boundaries == {}
         assert sc.overrides == {}
 
+    @pytest.mark.parametrize("text", [
+        '{"boundaries": {"d": {"x": [1]}}}',
+        '{"boundaries": {"d": {"-1": [1]}}}',
+        '{"boundaries": {"d": {"0": [1.5]}}}',
+        '{"boundaries": {"d": {"0": [true]}}}',
+        '{"overrides": {"d": {"0": 7}}}',
+        '{"overrides": {"d": {"0": ""}}}',
+        '{"overrides": []}',
+    ])
+    def test_rejects_malformed(self, text):
+        with pytest.raises(ValueError, match="sidecar"):
+            parse_sidecar(text)
+
 
 class TestDefaultMapping:
     def test_loads_and_covers_attested_rules(self):

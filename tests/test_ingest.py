@@ -16,9 +16,9 @@ from kinseg.ingest import (
     expand_labels,
     parse_kinematics,
     parse_transcript,
-    serialize_kinematics,
     serialize_transcript,
 )
+from synth import serialize_kinematics
 
 
 def jigsaws_line(rng):

@@ -463,22 +463,21 @@ class TestResolveSubset:
             ("no-velocity", 20),
             ("no-distance", 28),
         ]:
-            _, kept = resolve_subset(name)
+            kept = resolve_subset(name)
             assert len(kept) == size
 
     def test_no_velocity_drops_expected(self):
-        _, kept = resolve_subset("no-velocity")
+        kept = resolve_subset("no-velocity")
         dropped = sorted(set(range(1, 33)) - {i + 1 for i in kept})
         assert dropped == [8, 9, 10, 11, 12, 13, 22, 23, 24, 25, 26, 27]
 
     def test_no_distance_drops_tail(self):
-        _, kept = resolve_subset("no-distance")
+        kept = resolve_subset("no-distance")
         assert max(kept) == 27  # 0-based; channels 29-32 gone
 
     def test_explicit_indices(self):
-        name, kept = resolve_subset("3,1,2")
+        kept = resolve_subset("3,1,2")
         assert kept == [0, 1, 2]
-        assert name == "1,2,3"
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from kinseg.ingest import Segment
-from kinseg.synth import (
+from kinseg.ingest import Segment, parse_kinematics, parse_transcript
+from synth import (
     SwitchedLds,
     cycling_schedule,
     generate,
     make_random_regimes,
     regime_label,
     schedule_transcript,
+    write_dataset,
 )
+
+DATASET_ARGS = dict(n_demos=3, regimes=3, dim=4, segments=6, segment_frames=60, seed=7)
 
 
 def constant_model(A, n_frames, x0, **kw):
@@ -200,3 +203,36 @@ class TestCyclingSchedule:
 def test_regime_label():
     assert regime_label(0) == "R0"
     assert regime_label(11) == "R11"
+
+
+@pytest.fixture(scope="module")
+def synth_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("synthdata")
+    write_dataset(d, **DATASET_ARGS)
+    return d
+
+
+class TestWriteDataset:
+    def test_writes_parseable_dataset(self, synth_dir):
+        for i in range(3):
+            kin = synth_dir / "kinematics" / f"synth{i:02d}.csv"
+            tr = synth_dir / "transcripts" / f"synth{i:02d}.txt"
+            assert kin.is_file() and tr.is_file()
+        demo = parse_kinematics(
+            (synth_dir / "kinematics" / "synth00.csv").read_text(), "generic_csv"
+        )
+        assert demo.frames.shape == (360, 4)
+        t = parse_transcript((synth_dir / "transcripts" / "synth00.txt").read_text())
+        assert t.segments[-1].end == 360
+        assert {s.label for s in t.segments} == {"R0", "R1", "R2"}
+
+    def test_seed_repeat_identical_bytes(self, synth_dir, tmp_path):
+        other = tmp_path / "again"
+        write_dataset(other, **DATASET_ARGS)
+        for rel in ("kinematics/synth01.csv", "transcripts/synth01.txt"):
+            assert (other / rel).read_bytes() == (synth_dir / rel).read_bytes()
+
+    def test_demos_differ(self, synth_dir):
+        a = (synth_dir / "kinematics" / "synth00.csv").read_bytes()
+        b = (synth_dir / "kinematics" / "synth01.csv").read_bytes()
+        assert a != b

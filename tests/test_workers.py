@@ -12,6 +12,7 @@ import pytest
 
 from kinseg import gmm
 from kinseg.gmm import ROW_BLOCK, GmmModel, NumericalError, em_fit, predict_labels
+from synth import write_dataset
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 WORKER_COUNTS = (1, 2, 3)
@@ -332,8 +333,7 @@ def above_floor_data(tmp_path_factory):
     """A synth dataset whose EM passes split: 2 fit demos of 1800 frames at
     D = 2 x 48 with 4 components."""
     data_dir = tmp_path_factory.mktemp("workers") / "data"
-    child(["-m", "kinseg", "synth", "--output-dir", str(data_dir),
-           "--n-demos", "3", "--dim", "48", "--seed", "1"])
+    write_dataset(data_dir, n_demos=3, dim=48, seed=1)
     return data_dir
 
 
