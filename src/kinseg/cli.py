@@ -5,6 +5,10 @@ Dataset layout on disk is one directory with two subdirectories:
     <data-dir>/kinematics/<id>.txt|csv    recordings (robot layout or CSV)
     <data-dir>/transcripts/<id>.txt       optional "start end label" files
 
+The recordings decide how they are read: the extension picks the parser
+(.csv is CSV, any other robot text), and the channel count the features
+(38 channels take the kinematic pipeline, any other count is used raw).
+
 Demonstrations named by --init-demos seed the mixture (weak init) and are
 excluded from both the EM fit and the evaluation; every other
 demonstration is fitted and, when it has a transcript, scored. All
@@ -31,8 +35,9 @@ from kinseg import gmm as _gmm
 from kinseg import metrics as _metrics
 from kinseg import preprocess as _preprocess
 from kinseg.ingest import (
+    JIGSAWS_RATE_HZ,
+    PSM_COLUMNS,
     UNANNOTATED,
-    ParseError,
     compress_labels,
     expand_labels,
     parse_kinematics,
@@ -56,9 +61,7 @@ class RunConfig:
 
     data_dir: str = ""
     output_dir: str = ""
-    layout: str = "auto"  # auto | jigsaws | csv
-    sample_rate_hz: float | None = None  # None: 30 for robot files, CSV needs it
-    preprocessing: str = "auto"  # auto | kinematic | raw
+    sample_rate_hz: float = JIGSAWS_RATE_HZ
     fc_hz: float = 1.5
     subsample_factor: int = 3
     window: int = 2
@@ -80,8 +83,6 @@ _STR_FIELDS = _CONFIG_FIELDS - _INT_FIELDS - _FLOAT_FIELDS - {"init_demos"}
 
 
 def _coerce(name: str, value):
-    if value is None:
-        return None
     try:
         if isinstance(value, bool) and name in _INT_FIELDS | _FLOAT_FIELDS:
             raise TypeError
@@ -123,7 +124,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         for key, value in doc.items():
             if key not in _CONFIG_FIELDS:
                 raise ConfigError(f"unknown config field {key!r}")
-            merged[key] = _coerce(key, value)
+            if value is not None:  # null leaves the default, as an absent flag does
+                merged[key] = _coerce(key, value)
     for name in _CONFIG_FIELDS:
         value = getattr(args, name, None)
         if value is not None:
@@ -138,10 +140,6 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("a data directory is required (--data-dir)")
     if not config.output_dir:
         raise ConfigError("an output directory is required (--output-dir)")
-    if config.layout not in ("auto", "jigsaws", "csv"):
-        raise ConfigError(f"unknown layout {config.layout!r}")
-    if config.preprocessing not in ("auto", "kinematic", "raw"):
-        raise ConfigError(f"unknown preprocessing mode {config.preprocessing!r}")
     if config.init_method not in ("weak", "kmeans"):
         raise ConfigError(f"unknown init method {config.init_method!r}")
     if config.init_method == "weak" and not config.init_demos:
@@ -150,7 +148,7 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(f"an init demonstration id repeats in {list(config.init_demos)}")
     if config.fc_hz <= 0:
         raise ConfigError("fc_hz must be positive")
-    if config.sample_rate_hz is not None and config.sample_rate_hz <= 0:
+    if config.sample_rate_hz <= 0:
         raise ConfigError("sample_rate_hz must be positive")
     if config.subsample_factor < 1:
         raise ConfigError("subsample_factor must be >= 1")
@@ -173,7 +171,6 @@ class LoadedDemo:
     """What every run needs of a recording; the raw frames are not kept."""
 
     features: _preprocess.FeatureMatrix  # before any feature subset or window
-    kinematic: bool  # features from the kinematic pipeline, not raw columns
     n_frames: int  # length of the recording's frame grid
     truth: np.ndarray | None  # per-frame labels, remapped; None without a transcript
 
@@ -202,17 +199,22 @@ def load_dataset(config: RunConfig) -> dict[str, LoadedDemo]:
     dataset: dict[str, LoadedDemo] = {}
     for name in files:
         demo_id, ext = os.path.splitext(name)
-        if config.layout == "auto":
-            layout = "generic_csv" if ext == ".csv" else "jigsaws"
-        else:
-            layout = {"jigsaws": "jigsaws", "csv": "generic_csv"}[config.layout]
+        layout = "generic_csv" if ext == ".csv" else "jigsaws"
         with open(os.path.join(kin_dir, name)) as fh:
             try:
                 demo = parse_kinematics(
                     fh, layout, id=demo_id, sample_rate_hz=config.sample_rate_hz
                 )
-            except ParseError as exc:
-                raise ParseError(f"{name}: {exc}") from None
+                if demo.n_channels == PSM_COLUMNS:
+                    features = _preprocess.build_features(
+                        demo, fc_hz=config.fc_hz, subsample_factor=config.subsample_factor
+                    )
+                else:
+                    features = _preprocess.raw_features(
+                        demo, subsample_factor=config.subsample_factor
+                    )
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
         truth = None
         tpath = os.path.join(config.data_dir, "transcripts", f"{demo_id}.txt")
         if os.path.isfile(tpath):
@@ -225,24 +227,22 @@ def load_dataset(config: RunConfig) -> dict[str, LoadedDemo]:
                         )
                     truth = expand_labels(transcript, demo.n_frames)
                 except ValueError as exc:
-                    raise type(exc)(f"{demo_id}.txt: {exc}") from None
-        mode = config.preprocessing
-        kinematic = mode == "kinematic" or (mode == "auto" and demo.n_channels == 38)
-        if kinematic:
-            features = _preprocess.build_features(
-                demo, fc_hz=config.fc_hz, subsample_factor=config.subsample_factor
-            )
-        else:
-            features = _preprocess.raw_features(
-                demo, subsample_factor=config.subsample_factor
-            )
+                    raise ValueError(f"{demo_id}.txt: {exc}") from None
         base = next(iter(dataset.values()), None)
         if base is not None and features.channel_names != base.features.channel_names:
             raise ValueError(
                 f"{name}: its feature channels differ from those of {files[0]} "
                 f"({features.n_channels} channels against {base.features.n_channels})"
             )
-        dataset[demo_id] = LoadedDemo(features, kinematic, demo.n_frames, truth)
+        dataset[demo_id] = LoadedDemo(features, demo.n_frames, truth)
+    if sidecar is not None:
+        annotated = {d for d, item in dataset.items() if item.truth is not None}
+        for kind, demo_id, _ in sidecar.entries():
+            if demo_id not in annotated:
+                raise ValueError(
+                    f"{config.sidecar}: sidecar {kind!r} of {demo_id!r}: "
+                    "no transcript of that demonstration was loaded"
+                )
     return dataset
 
 
@@ -255,7 +255,10 @@ def _load_mapping(config: RunConfig):
         mapping = _dictionary.default_mapping()
     else:
         with open(config.mapping) as fh:
-            mapping = _dictionary.parse_mapping(fh)
+            try:
+                mapping = _dictionary.parse_mapping(fh)
+            except ValueError as exc:
+                raise ValueError(f"{config.mapping}: {exc}") from None
     sidecar = None
     if config.sidecar is not None:
         with open(config.sidecar) as fh:
@@ -267,16 +270,16 @@ def _load_mapping(config: RunConfig):
 
 
 def _check_subset(config: RunConfig, dataset: dict[str, LoadedDemo]) -> None:
-    """A feature subset other than "all" needs every demonstration on the
-    kinematic pipeline."""
+    """A feature subset other than "all" needs the kinematic pipeline's
+    features; every demonstration has the first one's channels."""
     if config.feature_subset == "all":
         return
-    for demo_id, item in dataset.items():
-        if not item.kinematic:
-            raise ConfigError(
-                "feature subsets apply only to the kinematic pipeline "
-                f"(demonstration {demo_id!r} is processed raw)"
-            )
+    demo_id, item = next(iter(dataset.items()))
+    if item.features.channel_names != _preprocess.FULL_CHANNEL_NAMES:
+        raise ConfigError(
+            "feature subsets apply only to the kinematic pipeline "
+            f"(demonstration {demo_id!r} is processed raw)"
+        )
 
 
 @dataclass
@@ -301,7 +304,10 @@ def run_pipeline(config: RunConfig, dataset: dict[str, LoadedDemo]) -> RunResult
         fm = item.features
         if config.feature_subset != "all":
             fm = _preprocess.select_channels(fm, config.feature_subset)
-        augmented[demo_id] = _preprocess.augment(fm, config.window)
+        try:
+            augmented[demo_id] = _preprocess.augment(fm, config.window)
+        except ValueError as exc:
+            raise ValueError(f"{demo_id}: {exc}") from None
 
     fit_ids = [d for d in dataset if d not in set(config.init_demos)]
     if not fit_ids:
@@ -330,42 +336,26 @@ def run_pipeline(config: RunConfig, dataset: dict[str, LoadedDemo]) -> RunResult
         for demo_id, item in dataset.items()
     }
 
-    with_accuracy = model.has_labels()
-    per_demo: dict[str, _metrics.EvaluationReport] = {}
-    # Pred frames, truth frames, rows, pred rows and truth rows of each scored
-    # demonstration; the empty first entry is what pools when none is scored.
-    empty = np.empty(0, dtype=object)
-    pooled = [(empty, empty, fit_data[:0], empty, empty)]
-    for demo_id in fit_ids:
-        truth_frames = dataset[demo_id].truth
-        if truth_frames is None:
-            continue
-        X = augmented[demo_id]
-        truth_rows = _preprocess.labels_at_rows(truth_frames, X)
-        per_demo[demo_id] = _metrics.evaluate(
-            predictions[demo_id],
-            truth_frames,
-            with_accuracy=with_accuracy,
-            X=X.values,
-            pred_rows=row_predictions[demo_id],
-            truth_rows=truth_rows,
-        )
-        pooled.append(
-            (predictions[demo_id], truth_frames, X.values,
-             row_predictions[demo_id], truth_rows)
+    scored = [d for d in fit_ids if dataset[d].truth is not None]
+    truth_rows = {
+        d: _preprocess.labels_at_rows(dataset[d].truth, augmented[d]) for d in scored
+    }
+
+    def score(ids: list[str]) -> _metrics.EvaluationReport:
+        """One report over the frames and rows of the named demonstrations;
+        with none named, every metric is None."""
+        empty = np.empty(0, dtype=object)
+        return _metrics.evaluate(
+            np.concatenate([empty, *(predictions[d] for d in ids)]),
+            np.concatenate([empty, *(dataset[d].truth for d in ids)]),
+            with_accuracy=model.has_labels(),
+            X=np.concatenate([fit_data[:0], *(augmented[d].values for d in ids)]),
+            pred_rows=np.concatenate([empty, *(row_predictions[d] for d in ids)]),
+            truth_rows=np.concatenate([empty, *(truth_rows[d] for d in ids)]),
         )
 
-    pred_frames, truth_frames, rows, pred_rows, truth_rows = (
-        np.concatenate(parts) for parts in zip(*pooled)
-    )
-    report = _metrics.evaluate(
-        pred_frames,
-        truth_frames,
-        with_accuracy=with_accuracy,
-        X=rows,
-        pred_rows=pred_rows,
-        truth_rows=truth_rows,
-    )
+    per_demo = {d: score([d]) for d in scored}
+    report = score(scored)
     return RunResult(model, report, per_demo, predictions, row_predictions, augmented)
 
 
@@ -416,14 +406,11 @@ def _write_segment_outputs(config, dataset, result: RunResult) -> None:
 
     _gmm.save_model(result.model, os.path.join(out, "model.json"))
 
-    with open(os.path.join(out, "report.json"), "w") as fh:
-        fh.write(result.report.to_json())
-    per_demo = {
-        demo_id: json.loads(result.per_demo[demo_id].to_json())
-        for demo_id in sorted(result.per_demo)
-    }
-    with open(os.path.join(out, "report_per_demo.json"), "w") as fh:
-        fh.write(json.dumps(per_demo, indent=2) + "\n")
+    per_demo = {d: result.per_demo[d].to_dict() for d in sorted(result.per_demo)}
+    for name, doc in (("report.json", result.report.to_dict()),
+                      ("report_per_demo.json", per_demo)):
+        with open(os.path.join(out, name), "w") as fh:
+            fh.write(json.dumps(doc, indent=2) + "\n")
 
     for demo_id in sorted(dataset):
         X = result.augmented[demo_id]
@@ -526,20 +513,10 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data-dir", dest="data_dir", help="dataset directory")
     parser.add_argument("--output-dir", dest="output_dir", help="where results go")
     parser.add_argument(
-        "--layout",
-        choices=["auto", "jigsaws", "csv"],
-        help="kinematics file layout (default: auto by extension)",
-    )
-    parser.add_argument(
         "--sample-rate",
         dest="sample_rate_hz",
         type=float,
-        help="recording rate in Hz (CSV input; robot files default to 30)",
-    )
-    parser.add_argument(
-        "--preprocessing",
-        choices=["auto", "kinematic", "raw"],
-        help="kinematic pipeline, raw passthrough, or auto by channel count",
+        help="recording rate in Hz (default 30)",
     )
     parser.add_argument("--fc", dest="fc_hz", type=float, help="low-pass cutoff in Hz")
     parser.add_argument(
@@ -636,13 +613,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"kinseg: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, OSError) as exc:
-        print(f"kinseg: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (_gmm.NumericalError, np.linalg.LinAlgError) as exc:
         print(f"kinseg: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"kinseg: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -67,6 +67,12 @@ class Sidecar:
     boundaries: dict[tuple[str, int], tuple[int, ...]] = field(default_factory=dict)
     overrides: dict[tuple[str, int], str] = field(default_factory=dict)
 
+    def entries(self):
+        """(kind, demonstration id, segment index) of every entry."""
+        for kind in ("boundaries", "overrides"):
+            for demo_id, idx in getattr(self, kind):
+                yield kind, demo_id, idx
+
 
 def parse_mapping(text: str | TextIO) -> LabelMapping:
     stream = io.StringIO(text) if isinstance(text, str) else text
@@ -200,6 +206,7 @@ def apply_mapping(
     sidecar = sidecar or Sidecar()
     for segment in t.segments:
         mapping.rule_for(segment.label)  # fail fast on unmapped labels
+    _check_sidecar(t, mapping, sidecar, demo_id)
 
     pieces: list[Segment] = []
     for idx, segment in enumerate(t.segments):
@@ -232,6 +239,27 @@ def apply_mapping(
         else:
             merged.append(piece)
     return Transcript(tuple(merged))
+
+
+def _check_sidecar(
+    t: Transcript, mapping: LabelMapping, sidecar: Sidecar, demo_id: str
+) -> None:
+    """Each sidecar entry of the demonstration must name a segment of its
+    transcript whose rule reads it: boundaries a split, overrides the
+    context rule. An entry nothing reads is an error, not a no-op."""
+    for kind, entry_id, idx in sidecar.entries():
+        if entry_id != demo_id:
+            continue
+        where = f"sidecar {kind!r} of {demo_id!r}, segment {idx}"
+        if idx >= len(t.segments):
+            raise ValueError(f"{where}: the transcript has {len(t.segments)} segments")
+        rule = mapping.rule_for(t.segments[idx].label)
+        if kind == "boundaries" and len(rule.targets) < 2:
+            raise ValueError(f"{where}: the rule for {rule.source!r} is not a split")
+        if kind == "overrides" and rule.targets:
+            raise ValueError(
+                f"{where}: the rule for {rule.source!r} is not the context rule"
+            )
 
 
 def _neighbor_target(t: Transcript, mapping: LabelMapping, idx: int) -> str:

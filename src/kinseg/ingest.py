@@ -111,30 +111,27 @@ def parse_kinematics(
     layout: str = "jigsaws",
     *,
     id: str = "",
-    sample_rate_hz: float | None = None,
+    sample_rate_hz: float = JIGSAWS_RATE_HZ,
 ) -> Demonstration:
     """Parse a kinematic recording into a Demonstration.
 
     layout "jigsaws": 76 whitespace-separated reals per line; only the 38
-    patient-side columns are kept; default rate 30 Hz.
+    patient-side columns are kept.
     layout "generic_csv": comma-separated with a header row naming the
-    channels; the sample rate must be supplied by the caller (default 30).
+    channels.
     """
-    if layout == "jigsaws":
-        return _parse_jigsaws(text, id=id, sample_rate_hz=sample_rate_hz)
-    if layout == "generic_csv":
-        return _parse_csv(text, id=id, sample_rate_hz=sample_rate_hz)
-    raise ValueError(f"unknown layout {layout!r}")
-
-
-def _parse_jigsaws(text, *, id, sample_rate_hz):
     stream = io.StringIO(text) if isinstance(text, str) else text
-    frames = _load_jigsaws(stream) if stream.seekable() else None
+    if layout == "jigsaws":
+        frames = _load_jigsaws(stream) if stream.seekable() else None
+        if frames is None:
+            frames = _parse_jigsaws_lines(stream)
+        names = list(PSM_CHANNEL_NAMES)
+    elif layout == "generic_csv":
+        frames, names = _parse_csv(stream)
+    else:
+        raise ValueError(f"unknown layout {layout!r}")
     return Demonstration(
-        id=id,
-        frames=_parse_jigsaws_lines(stream) if frames is None else frames,
-        sample_rate_hz=sample_rate_hz if sample_rate_hz is not None else JIGSAWS_RATE_HZ,
-        channel_names=list(PSM_CHANNEL_NAMES),
+        id=id, frames=frames, sample_rate_hz=sample_rate_hz, channel_names=names
     )
 
 
@@ -177,8 +174,8 @@ def _parse_jigsaws_lines(stream) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def _parse_csv(text, *, id, sample_rate_hz):
-    stream = io.StringIO(text) if isinstance(text, str) else text
+def _parse_csv(stream) -> tuple[np.ndarray, list[str]]:
+    """Frames and the header's channel names."""
     reader = csv.reader(stream)
     header = None
     rows = []
@@ -200,12 +197,7 @@ def _parse_csv(text, *, id, sample_rate_hz):
         raise ParseError("empty input")
     if not rows:
         raise ParseError("no data rows")
-    return Demonstration(
-        id=id,
-        frames=np.array(rows, dtype=float),
-        sample_rate_hz=sample_rate_hz if sample_rate_hz is not None else JIGSAWS_RATE_HZ,
-        channel_names=header,
-    )
+    return np.array(rows, dtype=float), header
 
 
 def parse_transcript(text: str | TextIO) -> Transcript:

@@ -7,7 +7,6 @@ distances), normalized to [0, 1]. Entropies use natural logs; NMI is
 invariant to bijective relabelings of either sequence.
 """
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -146,8 +145,9 @@ class EvaluationReport:
     confusion: np.ndarray
     n_frames_evaluated: int
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        """The report as plain Python types, in the report files' key order."""
+        return {
             "accuracy": self.accuracy,
             "nmi": self.nmi,
             "si_pred": self.si_pred,
@@ -159,7 +159,6 @@ class EvaluationReport:
             },
             "n_frames_evaluated": self.n_frames_evaluated,
         }
-        return json.dumps(doc, indent=2) + "\n"
 
 
 def evaluate(

@@ -582,6 +582,15 @@ class TestRuntimeNeedsOnlyNumpy:
         assert report == (plain / "report.json").read_bytes()
 
 
+def copy_tree(src, data):
+    """Copy of a dataset's kinematics and transcripts directories."""
+    for sub in ("kinematics", "transcripts"):
+        (data / sub).mkdir(parents=True)
+        for f in (src / sub).iterdir():
+            (data / sub / f.name).write_bytes(f.read_bytes())
+    return data
+
+
 def copy_synth(synth_dir, data, relabel=lambda name, text: text, transcripts=True):
     """Copy of the session synth dataset; relabel(name, text) edits each
     transcript's text, and transcripts=False leaves them out."""
@@ -641,7 +650,32 @@ class TestKmeansDefaultK:
         assert "k-means init needs --k" in capsys.readouterr().err
 
 
+def write_split_rules(tmp_path):
+    """Rules for the synth labels with one rename, one split and the context
+    rule; segments 0, 1 and 2 of each transcript take them in that order."""
+    rules = tmp_path / "rules.txt"
+    rules.write_text("R0 -> A\nR1 -> A | B @ 0.5\nR2 -> >\n")
+    return rules
+
+
 class TestMappingFlag:
+    def test_sidecar_entries_are_read(self, synth_dir, tmp_path):
+        sidecar = tmp_path / "sidecar.json"
+        sidecar.write_text(json.dumps({
+            "boundaries": {"synth01": {"1": [70]}},
+            "overrides": {"synth00": {"2": "B"}, "synth01": {"2": "B"}},
+        }))
+        extra = ["--mapping", str(write_split_rules(tmp_path)), "--sidecar", str(sidecar)]
+        out = tmp_path / "out"
+        assert run_segment(synth_dir, out, extra) == 0
+        # synth01's 60-frame segments R0 R1 R2 R0 R1 R2 become A, A|B split
+        # after frame 70, B (override), A, A|B split at half, B (previous
+        # part's class); without the sidecar the first split is at half and
+        # the override's segment takes the following A: 240 A, 120 B.
+        confusion = json.loads((out / "report_per_demo.json").read_text())["synth01"]
+        assert confusion["confusion"]["labels"] == ["A", "B"]
+        assert [sum(row) for row in confusion["confusion"]["counts"]] == [160, 200]
+
     def test_remap_changes_prediction_labels(self, synth_dir, tmp_path):
         data = tmp_path / "data"
         (data / "kinematics").mkdir(parents=True)
@@ -704,6 +738,17 @@ class TestConfigFile:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["accuracy"] is None
+
+    def test_null_leaves_default(self, tmp_path):
+        # null used to reach _validate and end in a TypeError traceback
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"sample_rate_hz": None, "window": None, "k": None}))
+        args = cli.build_parser().parse_args(
+            ["segment", "--config", str(cfg), "--data-dir", "d", "--output-dir", "o",
+             "--init", "kmeans"]
+        )
+        config = cli.resolve_config(args)
+        assert (config.sample_rate_hz, config.window, config.k) == (30.0, 2, None)
 
     def test_flags_override_file(self, synth_dir, tmp_path):
         cfg = tmp_path / "run.json"
@@ -777,9 +822,7 @@ class TestConfigFile:
 _CONFIG_VALUES = {
     "data_dir": ("--data-dir", st.sampled_from(["data", "other/data"])),
     "output_dir": ("--output-dir", st.sampled_from(["out", "other/out"])),
-    "layout": ("--layout", st.sampled_from(["auto", "jigsaws", "csv"])),
     "sample_rate_hz": ("--sample-rate", st.floats(0.5, 500.0)),
-    "preprocessing": ("--preprocessing", st.sampled_from(["auto", "kinematic", "raw"])),
     "fc_hz": ("--fc", st.floats(0.01, 20.0)),
     "subsample_factor": ("--subsample", st.integers(1, 6)),
     "window": ("--window", st.integers(0, 8)),
@@ -890,6 +933,21 @@ class TestErrorExits:
         code = run_segment(synth_dir, tmp_path / "out", ["--frobnicate"])
         assert code == 1
 
+    @pytest.mark.parametrize("flag", [["--layout", "csv"], ["--preprocessing", "raw"]])
+    def test_removed_flag(self, synth_dir, tmp_path, capsys, flag):
+        # the extension picks the parser and the channel count the pipeline
+        code = run_segment(synth_dir, tmp_path / "out", flag)
+        assert code == 1
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_removed_config_field(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"layout": "auto"}))
+        code = run_segment(synth_dir, tmp_path / "out", ["--config", str(cfg)])
+        assert code == 1
+        assert "kinseg: config error: unknown config field 'layout'" in capsys.readouterr().err
+
     def test_bad_flag_value(self, synth_dir, tmp_path):
         code = run_segment(synth_dir, tmp_path / "out", ["--window", "wide"])
         assert code == 1
@@ -984,6 +1042,17 @@ class TestErrorExits:
         assert "synth00.txt: " in err
         assert "exceeds trajectory length 360" in err
 
+    @pytest.mark.parametrize("path", ["kinematics/synth01.csv", "transcripts/synth01.txt"])
+    def test_undecodable_file_named(self, synth_dir, tmp_path, capsys, path):
+        # a transcript's decode error used to end in a TypeError traceback
+        data = copy_synth(synth_dir, tmp_path / "data")
+        (data / path).write_bytes(b"\xff\xfe 1 2 R0\n")
+        code = run_segment(data, tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"kinseg: data error: {os.path.basename(path)}: " in err
+        assert "codec can't decode" in err
+
     def test_unmapped_label_names_transcript(self, synth_dir, tmp_path, capsys):
         rules = tmp_path / "rules.txt"
         rules.write_text("R0 -> A\nR1 -> A\n")
@@ -1001,7 +1070,7 @@ class TestErrorExits:
         rules.write_text(f"R1 -> B\nR2 -> B\n{line}\n")
         code = run_segment(synth_dir, tmp_path / "out", ["--mapping", str(rules)])
         assert code == 2
-        assert "kinseg: data error: mapping line 3: " in capsys.readouterr().err
+        assert f"kinseg: data error: {rules}: mapping line 3: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc", [
         [],
@@ -1020,6 +1089,29 @@ class TestErrorExits:
         code = run_segment(synth_dir, tmp_path / "out", extra)
         assert code == 2
         assert f"kinseg: data error: {sidecar}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc, entry, reason", [
+        ({"boundaries": {"synth09": {"1": [90]}}},
+         "sidecar 'boundaries' of 'synth09'", "no transcript of that demonstration"),
+        ({"overrides": {"synth01": {"99": "Z"}}},
+         "sidecar 'overrides' of 'synth01', segment 99", "the transcript has 6 segments"),
+        ({"boundaries": {"synth01": {"0": [30]}}},
+         "sidecar 'boundaries' of 'synth01', segment 0", "the rule for 'R0' is not a split"),
+        ({"overrides": {"synth01": {"1": "Z"}}},
+         "sidecar 'overrides' of 'synth01', segment 1",
+         "the rule for 'R1' is not the context rule"),
+    ], ids=["unknown-demo", "index-past-transcript", "boundaries-on-rename",
+            "override-on-split"])
+    def test_unused_sidecar_entry(self, synth_dir, tmp_path, capsys, doc, entry, reason):
+        # each used to be ignored, leaving the run as if it had no sidecar
+        sidecar = tmp_path / "sidecar.json"
+        sidecar.write_text(json.dumps(doc))
+        extra = ["--mapping", str(write_split_rules(tmp_path)), "--sidecar", str(sidecar)]
+        code = run_segment(synth_dir, tmp_path / "out", extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{entry}: {reason}" in err
         assert not (tmp_path / "out").exists()
 
     def test_sidecar_without_mapping(self, synth_dir, tmp_path, count_calls, capsys):
@@ -1059,13 +1151,45 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert "synth02.csv: its feature channels differ from those of synth00.csv" in err
 
+    def test_rotation_error_names_recording(self, robot_dir, tmp_path, capsys):
+        data = copy_tree(robot_dir, tmp_path / "data")
+        path = data / "kinematics" / "run1.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        tokens = lines[9].split()
+        tokens[38 + 3] = "25.0"  # psm1 rot_11
+        lines[9] = " ".join(tokens) + "\n"
+        path.write_text("".join(lines))
+        code = run_segment(data, tmp_path / "out", ["--init-demos", "run0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "kinseg: data error: run1.txt: matrix is not orthonormal" in err
+        assert "(frame 9)" in err
+
+    def test_short_robot_recording_names_recording(self, robot_dir, tmp_path, capsys):
+        data = copy_tree(robot_dir, tmp_path / "data")
+        path = data / "kinematics" / "run1.txt"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:3]))
+        (data / "transcripts" / "run1.txt").unlink()
+        code = run_segment(data, tmp_path / "out", ["--init-demos", "run0"])
+        assert code == 2
+        assert "kinseg: data error: run1.txt: signal too short to filter" \
+            in capsys.readouterr().err
+
+    def test_recording_shorter_than_window_names_demo(self, synth_dir, tmp_path, capsys):
+        # 12 frames at subsample 3 leave 4 rows, too few for W=5
+        data = copy_synth(synth_dir, tmp_path / "data")
+        path = data / "kinematics" / "synth02.csv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:13]))
+        (data / "transcripts" / "synth02.txt").unlink()
+        code = run_segment(data, tmp_path / "out", ["--window", "5"])
+        assert code == 2
+        assert "kinseg: data error: synth02: need more than 5 rows, got 4" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_csv_beside_robot_files(self, robot_dir, tmp_path):
         # a 38-column CSV takes the kinematic pipeline, like the robot files
-        data = tmp_path / "data"
-        for sub in ("kinematics", "transcripts"):
-            (data / sub).mkdir(parents=True)
-            for f in (robot_dir / sub).iterdir():
-                (data / sub / f.name).write_bytes(f.read_bytes())
+        data = copy_tree(robot_dir, tmp_path / "data")
         robot = data / "kinematics" / "run1.txt"
         demo = parse_kinematics(robot.read_text(), "jigsaws", id="run1")
         (data / "kinematics" / "run1.csv").write_text(

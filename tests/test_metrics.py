@@ -245,7 +245,7 @@ class TestConfusionMatrix:
 class TestEvaluationReport:
     def test_exact_key_set_and_order(self):
         report = evaluate(list("ab"), list("ab"))
-        doc = json.loads(report.to_json())
+        doc = json.loads(json.dumps(report.to_dict()))
         assert list(doc) == [
             "accuracy",
             "nmi",
@@ -262,7 +262,7 @@ class TestEvaluationReport:
 
     def test_without_accuracy(self):
         report = evaluate(["c0", "c1"], ["a", "b"], with_accuracy=False)
-        doc = json.loads(report.to_json())
+        doc = json.loads(json.dumps(report.to_dict()))
         assert doc["accuracy"] is None
         assert doc["per_label_accuracy"] == {}
         assert doc["nmi"] is not None
