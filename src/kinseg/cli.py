@@ -1,4 +1,4 @@
-"""Command-line workflow: segment, evaluate, ablate, sweep.
+"""Command-line workflow: segment, sweep-window, ablate.
 
 Dataset layout on disk is one directory with two subdirectories:
 
@@ -49,6 +49,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
+
+# The scores of the stdout report line and of each sweep CSV row, in order.
+_SCORES = ("accuracy", "nmi", "si_pred", "si_truth")
 
 
 class ConfigError(Exception):
@@ -269,24 +272,35 @@ def _load_mapping(config: RunConfig):
     return mapping, sidecar
 
 
-def _check_subset(config: RunConfig, dataset: dict[str, LoadedDemo]) -> None:
-    """A feature subset other than "all" needs the kinematic pipeline's
-    features; every demonstration has the first one's channels."""
-    if config.feature_subset == "all":
-        return
+def _check_run(config: RunConfig, dataset: dict[str, LoadedDemo]) -> None:
+    """What a run needs of the loaded data, checked before any of its work.
+    A feature subset other than "all" needs the kinematic pipeline's
+    features (every demonstration has the first one's channels), the init
+    demonstrations must be loaded, and every demonstration needs more rows
+    than the window."""
     demo_id, item = next(iter(dataset.items()))
-    if item.features.channel_names != _preprocess.FULL_CHANNEL_NAMES:
+    if (config.feature_subset != "all"
+            and item.features.channel_names != _preprocess.FULL_CHANNEL_NAMES):
         raise ConfigError(
             "feature subsets apply only to the kinematic pipeline "
             f"(demonstration {demo_id!r} is processed raw)"
         )
+    for demo_id in config.init_demos:
+        if demo_id not in dataset:
+            raise ValueError(f"init demonstration {demo_id!r} not in the dataset")
+    for demo_id, item in dataset.items():
+        if item.features.n_rows <= config.window:
+            raise ValueError(
+                f"{demo_id}: need more than {config.window} rows, "
+                f"got {item.features.n_rows}"
+            )
 
 
 @dataclass
 class RunResult:
     model: _gmm.GmmModel
-    report: _metrics.EvaluationReport
-    per_demo: dict[str, _metrics.EvaluationReport]
+    report: dict  # metrics.evaluate's report, as report.json holds it
+    per_demo: dict[str, dict]
     predictions: dict[str, np.ndarray]  # per-frame labels on the original grid
     row_predictions: dict[str, np.ndarray]
     augmented: dict[str, _preprocess.FeatureMatrix]
@@ -294,20 +308,13 @@ class RunResult:
 
 def run_pipeline(config: RunConfig, dataset: dict[str, LoadedDemo]) -> RunResult:
     """Fit on the non-init demonstrations and score the annotated ones."""
-    _check_subset(config, dataset)
-    for demo_id in config.init_demos:
-        if demo_id not in dataset:
-            raise ValueError(f"init demonstration {demo_id!r} not in the dataset")
-
+    _check_run(config, dataset)
     augmented: dict[str, _preprocess.FeatureMatrix] = {}
     for demo_id, item in dataset.items():
         fm = item.features
         if config.feature_subset != "all":
             fm = _preprocess.select_channels(fm, config.feature_subset)
-        try:
-            augmented[demo_id] = _preprocess.augment(fm, config.window)
-        except ValueError as exc:
-            raise ValueError(f"{demo_id}: {exc}") from None
+        augmented[demo_id] = _preprocess.augment(fm, config.window)
 
     fit_ids = [d for d in dataset if d not in set(config.init_demos)]
     if not fit_ids:
@@ -341,7 +348,7 @@ def run_pipeline(config: RunConfig, dataset: dict[str, LoadedDemo]) -> RunResult
         d: _preprocess.labels_at_rows(dataset[d].truth, augmented[d]) for d in scored
     }
 
-    def score(ids: list[str]) -> _metrics.EvaluationReport:
+    def score(ids: list[str]) -> dict:
         """One report over the frames and rows of the named demonstrations;
         with none named, every metric is None."""
         empty = np.empty(0, dtype=object)
@@ -406,24 +413,25 @@ def _write_segment_outputs(config, dataset, result: RunResult) -> None:
 
     _gmm.save_model(result.model, os.path.join(out, "model.json"))
 
-    per_demo = {d: result.per_demo[d].to_dict() for d in sorted(result.per_demo)}
-    for name, doc in (("report.json", result.report.to_dict()),
+    per_demo = {d: result.per_demo[d] for d in sorted(result.per_demo)}
+    for name, doc in (("report.json", result.report),
                       ("report_per_demo.json", per_demo)):
         with open(os.path.join(out, name), "w") as fh:
             fh.write(json.dumps(doc, indent=2) + "\n")
 
     for demo_id in sorted(dataset):
         X = result.augmented[demo_id]
-        points = _gmm.transition_points(result.row_predictions[demo_id], X)
+        labels = result.row_predictions[demo_id]
         path = os.path.join(out, "transitions", f"{demo_id}.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             header = ["row_index", "from_label", "to_label"] + X.channel_names
             writer.writerow(header)
-            for p in points:
+            # Row t is the last of the old label; the vector is row t + 1's.
+            for t in _gmm.transition_points(labels):
                 writer.writerow(
-                    [p.row, p.from_label, p.to_label]
-                    + [repr(float(v)) for v in p.vector]
+                    [int(t), labels[t], labels[t + 1]]
+                    + [repr(float(v)) for v in X.values[t + 1]]
                 )
 
 
@@ -436,22 +444,16 @@ def cmd_segment(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _print_report_line(report: _metrics.EvaluationReport) -> None:
+def _print_report_line(report: dict) -> None:
     def fmt(v):
         return "n/a" if v is None else f"{v:.4f}"
 
-    print(
-        f"accuracy={fmt(report.accuracy)} nmi={fmt(report.nmi)} "
-        f"si_pred={fmt(report.si_pred)} si_truth={fmt(report.si_truth)} "
-        f"frames={report.n_frames_evaluated}"
-    )
+    scores = " ".join(f"{name}={fmt(report[name])}" for name in _SCORES)
+    print(f"{scores} frames={report['n_frames_evaluated']}")
 
 
-def _metric_row(report: _metrics.EvaluationReport) -> list[str]:
-    return [
-        "" if v is None else repr(float(v))
-        for v in (report.accuracy, report.nmi, report.si_pred, report.si_truth)
-    ]
+def _metric_row(report: dict) -> list[str]:
+    return ["" if report[name] is None else repr(float(report[name])) for name in _SCORES]
 
 
 def _sweep(config: RunConfig, field: str, values: list, csv_name: str) -> int:
@@ -462,20 +464,21 @@ def _sweep(config: RunConfig, field: str, values: list, csv_name: str) -> int:
     for run_config in configs:  # a bad value fails before any work is done
         _validate(run_config)
     dataset = load_dataset(config)
-    # A subset the loaded data cannot take fails before the first run.
+    # A value the loaded data cannot take fails before the first run.
     for run_config in configs:
-        _check_subset(run_config, dataset)
+        _check_run(run_config, dataset)
     rows = []
     for value, run_config in zip(values, configs):
-        result = run_pipeline(run_config, dataset)
-        rows.append([str(value)] + _metric_row(result.report))
+        # Keep only the report: each run's matrices are freed before the next.
+        report = run_pipeline(run_config, dataset).report
+        rows.append([str(value)] + _metric_row(report))
         print(f"{name}={value}: ", end="")
-        _print_report_line(result.report)
+        _print_report_line(report)
     os.makedirs(config.output_dir, exist_ok=True)
     path = os.path.join(config.output_dir, csv_name)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([name, "accuracy", "nmi", "si_pred", "si_truth"])
+        writer.writerow([name, *_SCORES])
         writer.writerows(rows)
     print(f"wrote {path}")
     return EXIT_OK

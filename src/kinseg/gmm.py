@@ -460,25 +460,11 @@ def predict_labels(model: GmmModel, X) -> np.ndarray:
     return np.array(names, dtype=object)[np.argmax(logs, axis=1)]
 
 
-@dataclass(frozen=True)
-class TransitionPoint:
-    row: int
-    vector: np.ndarray
-    from_label: str
-    to_label: str
-
-
-def transition_points(labels: Sequence[str], X) -> list[TransitionPoint]:
-    """Label-change events: one entry at each t with label(t) != label(t+1),
-    carrying the feature vector at t+1."""
-    data = _as_matrix(X)
+def transition_points(labels: Sequence[str]) -> np.ndarray:
+    """Label-change events: the rows t with label(t) != label(t+1), as an
+    index array."""
     labels = np.asarray(labels, dtype=object)
-    if len(labels) != data.shape[0]:
-        raise ValueError("label count does not match row count")
-    return [
-        TransitionPoint(int(t), data[t + 1], labels[t], labels[t + 1])
-        for t in np.flatnonzero(labels[1:] != labels[:-1])
-    ]
+    return np.flatnonzero(labels[1:] != labels[:-1])
 
 
 def dumps_model(model: GmmModel) -> str:

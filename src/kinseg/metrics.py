@@ -5,9 +5,10 @@ predicted and a reference labeling. Intrinsic: a simplified silhouette
 index that measures each sample against cluster means (not mean pairwise
 distances), normalized to [0, 1]. Entropies use natural logs; NMI is
 invariant to bijective relabelings of either sequence.
+
+evaluate pools them into one report, a dict as the report files hold it.
 """
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -127,40 +128,6 @@ def silhouette_index(X, labels: Sequence) -> float:
     return float(np.mean((s + 1.0) / 2.0))
 
 
-@dataclass
-class EvaluationReport:
-    """Pooled metrics of one segmentation run.
-
-    accuracy is None when predictions carry no label identities (anonymous
-    clusters); si_pred / si_truth are None when the corresponding labeling
-    is degenerate (fewer than two clusters).
-    """
-
-    accuracy: float | None
-    nmi: float | None
-    si_pred: float | None
-    si_truth: float | None
-    per_label_accuracy: dict[str, float]
-    confusion_labels: list[str]
-    confusion: np.ndarray
-    n_frames_evaluated: int
-
-    def to_dict(self) -> dict:
-        """The report as plain Python types, in the report files' key order."""
-        return {
-            "accuracy": self.accuracy,
-            "nmi": self.nmi,
-            "si_pred": self.si_pred,
-            "si_truth": self.si_truth,
-            "per_label_accuracy": self.per_label_accuracy,
-            "confusion": {
-                "labels": self.confusion_labels,
-                "counts": [[int(v) for v in row] for row in self.confusion],
-            },
-            "n_frames_evaluated": self.n_frames_evaluated,
-        }
-
-
 def evaluate(
     pred: Sequence,
     truth: Sequence,
@@ -169,15 +136,21 @@ def evaluate(
     X=None,
     pred_rows: Sequence | None = None,
     truth_rows: Sequence | None = None,
-) -> EvaluationReport:
-    """Assemble the report from frame-level labelings and, optionally, the
-    augmented sample matrix with row-level labelings for the silhouettes.
+) -> dict:
+    """Pooled metrics of one segmentation run, as the dict the report
+    files hold: accuracy, nmi, si_pred, si_truth, per_label_accuracy,
+    confusion ({"labels", "counts"}; rows truth, columns pred) and
+    n_frames_evaluated, in that order. X with row-level labelings gives
+    the silhouettes.
 
     Frames and rows whose reference label is UNANNOTATED are left out of
     every metric except si_pred, which scores the clustering's own geometry
     over all rows. One confusion count over the kept frames gives accuracy,
     per-label accuracy and NMI; with no frame left, accuracy and nmi are
-    None.
+    None. accuracy is also None, and per_label_accuracy empty, when
+    predictions carry no label identities (anonymous clusters);
+    si_pred / si_truth are None when their labeling is degenerate (fewer
+    than two clusters).
     """
     _check_lengths(pred, truth)
     pred, truth = np.asarray(pred, dtype=object), np.asarray(truth, dtype=object)
@@ -194,16 +167,15 @@ def evaluate(
             rows = truth_rows != UNANNOTATED
             si_truth = _try_silhouette(data[rows], truth_rows[rows])
     with_accuracy = with_accuracy and n_frames > 0
-    return EvaluationReport(
-        accuracy=int(np.trace(counts)) / n_frames if with_accuracy else None,
-        nmi=_nmi(counts.T) if n_frames else None,
-        si_pred=si_pred,
-        si_truth=si_truth,
-        per_label_accuracy=_per_label_accuracy(names, counts) if with_accuracy else {},
-        confusion_labels=names,
-        confusion=counts,
-        n_frames_evaluated=n_frames,
-    )
+    return {
+        "accuracy": int(np.trace(counts)) / n_frames if with_accuracy else None,
+        "nmi": _nmi(counts.T) if n_frames else None,
+        "si_pred": si_pred,
+        "si_truth": si_truth,
+        "per_label_accuracy": _per_label_accuracy(names, counts) if with_accuracy else {},
+        "confusion": {"labels": names, "counts": counts.tolist()},
+        "n_frames_evaluated": n_frames,
+    }
 
 
 def _try_silhouette(X, labels) -> float | None:

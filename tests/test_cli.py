@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -107,6 +108,29 @@ class TestSegmentCommand:
         assert head.startswith("row_index,from_label,to_label,")
         # W=1 on 4 channels: 8 feature columns after the three bookkeeping ones
         assert len(head.split(",")) == 3 + 8
+
+    def test_transitions_content(self, synth_dir, tmp_path):
+        # Row t is the last row of the old label; the vector is row t + 1's.
+        config = cli.RunConfig(
+            data_dir=str(synth_dir), output_dir=str(tmp_path), window=1,
+            init_demos=("synth00",),
+        )
+        dataset = cli.load_dataset(config)
+        result = cli.run_pipeline(config, dataset)
+        cli._write_segment_outputs(config, dataset, result)
+        changes = 0
+        for demo_id in dataset:
+            labels = result.row_predictions[demo_id]
+            values = result.augmented[demo_id].values
+            with open(tmp_path / "transitions" / f"{demo_id}.csv", newline="") as fh:
+                lines = list(csv.reader(fh))[1:]
+            assert len(lines) == np.count_nonzero(labels[1:] != labels[:-1])
+            for line in lines:
+                t = int(line[0])
+                assert line[1:3] == [labels[t], labels[t + 1]]
+                assert [float(v) for v in line[3:]] == values[t + 1].tolist()
+            changes += len(lines)
+        assert changes > 0
 
     def test_kmeans_init(self, synth_dir, tmp_path):
         out = tmp_path / "km"
@@ -342,6 +366,26 @@ class TestSweepAndAblate:
             "" if report[k] is None else repr(float(report[k]))
             for k in ("accuracy", "nmi", "si_pred", "si_truth")
         ]
+
+    def test_window_too_long_fails_before_any_run(self, synth_dir, tmp_path, capsys):
+        # synth02 cut to 12 frames, 4 rows at the default subsample of 3
+        data = copy_synth(synth_dir, tmp_path / "data")
+        kin = data / "kinematics" / "synth02.csv"
+        kin.write_text("".join(kin.read_text().splitlines(keepends=True)[:13]))
+        (data / "transcripts" / "synth02.txt").unlink()
+        out = tmp_path / "sweep"
+        code = main([
+            "sweep-window",
+            "--data-dir", str(data),
+            "--output-dir", str(out),
+            "--init-demos", "synth00",
+            "--w-values", "0,1,5",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "kinseg: data error: synth02: need more than 5 rows, got 4" in captured.err
+        assert "window=" not in captured.out
+        assert not (out / "sweep_window.csv").exists()
 
     def test_ablate_help_names_the_joiner(self, capsys):
         assert main(["ablate", "--help"]) == 0
@@ -720,8 +764,13 @@ def test_builtin_mapping_on_suturing_data(tmp_path, capsys):
         "--window", "1",
         "--mapping", "builtin",
     ]) == 0
-    labels = json.loads((out / "report.json").read_text())["confusion"]["labels"]
+    report = json.loads((out / "report.json").read_text())
+    labels = report["confusion"]["labels"]
     assert "G10" in labels and "L1" in labels and "G5" not in labels
+    # Predicting the most common truth label everywhere scores its share of
+    # the frames; a segmentation must beat that.
+    truth_counts = [sum(row) for row in report["confusion"]["counts"]]
+    assert report["accuracy"] > max(truth_counts) / report["n_frames_evaluated"]
 
 
 class TestConfigFile:
@@ -908,6 +957,13 @@ class TestWarnings:
     def test_no_warning_with_enough_rows(self, weak_run, synth_dir, tmp_path, capsys):
         assert run_segment(synth_dir, tmp_path / "out") == 0
         assert "warning" not in capsys.readouterr().err
+
+
+def test_help_description_names_the_subcommands():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    listed = parser.description.split(":", 1)[1].rstrip(".").split(",")
+    assert [name.strip() for name in listed] == list(sub.choices)
 
 
 class TestErrorExits:

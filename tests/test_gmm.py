@@ -381,26 +381,15 @@ class TestPredictLabels:
 
 class TestTransitionPoints:
     def test_constant_labels(self):
-        assert transition_points(["a"] * 5, np.ones((5, 2))) == []
+        assert transition_points(["a"] * 5).tolist() == []
 
     def test_example(self):
-        X = np.arange(10.0).reshape(5, 2)
-        points = transition_points(["A", "A", "B", "B", "A"], X)
-        assert [(p.row, p.from_label, p.to_label) for p in points] == [
-            (1, "A", "B"),
-            (3, "B", "A"),
-        ]
-        assert np.array_equal(points[0].vector, X[2])
+        assert transition_points(["A", "A", "B", "B", "A"]).tolist() == [1, 3]
 
     def test_count_matches_segments(self):
         rng = np.random.default_rng(25)
         labels = [f"s{i}" for i in range(6) for _ in range(int(rng.integers(1, 5)))]
-        X = rng.normal(size=(len(labels), 2))
-        assert len(transition_points(labels, X)) == 5
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            transition_points(["a"], np.ones((2, 2)))
+        assert len(transition_points(labels)) == 5
 
 
 class TestSerialization:

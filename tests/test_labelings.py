@@ -269,11 +269,11 @@ class TestAgainstReferences:
     @given(labels=labelings(gaps=False), seed=st.integers(0, 2**16))
     def test_transition_points(self, labels, seed):
         data = np.random.default_rng(seed).normal(size=(len(labels), 2))
-        got = [(p.row, p.vector, p.from_label, p.to_label)
-               for p in transition_points(labels, data)]
+        rows = transition_points(labels)
+        got = [(t, data[t + 1], labels[t], labels[t + 1]) for t in rows]
         expected = ref_transition_points(labels, data)
         assert [(r, a, b) for r, _, a, b in got] == [(r, a, b) for r, _, a, b in expected]
-        assert all(type(r) is int for r, *_ in got)
+        assert rows.dtype.kind == "i"
         for (_, v, *_), (_, w, *_) in zip(got, expected):
             assert np.array_equal(v, w)
 
@@ -304,16 +304,16 @@ class TestAgainstReferences:
         t = [truth[i] for i in kept]
         report = evaluate(pred, truth)
         names, counts = ref_confusion_matrix(p, t)
-        assert report.confusion_labels == names
-        assert np.array_equal(report.confusion, counts)
-        assert report.n_frames_evaluated == len(kept)
+        assert report["confusion"]["labels"] == names
+        assert report["confusion"]["counts"] == counts.tolist()
+        assert report["n_frames_evaluated"] == len(kept)
         if not kept:
-            assert report.accuracy is None and report.nmi is None
-            assert report.per_label_accuracy == {}
+            assert report["accuracy"] is None and report["nmi"] is None
+            assert report["per_label_accuracy"] == {}
             return
-        assert report.accuracy == ref_accuracy(p, t)
-        assert report.per_label_accuracy == ref_per_label_accuracy(p, t)
-        assert report.nmi == ref_nmi(p, t)
+        assert report["accuracy"] == ref_accuracy(p, t)
+        assert report["per_label_accuracy"] == ref_per_label_accuracy(p, t)
+        assert report["nmi"] == ref_nmi(p, t)
 
     def test_length_mismatch(self):
         for fn in (accuracy, per_label_accuracy, nmi, confusion_matrix, evaluate):

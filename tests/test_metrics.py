@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from kinseg.metrics import (
-    EvaluationReport,
     accuracy,
     confusion_matrix,
     evaluate,
@@ -245,7 +244,7 @@ class TestConfusionMatrix:
 class TestEvaluationReport:
     def test_exact_key_set_and_order(self):
         report = evaluate(list("ab"), list("ab"))
-        doc = json.loads(json.dumps(report.to_dict()))
+        doc = json.loads(json.dumps(report))
         assert list(doc) == [
             "accuracy",
             "nmi",
@@ -262,7 +261,7 @@ class TestEvaluationReport:
 
     def test_without_accuracy(self):
         report = evaluate(["c0", "c1"], ["a", "b"], with_accuracy=False)
-        doc = json.loads(json.dumps(report.to_dict()))
+        doc = json.loads(json.dumps(report))
         assert doc["accuracy"] is None
         assert doc["per_label_accuracy"] == {}
         assert doc["nmi"] is not None
@@ -273,11 +272,11 @@ class TestEvaluationReport:
         report = evaluate(
             rows, rows, X=X, pred_rows=rows, truth_rows=rows
         )
-        assert report.si_pred is not None
-        assert report.si_pred == report.si_truth
+        assert report["si_pred"] is not None
+        assert report["si_pred"] == report["si_truth"]
 
     def test_degenerate_silhouette_is_null(self):
         X = np.ones((3, 1))
         rows = ["a", "a", "a"]
         report = evaluate(rows, rows, X=X, pred_rows=rows, truth_rows=rows)
-        assert report.si_pred is None
+        assert report["si_pred"] is None
