@@ -1231,6 +1231,38 @@ class TestErrorExits:
         assert "kinseg: data error: run1.txt: signal too short to filter" \
             in capsys.readouterr().err
 
+    def test_non_finite_csv_value_names_recording(self, synth_dir, tmp_path, capsys):
+        data = copy_synth(synth_dir, tmp_path / "data")
+        path = data / "kinematics" / "synth02.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[5].split(",")
+        cells[1] = "nan"
+        lines[5] = ",".join(cells)
+        path.write_text("".join(lines))
+        code = run_segment(data, tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "kinseg: data error: synth02.csv: " in err
+        assert "non-finite" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_filter_overflow_names_recording(self, robot_dir, tmp_path, capsys):
+        # finite positions whose distance and filter overflow to inf and nan
+        data = copy_tree(robot_dir, tmp_path / "data")
+        path = data / "kinematics" / "run1.txt"
+        lines = []
+        for line in path.read_text().splitlines():
+            tokens = line.split()
+            tokens[38:41] = ["1e307"] * 3  # psm1 position
+            tokens[57:60] = ["-1e307"] * 3  # psm2 position
+            lines.append(" ".join(tokens) + "\n")
+        path.write_text("".join(lines))
+        code = run_segment(data, tmp_path / "out", ["--init-demos", "run0"])
+        assert code == 2
+        assert "kinseg: data error: run1.txt: values contain non-finite entries" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_recording_shorter_than_window_names_demo(self, synth_dir, tmp_path, capsys):
         # 12 frames at subsample 3 leave 4 rows, too few for W=5
         data = copy_synth(synth_dir, tmp_path / "data")
