@@ -21,14 +21,12 @@ if "numpy" not in sys.modules:
 BLAS_PINNED = all(os.environ.get(var) == "1" for var in _BLAS_THREAD_VARS)
 
 from kinseg.ingest import (  # noqa: E402  (after the pin)
-    Demonstration,
     Transcript,
     parse_kinematics,
     parse_transcript,
 )
 
 __all__ = [
-    "Demonstration",
     "Transcript",
     "parse_kinematics",
     "parse_transcript",

@@ -23,6 +23,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import warnings
@@ -149,6 +150,9 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("weak init needs at least one --init-demos id")
     if len(set(config.init_demos)) < len(config.init_demos):
         raise ConfigError(f"an init demonstration id repeats in {list(config.init_demos)}")
+    for name in sorted(_FLOAT_FIELDS):
+        if not math.isfinite(getattr(config, name)):
+            raise ConfigError(f"{name} must be finite, got {getattr(config, name)}")
     if config.fc_hz <= 0:
         raise ConfigError("fc_hz must be positive")
     if config.sample_rate_hz <= 0:
@@ -173,16 +177,17 @@ def _validate(config: RunConfig) -> None:
 class LoadedDemo:
     """What every run needs of a recording; the raw frames are not kept."""
 
-    features: _preprocess.FeatureMatrix  # before any feature subset or window
+    features: np.ndarray  # before any feature subset or window
     n_frames: int  # length of the recording's frame grid
     truth: np.ndarray | None  # per-frame labels, remapped; None without a transcript
 
 
-def load_dataset(config: RunConfig) -> dict[str, LoadedDemo]:
+def load_dataset(config: RunConfig) -> tuple[dict[str, LoadedDemo], list[str]]:
     """Read every recording (and its transcript when present), sorted by id.
     Build its base features, and expand its transcript, remapped when a
     mapping is set, to frame labels once for every run of the command.
-    Every recording must give the first one's feature channels."""
+    Every recording must give the first one's feature channels, whose names
+    are returned with the recordings."""
     mapping, sidecar = _load_mapping(config)
     kin_dir = os.path.join(config.data_dir, "kinematics")
     if not os.path.isdir(kin_dir):
@@ -200,22 +205,21 @@ def load_dataset(config: RunConfig) -> dict[str, LoadedDemo]:
         if other != name:
             raise ValueError(f"{other} and {name} share a demonstration id")
     dataset: dict[str, LoadedDemo] = {}
+    names = None
     for name in files:
         demo_id, ext = os.path.splitext(name)
         layout = "generic_csv" if ext == ".csv" else "jigsaws"
         with open(os.path.join(kin_dir, name)) as fh:
             try:
-                demo = parse_kinematics(
-                    fh, layout, id=demo_id, sample_rate_hz=config.sample_rate_hz
-                )
-                if demo.n_channels == PSM_COLUMNS:
+                frames, channels = parse_kinematics(fh, layout)
+                if frames.shape[1] == PSM_COLUMNS:
                     features = _preprocess.build_features(
-                        demo, fc_hz=config.fc_hz, subsample_factor=config.subsample_factor
+                        frames, fc_hz=config.fc_hz, fs_hz=config.sample_rate_hz,
+                        stride=config.subsample_factor,
                     )
+                    channels = _preprocess.FULL_CHANNEL_NAMES
                 else:
-                    features = _preprocess.raw_features(
-                        demo, subsample_factor=config.subsample_factor
-                    )
+                    features = np.ascontiguousarray(frames[::config.subsample_factor])
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from None
         truth = None
@@ -228,16 +232,16 @@ def load_dataset(config: RunConfig) -> dict[str, LoadedDemo]:
                         transcript = _dictionary.apply_mapping(
                             transcript, mapping, sidecar, demo_id=demo_id
                         )
-                    truth = expand_labels(transcript, demo.n_frames)
+                    truth = expand_labels(transcript, len(frames))
                 except ValueError as exc:
                     raise ValueError(f"{demo_id}.txt: {exc}") from None
-        base = next(iter(dataset.values()), None)
-        if base is not None and features.channel_names != base.features.channel_names:
+        names = names or channels
+        if channels != names:
             raise ValueError(
                 f"{name}: its feature channels differ from those of {files[0]} "
-                f"({features.n_channels} channels against {base.features.n_channels})"
+                f"({len(channels)} channels against {len(names)})"
             )
-        dataset[demo_id] = LoadedDemo(features, demo.n_frames, truth)
+        dataset[demo_id] = LoadedDemo(features, len(frames), truth)
     if sidecar is not None:
         annotated = {d for d, item in dataset.items() if item.truth is not None}
         for kind, demo_id, _ in sidecar.entries():
@@ -246,7 +250,7 @@ def load_dataset(config: RunConfig) -> dict[str, LoadedDemo]:
                     f"{config.sidecar}: sidecar {kind!r} of {demo_id!r}: "
                     "no transcript of that demonstration was loaded"
                 )
-    return dataset
+    return dataset, names
 
 
 def _load_mapping(config: RunConfig):
@@ -272,27 +276,26 @@ def _load_mapping(config: RunConfig):
     return mapping, sidecar
 
 
-def _check_run(config: RunConfig, dataset: dict[str, LoadedDemo]) -> None:
+def _check_run(
+    config: RunConfig, dataset: dict[str, LoadedDemo], names: list[str]
+) -> None:
     """What a run needs of the loaded data, checked before any of its work.
     A feature subset other than "all" needs the kinematic pipeline's
-    features (every demonstration has the first one's channels), the init
-    demonstrations must be loaded, and every demonstration needs more rows
-    than the window."""
-    demo_id, item = next(iter(dataset.items()))
-    if (config.feature_subset != "all"
-            and item.features.channel_names != _preprocess.FULL_CHANNEL_NAMES):
+    features (the dataset's channel names), the init demonstrations must be
+    loaded, and every demonstration needs more rows than the window."""
+    if config.feature_subset != "all" and names != _preprocess.FULL_CHANNEL_NAMES:
         raise ConfigError(
             "feature subsets apply only to the kinematic pipeline "
-            f"(demonstration {demo_id!r} is processed raw)"
+            f"(demonstration {next(iter(dataset))!r} is processed raw)"
         )
     for demo_id in config.init_demos:
         if demo_id not in dataset:
             raise ValueError(f"init demonstration {demo_id!r} not in the dataset")
     for demo_id, item in dataset.items():
-        if item.features.n_rows <= config.window:
+        if len(item.features) <= config.window:
             raise ValueError(
                 f"{demo_id}: need more than {config.window} rows, "
-                f"got {item.features.n_rows}"
+                f"got {len(item.features)}"
             )
 
 
@@ -303,24 +306,26 @@ class RunResult:
     per_demo: dict[str, dict]
     predictions: dict[str, np.ndarray]  # per-frame labels on the original grid
     row_predictions: dict[str, np.ndarray]
-    augmented: dict[str, _preprocess.FeatureMatrix]
+    augmented: dict[str, np.ndarray]
 
 
-def run_pipeline(config: RunConfig, dataset: dict[str, LoadedDemo]) -> RunResult:
+def run_pipeline(
+    config: RunConfig, dataset: dict[str, LoadedDemo], names: list[str]
+) -> RunResult:
     """Fit on the non-init demonstrations and score the annotated ones."""
-    _check_run(config, dataset)
-    augmented: dict[str, _preprocess.FeatureMatrix] = {}
+    _check_run(config, dataset, names)
+    augmented: dict[str, np.ndarray] = {}
     for demo_id, item in dataset.items():
-        fm = item.features
+        values = item.features
         if config.feature_subset != "all":
-            fm = _preprocess.select_channels(fm, config.feature_subset)
-        augmented[demo_id] = _preprocess.augment(fm, config.window)
+            values = _preprocess.select_channels(values, config.feature_subset)
+        augmented[demo_id] = _preprocess.augment(values, config.window)
 
     fit_ids = [d for d in dataset if d not in set(config.init_demos)]
     if not fit_ids:
         raise ValueError("every demonstration is an init demonstration; nothing to fit")
 
-    fit_data = np.vstack([augmented[d].values for d in fit_ids])
+    fit_data = np.vstack([augmented[d] for d in fit_ids])
     if config.init_method == "weak":
         init = _weak_init_model(config, dataset, augmented)
     else:
@@ -332,20 +337,23 @@ def run_pipeline(config: RunConfig, dataset: dict[str, LoadedDemo]) -> RunResult
     # One prediction over every demonstration's rows; each demonstration's
     # labels are its slice. The stacked copy lives only for the call.
     labels = _gmm.predict_labels(
-        model, np.vstack([augmented[d].values for d in dataset])
+        model, np.vstack([augmented[d] for d in dataset])
     )
-    ends = np.cumsum([augmented[d].n_rows for d in dataset])
+    ends = np.cumsum([len(augmented[d]) for d in dataset])
     row_predictions = dict(zip(dataset, np.split(labels, ends[:-1])))
     predictions = {
         demo_id: _preprocess.rows_to_frames(
-            row_predictions[demo_id], augmented[demo_id], item.n_frames
+            row_predictions[demo_id], config.subsample_factor, item.n_frames
         )
         for demo_id, item in dataset.items()
     }
 
     scored = [d for d in fit_ids if dataset[d].truth is not None]
     truth_rows = {
-        d: _preprocess.labels_at_rows(dataset[d].truth, augmented[d]) for d in scored
+        d: _preprocess.labels_at_rows(
+            dataset[d].truth, len(augmented[d]), config.subsample_factor
+        )
+        for d in scored
     }
 
     def score(ids: list[str]) -> dict:
@@ -356,7 +364,7 @@ def run_pipeline(config: RunConfig, dataset: dict[str, LoadedDemo]) -> RunResult
             np.concatenate([empty, *(predictions[d] for d in ids)]),
             np.concatenate([empty, *(dataset[d].truth for d in ids)]),
             with_accuracy=model.has_labels(),
-            X=np.concatenate([fit_data[:0], *(augmented[d].values for d in ids)]),
+            X=np.concatenate([fit_data[:0], *(augmented[d] for d in ids)]),
             pred_rows=np.concatenate([empty, *(row_predictions[d] for d in ids)]),
             truth_rows=np.concatenate([empty, *(truth_rows[d] for d in ids)]),
         )
@@ -375,13 +383,13 @@ def _weak_init_model(config, dataset, augmented) -> _gmm.GmmModel:
                 f"init demonstration {demo_id!r} has no transcript"
             )
         X = augmented[demo_id]
-        row_labels = _preprocess.labels_at_rows(truth, X)
+        row_labels = _preprocess.labels_at_rows(truth, len(X), config.subsample_factor)
         keep = row_labels != UNANNOTATED
         if not keep.any():
             raise ValueError(
                 f"init demonstration {demo_id!r} has no annotated rows"
             )
-        labeled.append((X.values[keep], row_labels[keep]))
+        labeled.append((X[keep], row_labels[keep]))
     return _gmm.weak_init(labeled)
 
 
@@ -401,12 +409,12 @@ def _kmeans_init_model(config, dataset, fit_data) -> _gmm.GmmModel:
     return _gmm.kmeans_init(fit_data, k, config.seed)
 
 
-def _write_segment_outputs(config, dataset, result: RunResult) -> None:
+def _write_segment_outputs(config, names, result: RunResult) -> None:
     out = config.output_dir
     os.makedirs(os.path.join(out, "predictions"), exist_ok=True)
     os.makedirs(os.path.join(out, "transitions"), exist_ok=True)
 
-    for demo_id in sorted(dataset):
+    for demo_id in sorted(result.predictions):
         t = compress_labels(result.predictions[demo_id])
         with open(os.path.join(out, "predictions", f"{demo_id}.txt"), "w") as fh:
             fh.write(serialize_transcript(t))
@@ -419,26 +427,29 @@ def _write_segment_outputs(config, dataset, result: RunResult) -> None:
         with open(os.path.join(out, name), "w") as fh:
             fh.write(json.dumps(doc, indent=2) + "\n")
 
-    for demo_id in sorted(dataset):
+    if config.feature_subset != "all":
+        names = [names[i] for i in _preprocess.resolve_subset(config.feature_subset)]
+    header = ["row_index", "from_label", "to_label"]
+    header += _preprocess.augmented_names(names, config.window)
+    for demo_id in sorted(result.augmented):
         X = result.augmented[demo_id]
         labels = result.row_predictions[demo_id]
         path = os.path.join(out, "transitions", f"{demo_id}.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            header = ["row_index", "from_label", "to_label"] + X.channel_names
             writer.writerow(header)
             # Row t is the last of the old label; the vector is row t + 1's.
             for t in _gmm.transition_points(labels):
                 writer.writerow(
                     [int(t), labels[t], labels[t + 1]]
-                    + [repr(float(v)) for v in X.values[t + 1]]
+                    + [repr(float(v)) for v in X[t + 1]]
                 )
 
 
 def cmd_segment(config: RunConfig) -> int:
-    dataset = load_dataset(config)
-    result = run_pipeline(config, dataset)
-    _write_segment_outputs(config, dataset, result)
+    dataset, names = load_dataset(config)
+    result = run_pipeline(config, dataset, names)
+    _write_segment_outputs(config, names, result)
     print(f"segmented {len(dataset)} demonstration(s) into {config.output_dir}")
     _print_report_line(result.report)
     return EXIT_OK
@@ -463,14 +474,14 @@ def _sweep(config: RunConfig, field: str, values: list, csv_name: str) -> int:
     configs = [dataclasses.replace(config, **{field: value}) for value in values]
     for run_config in configs:  # a bad value fails before any work is done
         _validate(run_config)
-    dataset = load_dataset(config)
+    dataset, names = load_dataset(config)
     # A value the loaded data cannot take fails before the first run.
     for run_config in configs:
-        _check_run(run_config, dataset)
+        _check_run(run_config, dataset, names)
     rows = []
     for value, run_config in zip(values, configs):
         # Keep only the report: each run's matrices are freed before the next.
-        report = run_pipeline(run_config, dataset).report
+        report = run_pipeline(run_config, dataset, names).report
         rows.append([str(value)] + _metric_row(report))
         print(f"{name}={value}: ", end="")
         _print_report_line(report)

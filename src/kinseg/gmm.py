@@ -113,8 +113,7 @@ class GmmModel:
 
 
 def _as_matrix(X) -> np.ndarray:
-    values = getattr(X, "values", X)
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(X, dtype=float)
     if values.ndim != 2:
         raise ValueError("expected a 2-D sample matrix")
     return values

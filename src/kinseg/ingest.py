@@ -9,7 +9,7 @@ names, one frame per row). Transcripts are "start end label" lines with
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
@@ -42,36 +42,6 @@ class ParseError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-@dataclass(frozen=True)
-class Demonstration:
-    """A raw multi-channel kinematic trajectory."""
-
-    id: str
-    frames: np.ndarray  # T x C
-    sample_rate_hz: float
-    channel_names: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=float)
-        if frames.ndim != 2 or frames.shape[0] < 1:
-            raise ValueError("frames must be a T x C matrix with T >= 1")
-        if not np.all(np.isfinite(frames)):
-            raise ValueError("frames contain non-finite values")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
-        if self.channel_names and len(self.channel_names) != frames.shape[1]:
-            raise ValueError("channel_names length does not match column count")
-        object.__setattr__(self, "frames", frames)
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def n_channels(self) -> int:
-        return self.frames.shape[1]
 
 
 class Segment(NamedTuple):
@@ -107,13 +77,9 @@ def _lines(text: str | TextIO) -> Iterable[tuple[int, str]]:
 
 
 def parse_kinematics(
-    text: str | TextIO,
-    layout: str = "jigsaws",
-    *,
-    id: str = "",
-    sample_rate_hz: float = JIGSAWS_RATE_HZ,
-) -> Demonstration:
-    """Parse a kinematic recording into a Demonstration.
+    text: str | TextIO, layout: str = "jigsaws"
+) -> tuple[np.ndarray, list[str]]:
+    """Parse a kinematic recording into its T x C frames and channel names.
 
     layout "jigsaws": 76 whitespace-separated reals per line; only the 38
     patient-side columns are kept.
@@ -125,14 +91,10 @@ def parse_kinematics(
         frames = _load_jigsaws(stream) if stream.seekable() else None
         if frames is None:
             frames = _parse_jigsaws_lines(stream)
-        names = list(PSM_CHANNEL_NAMES)
-    elif layout == "generic_csv":
-        frames, names = _parse_csv(stream)
-    else:
-        raise ValueError(f"unknown layout {layout!r}")
-    return Demonstration(
-        id=id, frames=frames, sample_rate_hz=sample_rate_hz, channel_names=names
-    )
+        return frames, list(PSM_CHANNEL_NAMES)
+    if layout == "generic_csv":
+        return _parse_csv(stream)
+    raise ValueError(f"unknown layout {layout!r}")
 
 
 def _load_jigsaws(stream) -> np.ndarray | None:
@@ -162,16 +124,21 @@ def _parse_jigsaws_lines(stream) -> np.ndarray:
             raise ParseError(
                 f"expected {JIGSAWS_TOTAL_COLUMNS} columns, got {len(tokens)}", lineno
             )
-        try:
-            values = [float(t) for t in tokens]
-        except ValueError:
-            raise ParseError("non-numeric token", lineno) from None
-        if not all(np.isfinite(values)):
-            raise ParseError("non-finite value", lineno)
-        rows.append(values[-PSM_COLUMNS:])
+        rows.append(_finite_floats(tokens, lineno)[-PSM_COLUMNS:])
     if not rows:
         raise ParseError("empty input")
     return np.array(rows, dtype=float)
+
+
+def _finite_floats(tokens: list[str], lineno: int) -> list[float]:
+    """The tokens of line lineno as finite floats."""
+    try:
+        values = [float(t) for t in tokens]
+    except ValueError:
+        raise ParseError("non-numeric token", lineno) from None
+    if not all(np.isfinite(values)):
+        raise ParseError("non-finite value", lineno)
+    return values
 
 
 def _parse_csv(stream) -> tuple[np.ndarray, list[str]]:
@@ -189,10 +156,7 @@ def _parse_csv(stream) -> tuple[np.ndarray, list[str]]:
             raise ParseError(
                 f"expected {len(header)} columns, got {len(record)}", lineno
             )
-        try:
-            rows.append([float(c) for c in record])
-        except ValueError:
-            raise ParseError("non-numeric token", lineno) from None
+        rows.append(_finite_floats(record, lineno))
     if header is None:
         raise ParseError("empty input")
     if not rows:

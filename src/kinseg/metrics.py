@@ -35,38 +35,10 @@ def confusion_matrix(pred: Sequence, truth: Sequence) -> tuple[list[str], np.nda
     return names.tolist(), counts
 
 
-def _counts(pred: Sequence, truth: Sequence) -> tuple[list[str], np.ndarray]:
-    """confusion_matrix of two labelings that must not be empty."""
-    names, counts = confusion_matrix(pred, truth)
-    if len(truth) == 0:
-        raise ValueError("empty sequences")
-    return names, counts
-
-
-def accuracy(pred: Sequence, truth: Sequence) -> float:
-    """Fraction of frames whose predicted label matches the reference."""
-    _, counts = _counts(pred, truth)
-    return int(np.trace(counts)) / len(truth)
-
-
-def per_label_accuracy(pred: Sequence, truth: Sequence) -> dict[str, float]:
-    """Per reference label: correct frames / frames carrying that label."""
-    return _per_label_accuracy(*_counts(pred, truth))
-
-
 def _per_label_accuracy(names: list[str], counts: np.ndarray) -> dict[str, float]:
+    """Per reference label: correct frames / frames carrying that label."""
     totals = counts.sum(axis=1).tolist()
     return {name: int(counts[i, i]) / totals[i] for i, name in enumerate(names) if totals[i]}
-
-
-def nmi(x: Sequence, y: Sequence) -> float:
-    """I(X,Y) / sqrt(H(X) H(Y)) with natural-log entropies.
-
-    If exactly one sequence is constant the score is 0 by convention; if
-    both are constant their (single-block) partitions coincide and the
-    score is 1.
-    """
-    return _nmi(_counts(x, y)[1].T)
 
 
 def _entropy(counts: np.ndarray, n: int) -> float:
@@ -75,8 +47,10 @@ def _entropy(counts: np.ndarray, n: int) -> float:
 
 
 def _nmi(joint: np.ndarray) -> float:
-    """NMI of the joint counts, rows X and columns Y; all-zero rows and
-    columns (labels only the other sequence carries) drop out."""
+    """I(X,Y) / sqrt(H(X) H(Y)) of the joint counts, rows X and columns Y;
+    all-zero rows and columns (labels only the other sequence carries) drop
+    out. If exactly one labeling is constant the score is 0 by convention;
+    if both are, their partitions coincide and the score is 1."""
     n = int(joint.sum())
     hx = _entropy(joint.sum(axis=1), n)
     hy = _entropy(joint.sum(axis=0), n)
@@ -98,7 +72,7 @@ def silhouette_samples(X, labels: Sequence) -> np.ndarray:
     to the nearest mean of any other cluster; s = (b - a) / max(a, b),
     with s = 0 when the sample coincides with both means.
     """
-    data = np.asarray(getattr(X, "values", X), dtype=float)
+    data = np.asarray(X, dtype=float)
     labels = np.asarray(labels, dtype=object)
     if data.shape[0] != labels.shape[0]:
         raise ValueError("label count does not match row count")
@@ -159,7 +133,7 @@ def evaluate(
     n_frames = int(counts.sum())
     si_pred = si_truth = None
     if X is not None:
-        data = np.asarray(getattr(X, "values", X), dtype=float)
+        data = np.asarray(X, dtype=float)
         if pred_rows is not None:
             si_pred = _try_silhouette(data, pred_rows)
         if truth_rows is not None:

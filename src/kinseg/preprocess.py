@@ -4,21 +4,15 @@ distance signals, subsampling, and sliding-window state augmentation.
 The full pipeline turns a 38-channel two-arm recording into a 32-channel
 feature matrix (per arm: position, orientation quaternion, linear and
 angular velocity, gripper angle; plus four inter-arm distance signals),
-low-pass filtered, z-scored per channel, and subsampled. The frame grid of
-a feature matrix is its stride: row i sits at original frame
-i * frame_stride, so per-frame labels can be aligned with any downstream
-matrix.
+low-pass filtered, z-scored per channel, and subsampled. A feature matrix
+is a plain T x p array; its frame grid is the run's stride: row i sits at
+original frame i * stride, so per-frame labels can be aligned with any
+downstream matrix.
 """
-
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from kinseg.ingest import Demonstration
-
 FILTER_ORDER = 2
-DEFAULT_CUTOFF_HZ = 1.5
-DEFAULT_SUBSAMPLE = 3
 
 _ARM_FEATURES = (
     ["pos_x", "pos_y", "pos_z"]
@@ -45,32 +39,6 @@ NAMED_SUBSETS = {
     "no-velocity": VELOCITY_INDICES,
     "no-distance": DISTANCE_INDICES,
 }
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Preprocessed trajectory, or its window-augmented states; row i sits
-    at original frame i * frame_stride."""
-
-    values: np.ndarray  # T x p
-    channel_names: list[str] = field(default_factory=list)
-    frame_stride: int = 1
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            raise ValueError("values must be a T x p matrix")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values contain non-finite entries")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_channels(self) -> int:
-        return self.values.shape[1]
 
 
 def rotmat_to_quat(R: np.ndarray) -> np.ndarray:
@@ -221,22 +189,6 @@ def distance_features(pos_right: np.ndarray, pos_left: np.ndarray) -> np.ndarray
     return np.hstack([diff, d])
 
 
-def subsample(fm: FeatureMatrix, factor: int) -> FeatureMatrix:
-    """Keep rows 0, factor, 2*factor, ...; the stride grows by the factor.
-
-    The kept rows are copied, so the full-rate matrix is not held alive.
-    """
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    if factor == 1:
-        return fm
-    return replace(
-        fm,
-        values=np.ascontiguousarray(fm.values[::factor]),
-        frame_stride=fm.frame_stride * factor,
-    )
-
-
 def resolve_subset(subset: str) -> list[int]:
     """Resolve a feature subset to the kept 0-based indices of the 32.
 
@@ -263,22 +215,22 @@ def _arm_features(arm: np.ndarray) -> np.ndarray:
 
 
 def build_features(
-    demo: Demonstration,
-    *,
-    fc_hz: float = DEFAULT_CUTOFF_HZ,
-    subsample_factor: int = DEFAULT_SUBSAMPLE,
-) -> FeatureMatrix:
-    """Run the fixed preprocessing pipeline on a 38-channel demonstration.
+    frames: np.ndarray, *, fc_hz: float, fs_hz: float, stride: int
+) -> np.ndarray:
+    """Run the fixed preprocessing pipeline on a 38-channel recording
+    sampled at fs_hz; returns the 32 feature columns of every stride-th
+    frame.
 
     Order: quaternion conversion, distance channels (from unnormalized
     positions), low-pass filter, z-score, subsample. Filter and z-score work
-    per channel; select_channels then keeps a feature subset.
+    per channel; select_channels then keeps a feature subset. The rows kept
+    are copied, so the full-rate matrix is not held alive.
     """
-    if demo.n_channels != 38:
+    if frames.shape[1] != 38:
         raise ValueError(
-            f"expected the 38 patient-side channels, got {demo.n_channels}"
+            f"expected the 38 patient-side channels, got {frames.shape[1]}"
         )
-    right, left = demo.frames[:, :19], demo.frames[:, 19:]
+    right, left = frames[:, :19], frames[:, 19:]
     values = np.hstack(
         [
             _arm_features(right),
@@ -286,60 +238,49 @@ def build_features(
             distance_features(right[:, 0:3], left[:, 0:3]),
         ]
     )
-    values = zscore(lowpass_filter(values, fc_hz, demo.sample_rate_hz))
-    return subsample(FeatureMatrix(values, list(FULL_CHANNEL_NAMES)), subsample_factor)
+    values = zscore(lowpass_filter(values, fc_hz, fs_hz))
+    # finite input can still overflow the distances or the filter
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values contain non-finite entries")
+    return np.ascontiguousarray(values[::stride])
 
 
-def select_channels(fm: FeatureMatrix, subset: str) -> FeatureMatrix:
-    """Keep the channels of a feature subset (see resolve_subset) of the
+def select_channels(values: np.ndarray, subset: str) -> np.ndarray:
+    """Keep the columns of a feature subset (see resolve_subset) of the
     32-channel kinematic features."""
-    if fm.n_channels != 32:
-        raise ValueError(f"subsets need the 32 kinematic channels, got {fm.n_channels}")
+    if values.shape[1] != 32:
+        raise ValueError(f"subsets need the 32 kinematic channels, got {values.shape[1]}")
     kept = resolve_subset(subset)
-    if len(kept) == 32:
-        return fm
-    return replace(
-        fm,
-        values=fm.values[:, kept],
-        channel_names=[fm.channel_names[i] for i in kept],
-    )
+    return values if len(kept) == 32 else values[:, kept]
 
 
-def raw_features(demo: Demonstration, *, subsample_factor: int = 1) -> FeatureMatrix:
-    """Use a demonstration's columns directly as features (generic data)."""
-    fm = FeatureMatrix(values=demo.frames, channel_names=list(demo.channel_names))
-    return subsample(fm, subsample_factor)
-
-
-def augment(fm: FeatureMatrix, window: int) -> FeatureMatrix:
+def augment(values: np.ndarray, window: int) -> np.ndarray:
     """Stack W+1 consecutive rows: row t = [x(t), ..., x(t+W)].
 
     The label of augmented row t is the label of row t, so the stride
-    carries over. Column names are "<channel>_t<w>"; unnamed channels are
-    called c0, c1, ...
+    carries over. augmented_names gives the column names.
     """
     if window < 0:
         raise ValueError("window must be >= 0")
-    T = fm.n_rows
+    T = len(values)
     if T <= window:
         raise ValueError(f"need more than {window} rows, got {T}")
-    blocks = [fm.values[w : T - window + w] for w in range(window + 1)]
-    names = fm.channel_names or [f"c{i}" for i in range(fm.n_channels)]
-    return replace(
-        fm,
-        values=np.hstack(blocks),
-        channel_names=[f"{name}_t{w}" for w in range(window + 1) for name in names],
-    )
+    return np.hstack([values[w : T - window + w] for w in range(window + 1)])
 
 
-def labels_at_rows(frame_labels, fm: FeatureMatrix) -> np.ndarray:
-    """Pick the original-grid labels at the anchor frames of fm's rows, as
-    an object array (UNANNOTATED where the frame is unannotated); a row
+def augmented_names(names: list[str], window: int) -> list[str]:
+    """Column names of augment's output: "<channel>_t<w>"."""
+    return [f"{name}_t{w}" for w in range(window + 1) for name in names]
+
+
+def labels_at_rows(frame_labels, n_rows: int, stride: int) -> np.ndarray:
+    """Pick the original-grid labels at the anchor frames of n_rows rows,
+    as an object array (UNANNOTATED where the frame is unannotated); a row
     anchored past the frame grid raises IndexError."""
-    return np.asarray(frame_labels, dtype=object)[np.arange(fm.n_rows) * fm.frame_stride]
+    return np.asarray(frame_labels, dtype=object)[np.arange(n_rows) * stride]
 
 
-def rows_to_frames(row_labels, X: FeatureMatrix, n_frames: int) -> np.ndarray:
+def rows_to_frames(row_labels, stride: int, n_frames: int) -> np.ndarray:
     """Project per-row labels back onto the original frame grid, as an
     object array.
 
@@ -350,5 +291,5 @@ def rows_to_frames(row_labels, X: FeatureMatrix, n_frames: int) -> np.ndarray:
     n_rows = len(row_labels)
     if n_rows == 0:
         raise ValueError("no row labels to project")
-    rows = np.arange(n_frames) // X.frame_stride
+    rows = np.arange(n_frames) // stride
     return row_labels[np.minimum(rows, n_rows - 1)]

@@ -17,14 +17,13 @@ text. It needs only numpy and kinseg:
 import csv
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from kinseg.ingest import (
     JIGSAWS_TOTAL_COLUMNS,
     PSM_COLUMNS,
-    Demonstration,
     Segment,
     Transcript,
     serialize_transcript,
@@ -50,7 +49,6 @@ class SwitchedLds:
     schedule: tuple[tuple[int, int], ...]  # (duration_frames, regime_index)
     x0: np.ndarray
     seed: int = 0
-    sample_rate_hz: float = 30.0
 
     def __post_init__(self):
         regimes = tuple(np.asarray(A, dtype=float) for A in self.regimes)
@@ -93,8 +91,8 @@ class SwitchedLds:
         return sum(d for d, _ in self.schedule)
 
 
-def generate(model: SwitchedLds, *, id: str = "synthetic") -> tuple[Demonstration, list[str]]:
-    """Roll the recurrence out; returns the trajectory and per-frame labels."""
+def generate(model: SwitchedLds) -> tuple[np.ndarray, list[str]]:
+    """Roll the recurrence out; returns the T x p frames and per-frame labels."""
     p = model.dim
     rng = np.random.default_rng(model.seed)
     if np.any(model.noise_cov):
@@ -117,13 +115,7 @@ def generate(model: SwitchedLds, *, id: str = "synthetic") -> tuple[Demonstratio
             raise FloatingPointError(
                 f"trajectory diverged at frame {t + 1} (norm > {DIVERGENCE_NORM:g})"
             )
-    demo = Demonstration(
-        id=id,
-        frames=frames,
-        sample_rate_hz=model.sample_rate_hz,
-        channel_names=[f"s{i}" for i in range(p)],
-    )
-    return demo, labels
+    return frames, labels
 
 
 def _regime_at(schedule, t: int) -> int:
@@ -186,27 +178,28 @@ def cycling_schedule(
     return tuple((segment_frames, k % n_regimes) for k in range(n_segments))
 
 
-def serialize_kinematics(demo: Demonstration, layout: str = "generic_csv") -> str:
-    """Write a Demonstration back to text.
+def serialize_kinematics(
+    frames: np.ndarray, layout: str = "generic_csv", names: list[str] | None = None
+) -> str:
+    """Write a recording's T x C frames back to text.
 
     The jigsaws layout zero-fills the 38 master-manipulator columns the
     parser discards, so parse -> serialize -> parse is identity on the
-    retained channels.
+    retained channels. The generic_csv layout writes the names as its header.
     """
     if layout == "jigsaws":
-        if demo.n_channels != PSM_COLUMNS:
+        if frames.shape[1] != PSM_COLUMNS:
             raise ValueError(f"jigsaws layout requires {PSM_COLUMNS} channels")
         pad = "0.0 " * (JIGSAWS_TOTAL_COLUMNS - PSM_COLUMNS)
         lines = [
-            pad + " ".join(repr(float(v)) for v in row) for row in demo.frames
+            pad + " ".join(repr(float(v)) for v in row) for row in frames
         ]
         return "\n".join(lines) + "\n"
     if layout == "generic_csv":
-        names = demo.channel_names or [f"c{i}" for i in range(demo.n_channels)]
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(names)
-        for row in demo.frames:
+        for row in frames:
             writer.writerow([repr(float(v)) for v in row])
         return out.getvalue()
     raise ValueError(f"unknown layout {layout!r}")
@@ -223,7 +216,6 @@ def write_dataset(
     segments: int = 12,
     segment_frames: int = 150,
     seed: int = 0,
-    rate: float = 30.0,
 ) -> None:
     """Write kinematics/synth<NN>.csv and transcripts/synth<NN>.txt: demo i
     shares the regimes and schedule and draws its noise from seed + i."""
@@ -235,6 +227,7 @@ def write_dataset(
     os.makedirs(kin_dir, exist_ok=True)
     os.makedirs(tr_dir, exist_ok=True)
     transcript = schedule_transcript(schedule)
+    names = [f"s{i}" for i in range(dim)]
     for i in range(n_demos):
         demo_id = f"synth{i:02d}"
         model = SwitchedLds(
@@ -243,10 +236,9 @@ def write_dataset(
             schedule=schedule,
             x0=np.zeros(dim),
             seed=seed + i,
-            sample_rate_hz=rate,
         )
-        demo, _ = generate(model, id=demo_id)
+        frames, _ = generate(model)
         with open(os.path.join(kin_dir, f"{demo_id}.csv"), "w") as fh:
-            fh.write(serialize_kinematics(demo, "generic_csv"))
+            fh.write(serialize_kinematics(frames, "generic_csv", names))
         with open(os.path.join(tr_dir, f"{demo_id}.txt"), "w") as fh:
             fh.write(serialize_transcript(transcript))

@@ -17,7 +17,6 @@ from scipy.spatial.transform import Rotation
 import synth
 from kinseg import gmm, metrics, preprocess
 from kinseg.cli import main
-from kinseg.ingest import Demonstration
 
 
 def _criterion(name: str, ok: bool, detail: str) -> None:
@@ -73,26 +72,21 @@ def _run_pair(seed, *, window=1, sigma=0.05, n_regimes=4, p=6, contraction=0.95,
         model = synth.SwitchedLds(
             tuple(regimes), cov, sched, np.zeros(p), seed=run_seed
         )
-        demo, labels = synth.generate(model)
-        fm = preprocess.raw_features(demo)
-        X = preprocess.augment(fm, window)
-        row_labels = preprocess.labels_at_rows(labels, X)
+        frames, labels = synth.generate(model)
+        X = preprocess.augment(frames, window)
+        row_labels = preprocess.labels_at_rows(labels, len(X), 1)
         return X, row_labels
 
     Xa, la = make(seed * 1000 + 1)
     Xb, lb = make(seed * 1000 + 2)
-    init = gmm.weak_init([(Xa.values, la)])
-    model = gmm.em_fit(Xb.values, init, tol=1e-6, max_iter=300)
-    pred = gmm.predict_labels(model, Xb)
+    init = gmm.weak_init([(Xa, la)])
+    model = gmm.em_fit(Xb, init, tol=1e-6, max_iter=300)
+    report = metrics.evaluate(gmm.predict_labels(model, Xb), lb)
 
-    km = gmm.kmeans_init(Xb.values, init.n_components, seed)
-    km_model = gmm.em_fit(Xb.values, km, tol=1e-6, max_iter=300)
-    km_pred = gmm.predict_labels(km_model, Xb)
-    return (
-        metrics.accuracy(pred, lb),
-        metrics.nmi(pred, lb),
-        metrics.nmi(km_pred, lb),
-    )
+    km = gmm.kmeans_init(Xb, init.n_components, seed)
+    km_model = gmm.em_fit(Xb, km, tol=1e-6, max_iter=300)
+    km_report = metrics.evaluate(gmm.predict_labels(km_model, Xb), lb)
+    return report["accuracy"], report["nmi"], km_report["nmi"]
 
 
 def test_regime_recovery():
@@ -173,7 +167,7 @@ def test_metric_brute_force():
         n = int(rng.integers(4, 21))
         x = [f"a{v}" for v in rng.integers(0, 4, n)]
         y = [f"b{v}" for v in rng.integers(0, 3, n)]
-        worst_nmi = max(worst_nmi, abs(metrics.nmi(x, y) - _brute_nmi(x, y)))
+        worst_nmi = max(worst_nmi, abs(metrics.evaluate(x, y)["nmi"] - _brute_nmi(x, y)))
 
         labels = [f"c{v}" for v in rng.integers(0, 3, n)]
         if len(set(labels)) < 2:
@@ -187,12 +181,13 @@ def test_metric_brute_force():
     worst_perm = 0.0
     x = [f"a{v}" for v in rng.integers(0, 5, 200)]
     y = [f"b{v}" for v in rng.integers(0, 4, 200)]
-    base = metrics.nmi(x, y)
+    base = metrics.evaluate(x, y)["nmi"]
     names = sorted(set(x))
     for _ in range(50):
         perm = rng.permutation(len(names))
         renamed = {name: f"z{perm[i]}" for i, name in enumerate(names)}
-        worst_perm = max(worst_perm, abs(metrics.nmi([renamed[v] for v in x], y) - base))
+        renamed_nmi = metrics.evaluate([renamed[v] for v in x], y)["nmi"]
+        worst_perm = max(worst_perm, abs(renamed_nmi - base))
 
     _criterion(
         "metric-oracles",
@@ -242,7 +237,7 @@ def test_quaternion_and_filter():
 # ------------------------------------------------------------ 6: shapes
 
 
-def _robot_demo(T=120):
+def _robot_frames(T=120):
     rng = np.random.default_rng(0)
     t = np.arange(T) / 30.0
     arms = []
@@ -260,22 +255,21 @@ def _robot_demo(T=120):
         angvel = 0.1 * rng.normal(size=(T, 3))
         grip = np.sin(2 * np.pi * 0.1 * t + arm)[:, None]
         arms.append(np.hstack([pos, rots, vel, angvel, grip]))
-    return Demonstration(id="demo", frames=np.hstack(arms), sample_rate_hz=30.0)
+    return np.hstack(arms)
 
 
 def test_feature_shapes():
-    demo = _robot_demo()
-    full = preprocess.build_features(demo)
+    full = preprocess.build_features(_robot_frames(), fc_hz=1.5, fs_hz=30.0, stride=3)
     no_pose = preprocess.select_channels(full, "no-pose")
     no_vel = preprocess.select_channels(full, "no-velocity")
     no_dist = preprocess.select_channels(full, "no-distance")
     augmented = preprocess.augment(full, 2)
     shapes = (
-        full.n_channels,
-        no_pose.n_channels,
-        no_vel.n_channels,
-        no_dist.n_channels,
-        augmented.values.shape[1],
+        full.shape[1],
+        no_pose.shape[1],
+        no_vel.shape[1],
+        no_dist.shape[1],
+        augmented.shape[1],
     )
     _criterion(
         "feature-shapes",

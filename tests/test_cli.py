@@ -15,7 +15,6 @@ from kinseg import cli
 from kinseg.cli import main
 from kinseg.gmm import NumericalError, load_model
 from kinseg.ingest import (
-    Demonstration,
     Segment,
     Transcript,
     parse_kinematics,
@@ -103,6 +102,16 @@ class TestSegmentCommand:
         assert model.has_labels()
         assert set(model.labels) == {"R0", "R1", "R2"}
 
+    def test_raw_features_are_every_stride_th_frame(self, synth_dir):
+        # a recording that is not 38 channels is used raw, with its header
+        config = cli.RunConfig(data_dir=str(synth_dir), subsample_factor=2)
+        dataset, names = cli.load_dataset(config)
+        path = synth_dir / "kinematics" / "synth01.csv"
+        frames, header = parse_kinematics(path.read_text(), "generic_csv")
+        assert names == header == ["s0", "s1", "s2", "s3"]
+        assert np.array_equal(dataset["synth01"].features, frames[::2])
+        assert dataset["synth01"].n_frames == len(frames)
+
     def test_transitions_header(self, weak_run):
         head = (weak_run / "transitions" / "synth01.csv").read_text().splitlines()[0]
         assert head.startswith("row_index,from_label,to_label,")
@@ -115,13 +124,13 @@ class TestSegmentCommand:
             data_dir=str(synth_dir), output_dir=str(tmp_path), window=1,
             init_demos=("synth00",),
         )
-        dataset = cli.load_dataset(config)
-        result = cli.run_pipeline(config, dataset)
-        cli._write_segment_outputs(config, dataset, result)
+        dataset, names = cli.load_dataset(config)
+        result = cli.run_pipeline(config, dataset, names)
+        cli._write_segment_outputs(config, names, result)
         changes = 0
         for demo_id in dataset:
             labels = result.row_predictions[demo_id]
-            values = result.augmented[demo_id].values
+            values = result.augmented[demo_id]
             with open(tmp_path / "transitions" / f"{demo_id}.csv", newline="") as fh:
                 lines = list(csv.reader(fh))[1:]
             assert len(lines) == np.count_nonzero(labels[1:] != labels[:-1])
@@ -470,16 +479,21 @@ class TestSweepValueValidation:
 
 
 @pytest.fixture
-def build_calls(monkeypatch):
-    """Ids of the demonstrations passed to build_features, in call order."""
+def build_calls(monkeypatch, robot_dir):
+    """Ids of the robot_dir recordings passed to build_features, in call
+    order; each call's frames are matched to the recording they equal."""
     import kinseg.preprocess as pp
 
+    recordings = {
+        parse_kinematics(path.read_text())[0].tobytes(): path.stem
+        for path in (robot_dir / "kinematics").iterdir()
+    }
     calls = []
     real = pp.build_features
 
-    def counted(demo, *args, **kwargs):
-        calls.append(demo.id)
-        return real(demo, *args, **kwargs)
+    def counted(frames, *args, **kwargs):
+        calls.append(recordings[frames.tobytes()])
+        return real(frames, *args, **kwargs)
 
     monkeypatch.setattr(pp, "build_features", counted)
     return calls
@@ -530,14 +544,11 @@ def robot_dir(tmp_path_factory):
             angvel = 0.05 * rng.normal(size=(T, 3))
             grip = np.sin(2 * np.pi * 0.1 * t + arm)[:, None]
             arms.append(np.hstack([pos, rots, vel, angvel, grip]))
-        demo = Demonstration(
-            id=f"run{run}", frames=np.hstack(arms), sample_rate_hz=30.0
-        )
         transcript = Transcript(
             (Segment(1, T // 2, "slow"), Segment(T // 2 + 1, T, "fast"))
         )
         (root / "kinematics" / f"run{run}.txt").write_text(
-            serialize_kinematics(demo, "jigsaws")
+            serialize_kinematics(np.hstack(arms), "jigsaws")
         )
         (root / "transcripts" / f"run{run}.txt").write_text(
             serialize_transcript(transcript)
@@ -1043,6 +1054,34 @@ class TestErrorExits:
         assert loads == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "field, flag, value",
+        [
+            ("em_tol", "--em-tol", "nan"),
+            ("fc_hz", "--fc", "nan"),
+            ("sample_rate_hz", "--sample-rate", "inf"),
+            ("fc_hz", "--fc", "-inf"),
+        ],
+    )
+    def test_non_finite_float_rejected(
+        self, synth_dir, tmp_path, count_calls, capsys, form, field, flag, value
+    ):
+        # a config file may spell them NaN, Infinity and -Infinity
+        reads = count_calls(cli, "parse_kinematics")
+        if form == "flag":
+            extra = [f"{flag}={value}"]  # "-inf" alone would read as an option
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({field: float(value)}))
+            extra = ["--config", str(cfg)]
+        code = run_segment(synth_dir, tmp_path / "out", extra)
+        assert code == 1
+        assert f"kinseg: config error: {field} must be finite, got {float(value)}" \
+            in capsys.readouterr().err
+        assert reads == []
+        assert not (tmp_path / "out").exists()
+
     def test_init_demo_not_in_dataset(self, synth_dir, tmp_path, capsys):
         code = run_segment(synth_dir, tmp_path / "out",
                            ["--init-demos", "missing"])
@@ -1242,8 +1281,7 @@ class TestErrorExits:
         code = run_segment(data, tmp_path / "out")
         assert code == 2
         err = capsys.readouterr().err
-        assert "kinseg: data error: synth02.csv: " in err
-        assert "non-finite" in err
+        assert "kinseg: data error: synth02.csv: line 6: non-finite value" in err
         assert not (tmp_path / "out").exists()
 
     def test_filter_overflow_names_recording(self, robot_dir, tmp_path, capsys):
@@ -1279,9 +1317,9 @@ class TestErrorExits:
         # a 38-column CSV takes the kinematic pipeline, like the robot files
         data = copy_tree(robot_dir, tmp_path / "data")
         robot = data / "kinematics" / "run1.txt"
-        demo = parse_kinematics(robot.read_text(), "jigsaws", id="run1")
+        frames, names = parse_kinematics(robot.read_text(), "jigsaws")
         (data / "kinematics" / "run1.csv").write_text(
-            serialize_kinematics(demo, "generic_csv")
+            serialize_kinematics(frames, "generic_csv", names)
         )
         robot.unlink()
         assert main([
@@ -1296,7 +1334,7 @@ class TestErrorExits:
     def test_numerical_failure_maps_to_three(self, synth_dir, tmp_path, monkeypatch, capsys):
         import kinseg.cli as cli_mod
 
-        def boom(config, dataset):
+        def boom(config, dataset, names):
             raise NumericalError("covariance collapsed")
 
         monkeypatch.setattr(cli_mod, "run_pipeline", boom)

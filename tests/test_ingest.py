@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from kinseg import ingest
 from kinseg.ingest import (
-    Demonstration,
     ParseError,
     Segment,
     Transcript,
@@ -29,17 +28,15 @@ class TestParseKinematicsJigsaws:
     def test_two_valid_lines(self):
         rng = np.random.default_rng(0)
         text = jigsaws_line(rng) + "\n" + jigsaws_line(rng) + "\n"
-        demo = parse_kinematics(text, "jigsaws", id="d")
-        assert demo.n_frames == 2
-        assert demo.n_channels == 38
-        assert demo.sample_rate_hz == 30.0
-        assert len(demo.channel_names) == 38
+        frames, names = parse_kinematics(text, "jigsaws")
+        assert frames.shape == (2, 38)
+        assert names == ingest.PSM_CHANNEL_NAMES
 
     def test_keeps_last_38_columns(self):
         values = [float(i) for i in range(76)]
         text = " ".join(str(v) for v in values)
-        demo = parse_kinematics(text, "jigsaws")
-        assert np.array_equal(demo.frames[0], np.arange(38.0, 76.0))
+        frames, _ = parse_kinematics(text, "jigsaws")
+        assert np.array_equal(frames[0], np.arange(38.0, 76.0))
 
     def test_wrong_column_count_reports_line(self):
         rng = np.random.default_rng(1)
@@ -59,7 +56,7 @@ class TestParseKinematicsJigsaws:
     def test_blank_lines_skipped(self):
         rng = np.random.default_rng(2)
         text = "\n" + jigsaws_line(rng) + "\n\n"
-        assert parse_kinematics(text, "jigsaws").n_frames == 1
+        assert len(parse_kinematics(text, "jigsaws")[0]) == 1
 
     def test_unknown_layout(self):
         with pytest.raises(ValueError, match="layout"):
@@ -88,7 +85,7 @@ def parse_both(text):
     """(fast-path result or error, line-parser result or error)."""
     out = []
     for parse in (
-        lambda: parse_kinematics(text, "jigsaws").frames,
+        lambda: parse_kinematics(text, "jigsaws")[0],
         lambda: ingest._parse_jigsaws_lines(io.StringIO(text)),
     ):
         try:
@@ -162,18 +159,17 @@ class TestJigsawsFastPath:
         with open(path) as fh:
             fast = ingest._load_jigsaws(fh)
         with open(path) as fh:
-            demo = parse_kinematics(fh, "jigsaws")
+            frames, _ = parse_kinematics(fh, "jigsaws")
         assert fast is not None
-        assert np.array_equal(demo.frames, fast)
+        assert np.array_equal(frames, fast)
 
 
 class TestParseKinematicsCsv:
     def test_header_and_rows(self):
         text = "a,b,c\n1,2,3\n4,5,6\n"
-        demo = parse_kinematics(text, "generic_csv", sample_rate_hz=10.0)
-        assert demo.channel_names == ["a", "b", "c"]
-        assert demo.sample_rate_hz == 10.0
-        assert np.array_equal(demo.frames, [[1, 2, 3], [4, 5, 6]])
+        frames, names = parse_kinematics(text, "generic_csv")
+        assert names == ["a", "b", "c"]
+        assert np.array_equal(frames, [[1, 2, 3], [4, 5, 6]])
 
     def test_ragged_row(self):
         with pytest.raises(ParseError, match="line 3"):
@@ -187,57 +183,30 @@ class TestParseKinematicsCsv:
         with pytest.raises(ParseError, match="no data rows"):
             parse_kinematics("a,b\n", "generic_csv")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_reports_line(self, cell):
+        with pytest.raises(ParseError, match="line 3: non-finite value"):
+            parse_kinematics(f"a,b\n1,2\n3,{cell}\n", "generic_csv")
+
 
 class TestRoundTrip:
     def test_csv_round_trip_identity(self):
         rng = np.random.default_rng(3)
-        demo = Demonstration(
-            id="d",
-            frames=rng.normal(size=(7, 4)),
-            sample_rate_hz=30.0,
-            channel_names=["w", "x", "y", "z"],
-        )
-        text = serialize_kinematics(demo, "generic_csv")
-        back = parse_kinematics(text, "generic_csv", id="d")
-        assert np.array_equal(back.frames, demo.frames)
-        assert back.channel_names == demo.channel_names
+        frames, names = rng.normal(size=(7, 4)), ["w", "x", "y", "z"]
+        text = serialize_kinematics(frames, "generic_csv", names)
+        back, back_names = parse_kinematics(text, "generic_csv")
+        assert np.array_equal(back, frames)
+        assert back_names == names
 
     def test_jigsaws_round_trip_identity(self):
-        rng = np.random.default_rng(4)
-        demo = Demonstration(
-            id="d", frames=rng.normal(size=(5, 38)), sample_rate_hz=30.0
-        )
-        text = serialize_kinematics(demo, "jigsaws")
-        back = parse_kinematics(text, "jigsaws", id="d")
-        assert np.array_equal(back.frames, demo.frames)
+        frames = np.random.default_rng(4).normal(size=(5, 38))
+        text = serialize_kinematics(frames, "jigsaws")
+        back, _ = parse_kinematics(text, "jigsaws")
+        assert np.array_equal(back, frames)
 
     def test_jigsaws_serialize_needs_38_channels(self):
-        demo = Demonstration(id="d", frames=np.ones((2, 3)), sample_rate_hz=30.0)
         with pytest.raises(ValueError, match="38"):
-            serialize_kinematics(demo, "jigsaws")
-
-
-class TestDemonstration:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Demonstration(id="d", frames=np.zeros((0, 3)), sample_rate_hz=30.0)
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="finite"):
-            Demonstration(id="d", frames=np.array([[np.nan]]), sample_rate_hz=30.0)
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError, match="sample_rate"):
-            Demonstration(id="d", frames=np.ones((1, 1)), sample_rate_hz=0.0)
-
-    def test_rejects_name_mismatch(self):
-        with pytest.raises(ValueError, match="channel_names"):
-            Demonstration(
-                id="d",
-                frames=np.ones((1, 2)),
-                sample_rate_hz=30.0,
-                channel_names=["only_one"],
-            )
+            serialize_kinematics(np.ones((2, 3)), "jigsaws")
 
 
 class TestParseTranscript:

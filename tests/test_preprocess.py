@@ -6,20 +6,18 @@ from hypothesis.extra import numpy as hnp
 from scipy.spatial.transform import Rotation
 
 import kinseg.preprocess as pp
-from kinseg.ingest import Demonstration
 from kinseg.preprocess import (
-    FeatureMatrix,
+    FULL_CHANNEL_NAMES,
     augment,
+    augmented_names,
     build_features,
     distance_features,
     labels_at_rows,
     lowpass_filter,
-    raw_features,
     resolve_subset,
     rotmat_to_quat,
     rows_to_frames,
     select_channels,
-    subsample,
     zscore,
 )
 
@@ -423,36 +421,7 @@ class TestDistanceFeatures:
 
 
 def make_fm(T=9, p=2):
-    values = np.arange(T * p, dtype=float).reshape(T, p)
-    return FeatureMatrix(values=values)
-
-
-class TestSubsample:
-    def test_stride_three(self):
-        fm = subsample(make_fm(T=9), 3)
-        assert fm.n_rows == 3
-        assert np.array_equal(fm.values, make_fm().values[[0, 3, 6]])
-        assert fm.frame_stride == 3
-
-    def test_identity(self):
-        fm = make_fm()
-        assert subsample(fm, 1) is fm
-
-    def test_label_alignment(self):
-        labels = [f"L{i}" for i in range(9)]
-        fm = subsample(make_fm(T=9), 3)
-        assert list(labels_at_rows(labels, fm)) == ["L0", "L3", "L6"]
-
-    def test_bad_factor(self):
-        with pytest.raises(ValueError):
-            subsample(make_fm(), 0)
-
-    def test_copies_kept_rows(self):
-        # a strided view would keep the full-rate matrix alive
-        fm = make_fm(T=9)
-        out = subsample(fm, 3)
-        assert out.values.flags.c_contiguous
-        assert not np.shares_memory(out.values, fm.values)
+    return np.arange(T * p, dtype=float).reshape(T, p)
 
 
 class TestResolveSubset:
@@ -490,7 +459,12 @@ class TestResolveSubset:
             resolve_subset("everything")
 
 
-def make_robot_demo(T=90, seed=0):
+# The reference operating point: 1.5 Hz cutoff, 30 Hz recordings, every
+# third frame kept.
+FEATURES = dict(fc_hz=1.5, fs_hz=30.0, stride=3)
+
+
+def make_robot_frames(T=90, seed=0):
     """Synthetic 38-channel two-arm recording with valid rotation columns."""
     rng = np.random.default_rng(seed)
     t = np.arange(T) / 30.0
@@ -509,65 +483,61 @@ def make_robot_demo(T=90, seed=0):
         angvel = 0.1 * rng.normal(size=(T, 3))
         grip = np.sin(2 * np.pi * 0.1 * t + arm)[:, None]
         arms.append(np.hstack([pos, np.array(rots), vel, angvel, grip]))
-    return Demonstration(
-        id="robot", frames=np.hstack(arms), sample_rate_hz=30.0
-    )
+    return np.hstack(arms)
 
 
 class TestBuildFeatures:
     def test_full_shape(self):
-        fm = build_features(make_robot_demo())
-        assert fm.n_channels == 32
-        assert fm.n_rows == 30  # 90 frames / subsample 3
-        assert fm.frame_stride == 3
-        assert np.all(np.isfinite(fm.values))
-        assert len(fm.channel_names) == 32
+        fm = build_features(make_robot_frames(), **FEATURES)
+        assert fm.shape == (30, 32)  # 90 frames / subsample 3
+        assert np.all(np.isfinite(fm))
+        assert len(FULL_CHANNEL_NAMES) == 32
 
     def test_subset_shapes(self):
-        demo = make_robot_demo()
-        base = build_features(demo)
-        assert select_channels(base, "no-pose").n_channels == 18
-        assert select_channels(base, "no-velocity").n_channels == 20
-        assert select_channels(base, "no-distance").n_channels == 28
+        base = build_features(make_robot_frames(), **FEATURES)
+        assert select_channels(base, "no-pose").shape[1] == 18
+        assert select_channels(base, "no-velocity").shape[1] == 20
+        assert select_channels(base, "no-distance").shape[1] == 28
 
     def test_wrong_channel_count(self):
-        demo = Demonstration(id="d", frames=np.ones((10, 4)), sample_rate_hz=30.0)
         with pytest.raises(ValueError, match="38"):
-            build_features(demo)
+            build_features(np.ones((10, 4)), **FEATURES)
 
     def test_column_wiring(self):
         # channel 1 must be the right arm's x position run through
         # filter -> zscore -> subsample in that order
-        demo = make_robot_demo()
-        fm = build_features(demo)
-        expected = zscore(lowpass_filter(demo.frames[:, 0], 1.5, 30.0))[::3]
-        assert np.array_equal(fm.values[:, 0], expected)
+        frames = make_robot_frames()
+        fm = build_features(frames, **FEATURES)
+        expected = zscore(lowpass_filter(frames[:, 0], 1.5, 30.0))[::3]
+        assert np.array_equal(fm[:, 0], expected)
 
     def test_distances_from_raw_positions(self):
-        demo = make_robot_demo()
-        fm = build_features(demo)
-        raw = distance_features(demo.frames[:, 0:3], demo.frames[:, 19:22])
+        frames = make_robot_frames()
+        fm = build_features(frames, **FEATURES)
+        raw = distance_features(frames[:, 0:3], frames[:, 19:22])
         for j in range(4):
             expected = zscore(lowpass_filter(raw[:, j], 1.5, 30.0))[::3]
-            assert np.array_equal(fm.values[:, 28 + j], expected)
+            assert np.array_equal(fm[:, 28 + j], expected)
 
     def test_quaternion_channels(self):
-        demo = make_robot_demo()
-        fm = build_features(demo)
+        frames = make_robot_frames()
+        fm = build_features(frames, **FEATURES)
         quats = np.array(
-            [rotmat_to_quat(row[3:12].reshape(3, 3)) for row in demo.frames]
+            [rotmat_to_quat(row[3:12].reshape(3, 3)) for row in frames]
         )
         expected = zscore(lowpass_filter(quats[:, 0], 1.5, 30.0))[::3]
-        assert np.array_equal(fm.values[:, 3], expected)
+        assert np.array_equal(fm[:, 3], expected)
+
+    def test_copies_kept_rows(self):
+        # a strided view would keep the full-rate matrix alive
+        fm = build_features(make_robot_frames(), **FEATURES)
+        assert fm.flags.c_contiguous
+        assert fm.base is None
 
     def test_pipeline_order_trace(self, monkeypatch):
         calls = []
 
-        real_filter, real_zscore, real_subsample = (
-            pp.lowpass_filter,
-            pp.zscore,
-            pp.subsample,
-        )
+        real_filter, real_zscore = pp.lowpass_filter, pp.zscore
 
         def traced(name, real):
             def wrapper(*args, **kwargs):
@@ -578,118 +548,91 @@ class TestBuildFeatures:
 
         monkeypatch.setattr(pp, "lowpass_filter", traced("filter", real_filter))
         monkeypatch.setattr(pp, "zscore", traced("zscore", real_zscore))
-        monkeypatch.setattr(pp, "subsample", traced("subsample", real_subsample))
-        build_features(make_robot_demo())
+        build_features(make_robot_frames(), **FEATURES)
         assert calls.index("zscore") > calls.index("filter")
-        assert calls[-1] == "subsample"
         assert max(i for i, c in enumerate(calls) if c == "filter") < calls.index(
             "zscore"
         )
 
     def test_custom_cutoff_and_factor(self):
-        fm = build_features(make_robot_demo(), fc_hz=3.0, subsample_factor=1)
-        assert fm.n_rows == 90
-        assert fm.frame_stride == 1
+        fm = build_features(make_robot_frames(), fc_hz=3.0, fs_hz=30.0, stride=1)
+        assert fm.shape == (90, 32)
 
 
 class TestSelectChannels:
-    def test_columns_follow_names(self):
-        # every kept column is the base column of the same name, in base order
-        base = build_features(make_robot_demo())
+    def test_columns_follow_indices(self):
+        # every kept column is the base column of its index, in base order
+        base = build_features(make_robot_frames(), **FEATURES)
         for subset in ("no-pose", "no-velocity", "no-distance", "1,8,29", "all"):
             got = select_channels(base, subset)
-            columns = [base.channel_names.index(n) for n in got.channel_names]
+            columns = resolve_subset(subset)
             assert columns == sorted(columns)
-            assert np.array_equal(got.values, base.values[:, columns])
-            assert got.frame_stride == base.frame_stride
+            assert np.array_equal(got, base[:, columns])
 
     def test_all_returns_input(self):
-        base = build_features(make_robot_demo())
+        base = build_features(make_robot_frames(), **FEATURES)
         assert select_channels(base, "all") is base
 
     def test_names_follow_indices(self):
-        got = select_channels(build_features(make_robot_demo()), "32,1")
-        assert got.channel_names == ["right_pos_x", "dist"]
+        base = build_features(make_robot_frames(), **FEATURES)
+        assert np.array_equal(select_channels(base, "32,1"), base[:, [0, 31]])
+        names = [FULL_CHANNEL_NAMES[i] for i in resolve_subset("32,1")]
+        assert names == ["right_pos_x", "dist"]
 
     def test_needs_32_channels(self):
         with pytest.raises(ValueError, match="32"):
             select_channels(make_fm(p=4), "1,2")
 
 
-class TestRawFeatures:
-    def test_passthrough(self):
-        demo = Demonstration(
-            id="d",
-            frames=np.arange(12.0).reshape(6, 2),
-            sample_rate_hz=10.0,
-            channel_names=["a", "b"],
-        )
-        fm = raw_features(demo, subsample_factor=2)
-        assert np.array_equal(fm.values, demo.frames[::2])
-        assert fm.channel_names == ["a", "b"]
-        assert fm.frame_stride == 2
-
-
 class TestAugment:
     def test_window_zero_identity(self):
         fm = make_fm(T=5)
-        X = augment(fm, 0)
-        assert np.array_equal(X.values, fm.values)
-        assert all(name.endswith("_t0") for name in X.channel_names)
+        assert np.array_equal(augment(fm, 0), fm)
+        assert all(name.endswith("_t0") for name in augmented_names(["a", "b"], 0))
 
     def test_direct_construction(self):
-        fm = make_fm(T=5, p=2)
-        X = augment(fm, 2)
-        assert X.values.shape == (3, 6)
-        v = fm.values
-        assert np.array_equal(X.values[0], np.concatenate([v[0], v[1], v[2]]))
-        assert np.array_equal(X.values[2], np.concatenate([v[2], v[3], v[4]]))
+        v = make_fm(T=5, p=2)
+        X = augment(v, 2)
+        assert X.shape == (3, 6)
+        assert np.array_equal(X[0], np.concatenate([v[0], v[1], v[2]]))
+        assert np.array_equal(X[2], np.concatenate([v[2], v[3], v[4]]))
 
     def test_three_block_layout(self):
-        fm = FeatureMatrix(
-            values=np.random.default_rng(7).normal(size=(40, 32)),
-        )
-        X = augment(fm, 2)
-        assert X.values.shape[1] == 96
-        assert X.channel_names[31:33] == ["c31_t0", "c0_t1"]
+        X = augment(np.random.default_rng(7).normal(size=(40, 32)), 2)
+        assert X.shape[1] == 96
+        names = augmented_names([f"c{i}" for i in range(32)], 2)
+        assert names[31:33] == ["c31_t0", "c0_t1"]
 
     def test_row_count_property(self):
         for w in range(4):
             fm = make_fm(T=9)
-            assert augment(fm, w).n_rows + w == fm.n_rows
+            assert len(augment(fm, w)) + w == len(fm)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
             augment(make_fm(T=3), 3)
 
     def test_channel_names(self):
-        fm = FeatureMatrix(
-            values=np.zeros((4, 2)), channel_names=["a", "b"]
-        )
-        assert augment(fm, 1).channel_names == ["a_t0", "b_t0", "a_t1", "b_t1"]
-        assert augment(make_fm(p=2), 0).channel_names == ["c0_t0", "c1_t0"]
-
-    def test_carries_frame_bookkeeping(self):
-        fm = subsample(make_fm(T=12), 3)
-        X = augment(fm, 1)
-        assert X.frame_stride == 3
+        assert augmented_names(["a", "b"], 1) == ["a_t0", "b_t0", "a_t1", "b_t1"]
 
 
 class TestFrameAlignment:
+    def test_label_alignment(self):
+        labels = [f"L{i}" for i in range(9)]
+        assert list(labels_at_rows(labels, 3, 3)) == ["L0", "L3", "L6"]
+
     def test_labels_at_rows_on_augmented(self):
         labels = [f"L{i}" for i in range(12)]
-        X = augment(subsample(make_fm(T=12), 3), 1)
-        assert list(labels_at_rows(labels, X)) == ["L0", "L3", "L6"]
+        X = augment(make_fm(T=12)[::3], 1)
+        assert list(labels_at_rows(labels, len(X), 3)) == ["L0", "L3", "L6"]
 
     def test_rows_to_frames_nearest_previous(self):
-        X = augment(subsample(make_fm(T=12), 3), 1)
-        out = rows_to_frames(["a", "b", "c"], X, 12)
+        out = rows_to_frames(["a", "b", "c"], 3, 12)
         assert list(out) == ["a", "a", "a", "b", "b", "b", "c", "c", "c", "c", "c", "c"]
 
     def test_rows_to_frames_empty(self):
-        X = augment(make_fm(T=5), 1)
         with pytest.raises(ValueError):
-            rows_to_frames([], X, 5)
+            rows_to_frames([], 1, 5)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -701,14 +644,13 @@ class TestFrameAlignment:
         # any frame grid with T > W rows: every augmented row reads the label
         # of its anchor frame, and rows_to_frames writes it back there
         T = window + rows_past_window
-        fm = FeatureMatrix(np.zeros((T, 2)), frame_stride=stride)
         n_frames = T * stride
-        X = augment(fm, window)
-        anchors = range(0, X.n_rows * stride, stride)
-        picked = labels_at_rows([f"f{i}" for i in range(n_frames)], X)
-        assert len(picked) == X.n_rows == T - window
+        X = augment(np.zeros((T, 2)), window)
+        anchors = range(0, len(X) * stride, stride)
+        picked = labels_at_rows([f"f{i}" for i in range(n_frames)], len(X), stride)
+        assert len(picked) == len(X) == T - window
         assert list(picked) == [f"f{f}" for f in anchors]
-        row_labels = [f"r{i}" for i in range(X.n_rows)]
-        frames = rows_to_frames(row_labels, X, n_frames)
+        row_labels = [f"r{i}" for i in range(len(X))]
+        frames = rows_to_frames(row_labels, stride, n_frames)
         assert len(frames) == n_frames
         assert [frames[f] for f in anchors] == row_labels

@@ -29,17 +29,17 @@ def constant_model(A, n_frames, x0, **kw):
 class TestSwitchedLds:
     def test_identity_zero_noise_holds_state(self):
         model = constant_model(np.eye(3), 50, [1.0, -2.0, 0.5])
-        demo, labels = generate(model)
-        assert demo.frames.shape == (50, 3)
-        assert np.allclose(demo.frames, np.tile([1.0, -2.0, 0.5], (50, 1)))
+        frames, labels = generate(model)
+        assert frames.shape == (50, 3)
+        assert np.allclose(frames, np.tile([1.0, -2.0, 0.5], (50, 1)))
         assert labels == ["R0"] * 50
 
     def test_contraction_geometric_decay(self):
         model = constant_model(0.5 * np.eye(2), 20, [8.0, -4.0])
-        demo, _ = generate(model)
+        frames, _ = generate(model)
         t = np.arange(20)
         expected = np.outer(0.5**t, [8.0, -4.0])
-        assert np.max(np.abs(demo.frames - expected)) < 1e-12
+        assert np.max(np.abs(frames - expected)) < 1e-12
 
     def test_deterministic(self):
         model = SwitchedLds(
@@ -51,7 +51,7 @@ class TestSwitchedLds:
         )
         a, la = generate(model)
         b, lb = generate(model)
-        assert np.array_equal(a.frames, b.frames)
+        assert np.array_equal(a, b)
         assert la == lb
 
     def test_noise_changes_trajectory(self):
@@ -65,7 +65,7 @@ class TestSwitchedLds:
         )
         dq, _ = generate(quiet)
         dn, _ = generate(noisy)
-        assert not np.allclose(dq.frames, dn.frames)
+        assert not np.allclose(dq, dn)
 
     def test_labels_follow_schedule(self):
         model = SwitchedLds(
@@ -76,13 +76,6 @@ class TestSwitchedLds:
         )
         _, labels = generate(model)
         assert labels == ["R2"] * 5 + ["R0"] * 3 + ["R1"] * 4
-
-    def test_channel_names_and_metadata(self):
-        model = constant_model(np.eye(2), 10, [0.0, 0.0], sample_rate_hz=25.0)
-        demo, _ = generate(model, id="run3")
-        assert demo.id == "run3"
-        assert demo.channel_names == ["s0", "s1"]
-        assert demo.sample_rate_hz == 25.0
 
     def test_divergence_raises(self):
         model = constant_model(np.array([[1.04]]), 2000, [100.0])
@@ -218,10 +211,11 @@ class TestWriteDataset:
             kin = synth_dir / "kinematics" / f"synth{i:02d}.csv"
             tr = synth_dir / "transcripts" / f"synth{i:02d}.txt"
             assert kin.is_file() and tr.is_file()
-        demo = parse_kinematics(
+        frames, names = parse_kinematics(
             (synth_dir / "kinematics" / "synth00.csv").read_text(), "generic_csv"
         )
-        assert demo.frames.shape == (360, 4)
+        assert frames.shape == (360, 4)
+        assert names == ["s0", "s1", "s2", "s3"]
         t = parse_transcript((synth_dir / "transcripts" / "synth00.txt").read_text())
         assert t.segments[-1].end == 360
         assert {s.label for s in t.segments} == {"R0", "R1", "R2"}
