@@ -183,11 +183,12 @@ class LoadedDemo:
 
 
 def load_dataset(config: RunConfig) -> tuple[dict[str, LoadedDemo], list[str]]:
-    """Read every recording (and its transcript when present), sorted by id.
-    Build its base features, and expand its transcript, remapped when a
-    mapping is set, to frame labels once for every run of the command.
-    Every recording must give the first one's feature channels, whose names
-    are returned with the recordings."""
+    """Read every recording (and its transcript when present), sorted by id,
+    and expand its transcript, remapped when a mapping is set, to frame
+    labels once for every run of the command. Then build the base features
+    of every 38-channel recording in one build_features call. Every
+    recording must give the first one's feature channels, whose names are
+    returned with the recordings."""
     mapping, sidecar = _load_mapping(config)
     kin_dir = os.path.join(config.data_dir, "kinematics")
     if not os.path.isdir(kin_dir):
@@ -205,6 +206,7 @@ def load_dataset(config: RunConfig) -> tuple[dict[str, LoadedDemo], list[str]]:
         if other != name:
             raise ValueError(f"{other} and {name} share a demonstration id")
     dataset: dict[str, LoadedDemo] = {}
+    kinematic: dict[str, np.ndarray] = {}  # 38-channel frames by file name
     names = None
     for name in files:
         demo_id, ext = os.path.splitext(name)
@@ -212,16 +214,14 @@ def load_dataset(config: RunConfig) -> tuple[dict[str, LoadedDemo], list[str]]:
         with open(os.path.join(kin_dir, name)) as fh:
             try:
                 frames, channels = parse_kinematics(fh, layout)
-                if frames.shape[1] == PSM_COLUMNS:
-                    features = _preprocess.build_features(
-                        frames, fc_hz=config.fc_hz, fs_hz=config.sample_rate_hz,
-                        stride=config.subsample_factor,
-                    )
-                    channels = _preprocess.FULL_CHANNEL_NAMES
-                else:
-                    features = np.ascontiguousarray(frames[::config.subsample_factor])
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from None
+        features = None  # built below for a 38-channel recording
+        if frames.shape[1] == PSM_COLUMNS:
+            kinematic[name] = frames
+            channels = _preprocess.FULL_CHANNEL_NAMES
+        else:
+            features = np.ascontiguousarray(frames[::config.subsample_factor])
         truth = None
         tpath = os.path.join(config.data_dir, "transcripts", f"{demo_id}.txt")
         if os.path.isfile(tpath):
@@ -242,6 +242,13 @@ def load_dataset(config: RunConfig) -> tuple[dict[str, LoadedDemo], list[str]]:
                 f"({len(channels)} channels against {len(names)})"
             )
         dataset[demo_id] = LoadedDemo(features, len(frames), truth)
+    if kinematic:
+        built = _preprocess.build_features(
+            kinematic, fc_hz=config.fc_hz, fs_hz=config.sample_rate_hz,
+            stride=config.subsample_factor,
+        )
+        for name, features in built.items():
+            dataset[os.path.splitext(name)[0]].features = features
     if sidecar is not None:
         annotated = {d for d, item in dataset.items() if item.truth is not None}
         for kind, demo_id, _ in sidecar.entries():

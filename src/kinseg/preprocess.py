@@ -93,12 +93,33 @@ def lowpass_filter(signal: np.ndarray, fc_hz: float, fs_hz: float) -> np.ndarray
     ``filtfilt(*butter(2, fc_hz, fs=fs_hz), x, axis=0, padtype="even",
     padlen=min(6, T - 1))``: the coefficients, the initial state and the
     recurrence repeat scipy's floating-point operations in scipy's order,
-    so every rounding is the same.
+    so every rounding is the same. It is _lowpass_batch on a batch of one.
     """
     x = _as_columns(signal)
-    n = x.shape[0]
+    (y,) = _lowpass_batch([x.shape], [x], fc_hz, fs_hz)
+    return y.reshape(np.shape(signal))
+
+
+def _filter_edge(n: int) -> int:
+    """Rows of even padding at each end of a length-n signal."""
     if n < 4:
         raise ValueError("signal too short to filter (need length >= 4)")
+    return min(3 * FILTER_ORDER, n - 1)
+
+
+def _lowpass_batch(shapes, signals, fc_hz: float, fs_hz: float) -> list[np.ndarray]:
+    """lowpass_filter of T_i x p_i signals in one forward and one backward
+    recurrence over all their columns. `signals` yields arrays of the given
+    shapes, in order, and is read once, as each is copied into the buffer;
+    the results are views of that one buffer.
+
+    Each signal's padded columns sit left-aligned in the buffer; the rows
+    below a shorter signal (zeros, then the forward pass's decaying tail)
+    come after its own rows, so they never reach its output. Between the
+    passes each signal's rows are reversed in place, so the backward pass
+    also starts at the signal's own end, from its own initial state.
+    """
+    edges = [_filter_edge(n) for n, _ in shapes]
     if not 0 < fc_hz < fs_hz / 2:
         raise ValueError(
             f"cutoff {fc_hz} Hz must lie in (0, Nyquist={fs_hz / 2} Hz)"
@@ -107,11 +128,25 @@ def lowpass_filter(signal: np.ndarray, fc_hz: float, fs_hz: float) -> np.ndarray
     # Steady state of the step response: zi = A zi + B (scipy's lfilter_zi).
     companion = np.array([-a[1:], [1.0, 0.0]])
     zi = np.linalg.solve(np.eye(2) - companion.T, b[1:] - a[1:] * b[0])[:, None]
-    edge = min(3 * FILTER_ORDER, n - 1)
-    ext = np.concatenate([x[edge:0:-1], x, x[-2 : -(edge + 2) : -1]])
-    y = _lfilter(b, a, ext, zi * ext[0])
-    y = _lfilter(b, a, y[::-1], zi * y[-1])
-    return y[::-1][edge : n + edge].reshape(np.shape(signal))
+    spans = []  # (padded rows, column slice) of each signal
+    start = 0
+    for (n, p), edge in zip(shapes, edges):
+        spans.append((n + 2 * edge, slice(start, start + p)))
+        start += p
+    buf = np.zeros((max((rows for rows, _ in spans), default=0), start))
+    for x, (n, _), edge, (rows, cols) in zip(signals, shapes, edges, spans):
+        ext = buf[:rows, cols]
+        ext[:edge] = x[edge:0:-1]
+        ext[edge : n + edge] = x
+        ext[n + edge :] = x[-2 : -(edge + 2) : -1]
+    for _ in range(2):  # forward, then backward over the reversed output
+        _lfilter(b, a, buf, zi * buf[0])
+        for rows, cols in spans:
+            buf[:rows, cols] = buf[rows - 1 :: -1, cols]
+    return [
+        buf[edge : n + edge, cols]
+        for (n, _), edge, (_, cols) in zip(shapes, edges, spans)
+    ]
 
 
 def _butter(fc_hz: float, fs_hz: float) -> tuple[np.ndarray, np.ndarray]:
@@ -132,34 +167,47 @@ def _butter(fc_hz: float, fs_hz: float) -> tuple[np.ndarray, np.ndarray]:
     return gain * np.poly(-np.ones(FILTER_ORDER)), np.poly(poles).real
 
 
-def _lfilter(b, a, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
+# Rows of b x precomputed per block of the recurrence: enough to amortize
+# the three products, few enough to keep the block's buffer small.
+_BLOCK_ROWS = 256
+
+
+def _lfilter(b, a, x: np.ndarray, zi: np.ndarray) -> None:
     """Order-2 direct form II transposed filter down axis 0 of x (N x p),
     from state zi (2 x p), in the order of scipy's C loop:
-    y = z0 + b0 x; z0 = (z1 + b1 x) - a1 y; z1 = b2 x - a2 y."""
-    y = np.empty(x.shape)
-    b0x = b[0] * x
-    bx = b[1:, None] * x[:, None, :]  # rows (b1 x, b2 x); bx[t, 0] gains z1
+    y = z0 + b0 x; z0 = (z1 + b1 x) - a1 y; z1 = b2 x - a2 y.
+    Each output row y_t overwrites x_t."""
     a12 = a[1:, None]
     z = zi.copy()
-    z0, z1 = z
     ay = np.empty_like(z)
-    # Each step is four ufunc calls writing into place (out passed
-    # positionally, which skips the keyword parsing).
-    for y_t, b0x_t, bx_t, b1x_t in zip(y, b0x, bx, bx[:, 0]):
-        np.add(z0, b0x_t, y_t)
-        np.add(z1, b1x_t, b1x_t)
-        np.multiply(a12, y_t, ay)
-        np.subtract(bx_t, ay, z)
-    return y
+    bx = np.empty((min(_BLOCK_ROWS, len(x)), 3, x.shape[1]))
+    for start in range(0, len(x), _BLOCK_ROWS):
+        rows = x[start : start + _BLOCK_ROWS]
+        part = bx[: len(rows)]
+        np.multiply(rows[:, None, :], b[:, None], part)  # rows (b0 x, b1 x, b2 x)
+        # Three ufunc calls per step, writing into place (out passed
+        # positionally, which skips the keyword parsing). (z0, z1) + (b0 x,
+        # b1 x) leaves y in the b0 x slot and z1 + b1 x in the b1 x slot;
+        # the next state is (z1 + b1 x, b2 x) - (a1 y, a2 y).
+        for head, y_t, tail in zip(part[:, :2], part[:, 0], part[:, 1:]):
+            np.add(z, head, head)
+            np.multiply(a12, y_t, ay)
+            np.subtract(tail, ay, z)
+        rows[:] = part[:, 0]
 
 
 def zscore(signal: np.ndarray) -> np.ndarray:
     """Normalize to zero mean, unit variance, per column of a T x p matrix;
-    a constant column maps to zeros (also when rounding makes its sd > 0)."""
+    a constant column maps to zeros (also when rounding makes its sd > 0).
+    A finite column whose variance overflows raises ValueError."""
     rows = np.ascontiguousarray(_as_columns(signal).T)
     if rows.shape[1] < 2:
         raise ValueError("need at least 2 samples")
-    sd = rows.std(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        sd = rows.std(axis=1, keepdims=True)
+    overflow = np.flatnonzero(np.isinf(sd))
+    if overflow.size:
+        raise ValueError(f"the variance of column {overflow[0]} overflows")
     scaled = (np.ptp(rows, axis=1, keepdims=True) != 0) & (sd != 0)
     centered = rows - rows.mean(axis=1, keepdims=True)
     out = np.divide(centered, sd, out=np.zeros_like(rows), where=scaled)
@@ -214,35 +262,66 @@ def _arm_features(arm: np.ndarray) -> np.ndarray:
     return np.hstack([arm[:, 0:3], quats, arm[:, 12:19]])
 
 
-def build_features(
-    frames: np.ndarray, *, fc_hz: float, fs_hz: float, stride: int
-) -> np.ndarray:
-    """Run the fixed preprocessing pipeline on a 38-channel recording
-    sampled at fs_hz; returns the 32 feature columns of every stride-th
-    frame.
+def _named(name: str, fn, *args):
+    """fn(*args), with a ValueError's message prefixed by "<name>: "."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
-    Order: quaternion conversion, distance channels (from unnormalized
-    positions), low-pass filter, z-score, subsample. Filter and z-score work
-    per channel; select_channels then keeps a feature subset. The rows kept
-    are copied, so the full-rate matrix is not held alive.
-    """
-    if frames.shape[1] != 38:
-        raise ValueError(
-            f"expected the 38 patient-side channels, got {frames.shape[1]}"
-        )
+
+def _kinematic_channels(frames: np.ndarray) -> np.ndarray:
+    """The 32 unfiltered feature channels of a 38-channel recording."""
     right, left = frames[:, :19], frames[:, 19:]
-    values = np.hstack(
+    return np.hstack(
         [
             _arm_features(right),
             _arm_features(left),
             distance_features(right[:, 0:3], left[:, 0:3]),
         ]
     )
-    values = zscore(lowpass_filter(values, fc_hz, fs_hz))
-    # finite input can still overflow the distances or the filter
-    if not np.all(np.isfinite(values)):
-        raise ValueError("values contain non-finite entries")
-    return np.ascontiguousarray(values[::stride])
+
+
+def build_features(
+    recordings: dict[str, np.ndarray], *, fc_hz: float, fs_hz: float, stride: int
+) -> dict[str, np.ndarray]:
+    """Run the fixed preprocessing pipeline on 38-channel recordings sampled
+    at fs_hz, keyed by name; returns, under the same names, the 32 feature
+    columns of every stride-th frame. A ValueError names the recording at
+    fault ("<name>: ..."), and every recording's shape is checked first.
+
+    Order: quaternion conversion and distance channels (from unnormalized
+    positions), per recording; one low-pass filter pass over every
+    recording's columns at once; then per recording the finiteness check,
+    z-score and subsample. Filter and z-score work per channel;
+    select_channels then keeps a feature subset.
+
+    The recordings dict is emptied: each recording's frames are dropped once
+    its channels are in the filter buffer, so the features are not
+    allocated while every recording's frames are alive (freed below them,
+    the frames' memory would stay in the process). The rows kept are
+    copied, so the full-rate matrices are not held alive either.
+    """
+    names = list(recordings)
+    for name, frames in recordings.items():
+        if frames.shape[1] != 38:
+            raise ValueError(
+                f"{name}: expected the 38 patient-side channels, got {frames.shape[1]}"
+            )
+        _named(name, _filter_edge, len(frames))
+    filtered = _lowpass_batch(
+        [(len(frames), 32) for frames in recordings.values()],
+        (_named(name, _kinematic_channels, recordings.pop(name)) for name in names),
+        fc_hz,
+        fs_hz,
+    )
+    features = {}
+    for name, values in zip(names, filtered):
+        # finite input can still overflow the distances or the filter
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name}: values contain non-finite entries")
+        features[name] = np.ascontiguousarray(_named(name, zscore, values)[::stride])
+    return features
 
 
 def select_channels(values: np.ndarray, subset: str) -> np.ndarray:

@@ -259,7 +259,9 @@ def _robot_frames(T=120):
 
 
 def test_feature_shapes():
-    full = preprocess.build_features(_robot_frames(), fc_hz=1.5, fs_hz=30.0, stride=3)
+    full = preprocess.build_features(
+        {"demo.txt": _robot_frames()}, fc_hz=1.5, fs_hz=30.0, stride=3
+    )["demo.txt"]
     no_pose = preprocess.select_channels(full, "no-pose")
     no_vel = preprocess.select_channels(full, "no-velocity")
     no_dist = preprocess.select_channels(full, "no-distance")

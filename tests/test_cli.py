@@ -260,7 +260,7 @@ class TestSweepAndAblate:
              "--subsets", ",".join(subsets)] + common
         )
         assert code == 0
-        assert build_calls == ["run0", "run1"]
+        assert build_calls == [["run0", "run1"]]
         rows = (tmp_path / "abl" / "ablate.csv").read_text().splitlines()[1:]
         assert [row.split(",", 1)[0] for row in rows] == subsets
         # each row matches a separate segment run with that subset
@@ -287,7 +287,19 @@ class TestSweepAndAblate:
             "--w-values", "0,1,2",
         ]
         assert main(argv) == 0
-        assert build_calls == ["run0", "run1"]
+        assert build_calls == [["run0", "run1"]]
+
+    def test_segment_builds_features_once(self, robot_dir, tmp_path, build_calls):
+        argv = [
+            "segment",
+            "--data-dir", str(robot_dir),
+            "--output-dir", str(tmp_path / "seg"),
+            "--init", "weak",
+            "--init-demos", "run0",
+            "--window", "1",
+        ]
+        assert main(argv) == 0
+        assert build_calls == [["run0", "run1"]]
 
     def test_ablate_maps_transcripts_once(self, robot_dir, tmp_path, count_calls):
         import kinseg.dictionary as dictionary
@@ -480,8 +492,9 @@ class TestSweepValueValidation:
 
 @pytest.fixture
 def build_calls(monkeypatch, robot_dir):
-    """Ids of the robot_dir recordings passed to build_features, in call
-    order; each call's frames are matched to the recording they equal."""
+    """One list per build_features call: the ids of the robot_dir
+    recordings it was passed, in order; each batch member's frames are
+    matched to the recording they equal."""
     import kinseg.preprocess as pp
 
     recordings = {
@@ -491,9 +504,9 @@ def build_calls(monkeypatch, robot_dir):
     calls = []
     real = pp.build_features
 
-    def counted(frames, *args, **kwargs):
-        calls.append(recordings[frames.tobytes()])
-        return real(frames, *args, **kwargs)
+    def counted(batch, *args, **kwargs):
+        calls.append([recordings[frames.tobytes()] for frames in batch.values()])
+        return real(batch, *args, **kwargs)
 
     monkeypatch.setattr(pp, "build_features", counted)
     return calls
@@ -575,6 +588,38 @@ class TestKinematicPipeline:
         assert {s.label for s in t.segments} <= {"slow", "fast"}
 
 
+    def test_unequal_lengths_filtered_as_single_recordings(self, robot_dir, tmp_path):
+        # run1 cut to 100 frames and run2 to 5 (padded by 4 frames, not 6):
+        # each is filtered in the shared pass as it would be alone
+        import kinseg.preprocess as pp
+
+        data = copy_tree(robot_dir, tmp_path / "data")
+        lines = (data / "kinematics" / "run0.txt").read_text().splitlines(keepends=True)
+        (data / "kinematics" / "run1.txt").write_text("".join(lines[:100]))
+        (data / "kinematics" / "run2.txt").write_text("".join(lines[100:105]))
+        (data / "transcripts" / "run1.txt").write_text("1 50 slow\n51 100 fast\n")
+        config = cli.RunConfig(data_dir=str(data), output_dir=str(tmp_path / "out"))
+        dataset, _ = cli.load_dataset(config)
+        for demo_id, n in (("run0", 240), ("run1", 100), ("run2", 5)):
+            path = data / "kinematics" / f"{demo_id}.txt"
+            frames, _ = parse_kinematics(path.read_text())
+            alone = pp.zscore(pp.lowpass_filter(pp._kinematic_channels(frames), 1.5, 30.0))
+            assert dataset[demo_id].n_frames == n
+            assert np.array_equal(dataset[demo_id].features, alone[::3])
+        (data / "kinematics" / "run2.txt").unlink()
+        out = tmp_path / "out"
+        assert main([
+            "segment",
+            "--data-dir", str(data),
+            "--output-dir", str(out),
+            "--init", "weak",
+            "--init-demos", "run0",
+            "--window", "1",
+        ]) == 0
+        t = parse_transcript((out / "predictions" / "run1.txt").read_text())
+        assert t.segments[-1].end == 100
+
+
 # Imports kinseg.cli with every scipy import refused, then runs the CLI.
 BLOCK_SCIPY = """
 import sys
@@ -643,6 +688,14 @@ def copy_tree(src, data):
         (data / sub).mkdir(parents=True)
         for f in (src / sub).iterdir():
             (data / sub / f.name).write_bytes(f.read_bytes())
+    return data
+
+
+def with_run2(data):
+    """A copy of run0, as run2, beside a dataset's run0 and run1, so that a
+    bad run1 sits between good recordings."""
+    for sub in ("kinematics", "transcripts"):
+        (data / sub / "run2.txt").write_bytes((data / sub / "run0.txt").read_bytes())
     return data
 
 
@@ -754,8 +807,8 @@ class TestMappingFlag:
         assert set(report["confusion"]["labels"]) <= {"L1", "L2", "L3"}
 
 
-def test_builtin_mapping_on_suturing_data(tmp_path, capsys):
-    # JIGSAWS-shaped recordings with all ten suturing gestures, G10 included
+def write_jigsaws(data, seed, n_demos, n_frames):
+    """perfbench/jigsaws_data.py's JIGSAWS-shaped dataset, written to data."""
     import sys
 
     bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
@@ -764,7 +817,13 @@ def test_builtin_mapping_on_suturing_data(tmp_path, capsys):
         import jigsaws_data
     finally:
         sys.path.remove(bench)
-    jigsaws_data.write_dataset(str(tmp_path / "data"), 1, 3, 900)
+    jigsaws_data.write_dataset(str(data), seed, n_demos, n_frames)
+    return data
+
+
+def test_builtin_mapping_on_suturing_data(tmp_path, capsys):
+    # JIGSAWS-shaped recordings with all ten suturing gestures, G10 included
+    write_jigsaws(tmp_path / "data", 1, 3, 900)
     out = tmp_path / "out"
     assert main([
         "segment",
@@ -1247,7 +1306,7 @@ class TestErrorExits:
         assert "synth02.csv: its feature channels differ from those of synth00.csv" in err
 
     def test_rotation_error_names_recording(self, robot_dir, tmp_path, capsys):
-        data = copy_tree(robot_dir, tmp_path / "data")
+        data = with_run2(copy_tree(robot_dir, tmp_path / "data"))
         path = data / "kinematics" / "run1.txt"
         lines = path.read_text().splitlines(keepends=True)
         tokens = lines[9].split()
@@ -1261,7 +1320,7 @@ class TestErrorExits:
         assert "(frame 9)" in err
 
     def test_short_robot_recording_names_recording(self, robot_dir, tmp_path, capsys):
-        data = copy_tree(robot_dir, tmp_path / "data")
+        data = with_run2(copy_tree(robot_dir, tmp_path / "data"))
         path = data / "kinematics" / "run1.txt"
         path.write_text("".join(path.read_text().splitlines(keepends=True)[:3]))
         (data / "transcripts" / "run1.txt").unlink()
@@ -1286,7 +1345,7 @@ class TestErrorExits:
 
     def test_filter_overflow_names_recording(self, robot_dir, tmp_path, capsys):
         # finite positions whose distance and filter overflow to inf and nan
-        data = copy_tree(robot_dir, tmp_path / "data")
+        data = with_run2(copy_tree(robot_dir, tmp_path / "data"))
         path = data / "kinematics" / "run1.txt"
         lines = []
         for line in path.read_text().splitlines():
@@ -1300,6 +1359,45 @@ class TestErrorExits:
         assert "kinseg: data error: run1.txt: values contain non-finite entries" \
             in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_overflowing_variance_names_recording(self, tmp_path, capsys):
+        # both arms' positions alternate between +-1e307: the distances and
+        # the filter output stay finite, but the z-score variance overflows
+        data = write_jigsaws(tmp_path / "data", 1, 3, 300)
+        path = data / "kinematics" / "d02.txt"
+        lines = []
+        for i, line in enumerate(path.read_text().splitlines()):
+            tokens = line.split()
+            tokens[38:41] = tokens[57:60] = ["1e307" if i % 2 == 0 else "-1e307"] * 3
+            lines.append(" ".join(tokens) + "\n")
+        path.write_text("".join(lines))
+        code = main([
+            "segment",
+            "--data-dir", str(data),
+            "--output-dir", str(tmp_path / "out"),
+            "--init-demos", "d00",
+            "--window", "1",
+            "--em-max-iter", "3",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "kinseg: data error: d02.txt: the variance of column 0 overflows" in err
+        assert "warning" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_transcript_error_before_feature_error(self, robot_dir, tmp_path, capsys):
+        # every recording and transcript is read before any feature is built
+        data = copy_tree(robot_dir, tmp_path / "data")
+        path = data / "kinematics" / "run0.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        tokens = lines[9].split()
+        tokens[38 + 3] = "25.0"  # psm1 rot_11
+        lines[9] = " ".join(tokens) + "\n"
+        path.write_text("".join(lines))
+        (data / "transcripts" / "run1.txt").write_text("1 500 slow\n")
+        code = run_segment(data, tmp_path / "out", ["--init-demos", "run0"])
+        assert code == 2
+        assert "kinseg: data error: run1.txt: segment" in capsys.readouterr().err
 
     def test_recording_shorter_than_window_names_demo(self, synth_dir, tmp_path, capsys):
         # 12 frames at subsample 3 leave 4 rows, too few for W=5

@@ -330,6 +330,39 @@ class TestScipyReference:
         assert np.array_equal(lowpass_filter(x, 1.5, 30.0), scipy_filtfilt(x, 1.5, 30.0))
 
 
+class TestBatchedFilter:
+    """One recurrence over many signals' columns gives each signal its own
+    filtfilt, bit for bit, whatever the lengths and widths beside it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pair=cutoffs(),
+        shapes=st.lists(
+            st.tuples(
+                st.one_of(st.integers(4, 7), st.integers(8, 600)), st.integers(1, 5)
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_signal_equals_scipy_alone(self, pair, shapes, seed):
+        rng = np.random.default_rng(seed)
+        signals = [rng.normal(size=shape) * rng.uniform(1e-3, 1e3) for shape in shapes]
+        filtered = pp._lowpass_batch(shapes, iter(signals), *pair)
+        assert len(filtered) == len(signals)
+        for x, y in zip(signals, filtered):
+            assert np.array_equal(y, scipy_filtfilt(x, *pair))
+
+    def test_short_signal_rejected_before_any_is_read(self):
+        def signals():
+            raise AssertionError("read before the lengths were checked")
+            yield
+
+        with pytest.raises(ValueError, match="too short"):
+            pp._lowpass_batch([(100, 2), (3, 1)], signals(), 1.5, 30.0)
+
+
 def signal_matrices(min_rows):
     return hnp.arrays(
         np.float64,
@@ -395,6 +428,12 @@ class TestZscore:
     def test_too_short(self):
         with pytest.raises(ValueError):
             zscore(np.array([1.0]))
+
+    def test_overflowing_variance_rejected(self):
+        # finite values whose squares overflow used to give sd = inf and zeros
+        x = np.column_stack([np.arange(6.0), np.tile([1e307, -1e307], 3)])
+        with pytest.raises(ValueError, match="variance of column 1 overflows"):
+            zscore(x)
 
 
 class TestDistanceFeatures:
@@ -464,6 +503,11 @@ class TestResolveSubset:
 FEATURES = dict(fc_hz=1.5, fs_hz=30.0, stride=3)
 
 
+def build_one(frames, **kwargs):
+    """build_features on a batch of one recording."""
+    return build_features({"rec.txt": frames}, **kwargs)["rec.txt"]
+
+
 def make_robot_frames(T=90, seed=0):
     """Synthetic 38-channel two-arm recording with valid rotation columns."""
     rng = np.random.default_rng(seed)
@@ -488,32 +532,32 @@ def make_robot_frames(T=90, seed=0):
 
 class TestBuildFeatures:
     def test_full_shape(self):
-        fm = build_features(make_robot_frames(), **FEATURES)
+        fm = build_one(make_robot_frames(), **FEATURES)
         assert fm.shape == (30, 32)  # 90 frames / subsample 3
         assert np.all(np.isfinite(fm))
         assert len(FULL_CHANNEL_NAMES) == 32
 
     def test_subset_shapes(self):
-        base = build_features(make_robot_frames(), **FEATURES)
+        base = build_one(make_robot_frames(), **FEATURES)
         assert select_channels(base, "no-pose").shape[1] == 18
         assert select_channels(base, "no-velocity").shape[1] == 20
         assert select_channels(base, "no-distance").shape[1] == 28
 
     def test_wrong_channel_count(self):
         with pytest.raises(ValueError, match="38"):
-            build_features(np.ones((10, 4)), **FEATURES)
+            build_one(np.ones((10, 4)), **FEATURES)
 
     def test_column_wiring(self):
         # channel 1 must be the right arm's x position run through
         # filter -> zscore -> subsample in that order
         frames = make_robot_frames()
-        fm = build_features(frames, **FEATURES)
+        fm = build_one(frames, **FEATURES)
         expected = zscore(lowpass_filter(frames[:, 0], 1.5, 30.0))[::3]
         assert np.array_equal(fm[:, 0], expected)
 
     def test_distances_from_raw_positions(self):
         frames = make_robot_frames()
-        fm = build_features(frames, **FEATURES)
+        fm = build_one(frames, **FEATURES)
         raw = distance_features(frames[:, 0:3], frames[:, 19:22])
         for j in range(4):
             expected = zscore(lowpass_filter(raw[:, j], 1.5, 30.0))[::3]
@@ -521,23 +565,30 @@ class TestBuildFeatures:
 
     def test_quaternion_channels(self):
         frames = make_robot_frames()
-        fm = build_features(frames, **FEATURES)
+        fm = build_one(frames, **FEATURES)
         quats = np.array(
             [rotmat_to_quat(row[3:12].reshape(3, 3)) for row in frames]
         )
         expected = zscore(lowpass_filter(quats[:, 0], 1.5, 30.0))[::3]
         assert np.array_equal(fm[:, 3], expected)
 
+    def test_recordings_consumed(self):
+        # each recording's frames are dropped as soon as they are filtered
+        recordings = {"a.txt": make_robot_frames(), "b.txt": make_robot_frames(T=60)}
+        features = build_features(recordings, **FEATURES)
+        assert recordings == {}
+        assert [v.shape for v in features.values()] == [(30, 32), (20, 32)]
+
     def test_copies_kept_rows(self):
         # a strided view would keep the full-rate matrix alive
-        fm = build_features(make_robot_frames(), **FEATURES)
+        fm = build_one(make_robot_frames(), **FEATURES)
         assert fm.flags.c_contiguous
         assert fm.base is None
 
     def test_pipeline_order_trace(self, monkeypatch):
         calls = []
 
-        real_filter, real_zscore = pp.lowpass_filter, pp.zscore
+        real_filter, real_zscore = pp._lowpass_batch, pp.zscore
 
         def traced(name, real):
             def wrapper(*args, **kwargs):
@@ -546,23 +597,23 @@ class TestBuildFeatures:
 
             return wrapper
 
-        monkeypatch.setattr(pp, "lowpass_filter", traced("filter", real_filter))
+        monkeypatch.setattr(pp, "_lowpass_batch", traced("filter", real_filter))
         monkeypatch.setattr(pp, "zscore", traced("zscore", real_zscore))
-        build_features(make_robot_frames(), **FEATURES)
+        build_one(make_robot_frames(), **FEATURES)
         assert calls.index("zscore") > calls.index("filter")
         assert max(i for i, c in enumerate(calls) if c == "filter") < calls.index(
             "zscore"
         )
 
     def test_custom_cutoff_and_factor(self):
-        fm = build_features(make_robot_frames(), fc_hz=3.0, fs_hz=30.0, stride=1)
+        fm = build_one(make_robot_frames(), fc_hz=3.0, fs_hz=30.0, stride=1)
         assert fm.shape == (90, 32)
 
 
 class TestSelectChannels:
     def test_columns_follow_indices(self):
         # every kept column is the base column of its index, in base order
-        base = build_features(make_robot_frames(), **FEATURES)
+        base = build_one(make_robot_frames(), **FEATURES)
         for subset in ("no-pose", "no-velocity", "no-distance", "1,8,29", "all"):
             got = select_channels(base, subset)
             columns = resolve_subset(subset)
@@ -570,11 +621,11 @@ class TestSelectChannels:
             assert np.array_equal(got, base[:, columns])
 
     def test_all_returns_input(self):
-        base = build_features(make_robot_frames(), **FEATURES)
+        base = build_one(make_robot_frames(), **FEATURES)
         assert select_channels(base, "all") is base
 
     def test_names_follow_indices(self):
-        base = build_features(make_robot_frames(), **FEATURES)
+        base = build_one(make_robot_frames(), **FEATURES)
         assert np.array_equal(select_channels(base, "32,1"), base[:, [0, 31]])
         names = [FULL_CHANNEL_NAMES[i] for i in resolve_subset("32,1")]
         assert names == ["right_pos_x", "dist"]
