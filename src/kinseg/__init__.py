@@ -21,13 +21,13 @@ if "numpy" not in sys.modules:
 BLAS_PINNED = all(os.environ.get(var) == "1" for var in _BLAS_THREAD_VARS)
 
 from kinseg.ingest import (  # noqa: E402  (after the pin)
-    Transcript,
+    Segment,
     parse_kinematics,
     parse_transcript,
 )
 
 __all__ = [
-    "Transcript",
+    "Segment",
     "parse_kinematics",
     "parse_transcript",
 ]

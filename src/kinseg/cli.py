@@ -157,6 +157,10 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("fc_hz must be positive")
     if config.sample_rate_hz <= 0:
         raise ConfigError("sample_rate_hz must be positive")
+    if config.fc_hz >= config.sample_rate_hz / 2:
+        raise ConfigError(
+            f"fc_hz must lie below the Nyquist frequency {config.sample_rate_hz / 2} Hz"
+        )
     if config.subsample_factor < 1:
         raise ConfigError("subsample_factor must be >= 1")
     if config.window < 0:
@@ -183,12 +187,13 @@ class LoadedDemo:
 
 
 def load_dataset(config: RunConfig) -> tuple[dict[str, LoadedDemo], list[str]]:
-    """Read every recording (and its transcript when present), sorted by id,
-    and expand its transcript, remapped when a mapping is set, to frame
-    labels once for every run of the command. Then build the base features
-    of every 38-channel recording in one build_features call. Every
-    recording must give the first one's feature channels, whose names are
-    returned with the recordings."""
+    """Read every recording (and its transcript when present), sorted by id.
+    Then check the sidecar against every transcript, and expand each
+    transcript, remapped when a mapping is set, to frame labels once for
+    every run of the command. Then build the base features of every
+    38-channel recording in one build_features call. Every recording must
+    give the first one's feature channels, whose names are returned with
+    the recordings."""
     mapping, sidecar = _load_mapping(config)
     kin_dir = os.path.join(config.data_dir, "kinematics")
     if not os.path.isdir(kin_dir):
@@ -207,6 +212,7 @@ def load_dataset(config: RunConfig) -> tuple[dict[str, LoadedDemo], list[str]]:
             raise ValueError(f"{other} and {name} share a demonstration id")
     dataset: dict[str, LoadedDemo] = {}
     kinematic: dict[str, np.ndarray] = {}  # 38-channel frames by file name
+    transcripts: dict[str, tuple] = {}  # parsed segments by demonstration id
     names = None
     for name in files:
         demo_id, ext = os.path.splitext(name)
@@ -222,17 +228,11 @@ def load_dataset(config: RunConfig) -> tuple[dict[str, LoadedDemo], list[str]]:
             channels = _preprocess.FULL_CHANNEL_NAMES
         else:
             features = np.ascontiguousarray(frames[::config.subsample_factor])
-        truth = None
         tpath = os.path.join(config.data_dir, "transcripts", f"{demo_id}.txt")
         if os.path.isfile(tpath):
             with open(tpath) as fh:
                 try:
-                    transcript = parse_transcript(fh)
-                    if mapping is not None:
-                        transcript = _dictionary.apply_mapping(
-                            transcript, mapping, sidecar, demo_id=demo_id
-                        )
-                    truth = expand_labels(transcript, len(frames))
+                    transcripts[demo_id] = parse_transcript(fh)
                 except ValueError as exc:
                     raise ValueError(f"{demo_id}.txt: {exc}") from None
         names = names or channels
@@ -241,7 +241,21 @@ def load_dataset(config: RunConfig) -> tuple[dict[str, LoadedDemo], list[str]]:
                 f"{name}: its feature channels differ from those of {files[0]} "
                 f"({len(channels)} channels against {len(names)})"
             )
-        dataset[demo_id] = LoadedDemo(features, len(frames), truth)
+        dataset[demo_id] = LoadedDemo(features, len(frames), None)
+    if sidecar is not None:
+        try:
+            _dictionary.check_sidecar(sidecar, transcripts, mapping)
+        except ValueError as exc:
+            raise ValueError(f"{config.sidecar}: {exc}") from None
+    for demo_id, transcript in transcripts.items():
+        try:
+            if mapping is not None:
+                transcript = _dictionary.apply_mapping(
+                    transcript, mapping, sidecar, demo_id=demo_id
+                )
+            dataset[demo_id].truth = expand_labels(transcript, dataset[demo_id].n_frames)
+        except ValueError as exc:
+            raise ValueError(f"{demo_id}.txt: {exc}") from None
     if kinematic:
         built = _preprocess.build_features(
             kinematic, fc_hz=config.fc_hz, fs_hz=config.sample_rate_hz,
@@ -249,14 +263,6 @@ def load_dataset(config: RunConfig) -> tuple[dict[str, LoadedDemo], list[str]]:
         )
         for name, features in built.items():
             dataset[os.path.splitext(name)[0]].features = features
-    if sidecar is not None:
-        annotated = {d for d, item in dataset.items() if item.truth is not None}
-        for kind, demo_id, _ in sidecar.entries():
-            if demo_id not in annotated:
-                raise ValueError(
-                    f"{config.sidecar}: sidecar {kind!r} of {demo_id!r}: "
-                    "no transcript of that demonstration was loaded"
-                )
     return dataset, names
 
 

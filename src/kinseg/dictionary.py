@@ -22,15 +22,20 @@ Sidecar files are JSON:
      "overrides":  {"demo_id": {"5": "L7"}}}
 
 keyed by demonstration id and 0-based segment index in the transcript.
+
+A mapping is a dict from source label to its MappingRule. A parsed sidecar
+is the dict {"boundaries": {(demo_id, index): frames}, "overrides":
+{(demo_id, index): label}}; check_sidecar checks its entries against the
+transcripts once, before any is remapped.
 """
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-from typing import TextIO
+from typing import Sequence, TextIO
 
-from kinseg.ingest import Segment, Transcript
+from kinseg.ingest import Segment
 
 
 @dataclass(frozen=True)
@@ -49,32 +54,7 @@ class MappingRule:
             raise ValueError("fractions must lie strictly in (0, 1)")
 
 
-@dataclass(frozen=True)
-class LabelMapping:
-    rules: dict[str, MappingRule] = field(default_factory=dict)
-
-    def rule_for(self, label: str) -> MappingRule:
-        try:
-            return self.rules[label]
-        except KeyError:
-            raise ValueError(f"no mapping rule for label {label!r}") from None
-
-
-@dataclass(frozen=True)
-class Sidecar:
-    """Per-demonstration split frames and context-rule overrides."""
-
-    boundaries: dict[tuple[str, int], tuple[int, ...]] = field(default_factory=dict)
-    overrides: dict[tuple[str, int], str] = field(default_factory=dict)
-
-    def entries(self):
-        """(kind, demonstration id, segment index) of every entry."""
-        for kind in ("boundaries", "overrides"):
-            for demo_id, idx in getattr(self, kind):
-                yield kind, demo_id, idx
-
-
-def parse_mapping(text: str | TextIO) -> LabelMapping:
+def parse_mapping(text: str | TextIO) -> dict[str, MappingRule]:
     stream = io.StringIO(text) if isinstance(text, str) else text
     rules: dict[str, MappingRule] = {}
     for lineno, raw in enumerate(stream, start=1):
@@ -106,12 +86,12 @@ def parse_mapping(text: str | TextIO) -> LabelMapping:
             rules[source] = MappingRule(source, targets, fractions)
         except ValueError as exc:
             raise ValueError(f"mapping line {lineno}: {exc}") from None
-    return LabelMapping(rules)
+    return rules
 
 
-def parse_sidecar(text: str | TextIO) -> Sidecar:
-    """Parse the JSON shape in the module docstring; any other shape, an
-    unknown key included, raises ValueError."""
+def parse_sidecar(text: str | TextIO) -> dict[str, dict]:
+    """Parse the JSON shape in the module docstring into the dict described
+    there; any other shape, an unknown key included, raises ValueError."""
     doc = json.loads(text if isinstance(text, str) else text.read())
     if not isinstance(doc, dict):
         raise ValueError(f"a sidecar holds a JSON object, not {type(doc).__name__}")
@@ -143,20 +123,46 @@ def parse_sidecar(text: str | TextIO) -> Sidecar:
                         f"index keying {expected}, got {seg_idx!r}: {value!r}"
                     )
                 entries[key][demo_id, int(seg_idx)] = value
-    return Sidecar(
-        boundaries={k: tuple(frames) for k, frames in entries["boundaries"].items()},
-        overrides=entries["overrides"],
-    )
+    return entries
 
 
-def default_mapping() -> LabelMapping:
+def default_mapping() -> dict[str, MappingRule]:
     """The remapping rules shipped with the package."""
     text = resources.files("kinseg").joinpath("data/remap_suturing.txt").read_text()
     return parse_mapping(text)
 
 
+def check_sidecar(
+    sidecar: dict[str, dict],
+    transcripts: dict[str, Sequence[Segment]],
+    mapping: dict[str, MappingRule],
+) -> None:
+    """Each sidecar entry must name a segment of a loaded transcript whose
+    rule reads it: boundaries a split, overrides the context rule. An entry
+    nothing reads is an error, not a no-op. A segment whose label has no
+    rule is left to apply_mapping, which names the transcript's label."""
+    for kind, entries in sidecar.items():
+        for demo_id, idx in entries:
+            where = f"sidecar {kind!r} of {demo_id!r}"
+            t = transcripts.get(demo_id)
+            if t is None:
+                raise ValueError(f"{where}: no transcript of that demonstration was loaded")
+            where += f", segment {idx}"
+            if idx >= len(t):
+                raise ValueError(f"{where}: the transcript has {len(t)} segments")
+            rule = mapping.get(t[idx].label)
+            if rule is None:
+                continue
+            if kind == "boundaries" and len(rule.targets) < 2:
+                raise ValueError(f"{where}: the rule for {rule.source!r} is not a split")
+            if kind == "overrides" and rule.targets:
+                raise ValueError(
+                    f"{where}: the rule for {rule.source!r} is not the context rule"
+                )
+
+
 def _boundaries_for(
-    segment: Segment, rule: MappingRule, explicit: tuple[int, ...] | None
+    segment: Segment, rule: MappingRule, explicit: list[int] | None
 ) -> list[int]:
     needed = len(rule.targets) - 1
     if explicit is not None:
@@ -191,35 +197,36 @@ def _boundaries_for(
 
 
 def apply_mapping(
-    t: Transcript,
-    mapping: LabelMapping,
-    sidecar: Sidecar | None = None,
+    t: Sequence[Segment],
+    mapping: dict[str, MappingRule],
+    sidecar: dict[str, dict] | None = None,
     *,
     demo_id: str = "",
-) -> Transcript:
+) -> tuple[Segment, ...]:
     """Relabel a transcript; merges coalesce, splits cut at boundary frames.
 
     The frame b of a boundary list ends the part before it: a split of
     (s, e) at b yields (s, b) and (b+1, e). The total labeled frame count
-    is preserved exactly.
+    is preserved exactly. The sidecar's entries of demo_id are used as
+    they are; check_sidecar is what checks that each is read.
     """
-    sidecar = sidecar or Sidecar()
-    for segment in t.segments:
-        mapping.rule_for(segment.label)  # fail fast on unmapped labels
-    _check_sidecar(t, mapping, sidecar, demo_id)
+    sidecar = sidecar or {"boundaries": {}, "overrides": {}}
+    for segment in t:  # fail fast on an unmapped label
+        if segment.label not in mapping:
+            raise ValueError(f"no mapping rule for label {segment.label!r}")
+    rules = [mapping[segment.label] for segment in t]
 
     pieces: list[Segment] = []
-    for idx, segment in enumerate(t.segments):
-        rule = mapping.rule_for(segment.label)
+    for idx, (segment, rule) in enumerate(zip(t, rules)):
         if not rule.targets:
-            target = sidecar.overrides.get((demo_id, idx))
+            target = sidecar["overrides"].get((demo_id, idx))
             if target is None:
-                target = _neighbor_target(t, mapping, idx)
+                target = _neighbor_target(t, rules, idx)
             pieces.append(Segment(segment.start, segment.end, target))
         elif len(rule.targets) == 1:
             pieces.append(Segment(segment.start, segment.end, rule.targets[0]))
         else:
-            explicit = sidecar.boundaries.get((demo_id, idx))
+            explicit = sidecar["boundaries"].get((demo_id, idx))
             frames = _boundaries_for(segment, rule, explicit)
             starts = [segment.start] + [b + 1 for b in frames]
             ends = frames + [segment.end]
@@ -238,43 +245,20 @@ def apply_mapping(
             merged[-1] = Segment(merged[-1].start, piece.end, piece.label)
         else:
             merged.append(piece)
-    return Transcript(tuple(merged))
+    return tuple(merged)
 
 
-def _check_sidecar(
-    t: Transcript, mapping: LabelMapping, sidecar: Sidecar, demo_id: str
-) -> None:
-    """Each sidecar entry of the demonstration must name a segment of its
-    transcript whose rule reads it: boundaries a split, overrides the
-    context rule. An entry nothing reads is an error, not a no-op."""
-    for kind, entry_id, idx in sidecar.entries():
-        if entry_id != demo_id:
-            continue
-        where = f"sidecar {kind!r} of {demo_id!r}, segment {idx}"
-        if idx >= len(t.segments):
-            raise ValueError(f"{where}: the transcript has {len(t.segments)} segments")
-        rule = mapping.rule_for(t.segments[idx].label)
-        if kind == "boundaries" and len(rule.targets) < 2:
-            raise ValueError(f"{where}: the rule for {rule.source!r} is not a split")
-        if kind == "overrides" and rule.targets:
-            raise ValueError(
-                f"{where}: the rule for {rule.source!r} is not the context rule"
-            )
-
-
-def _neighbor_target(t: Transcript, mapping: LabelMapping, idx: int) -> str:
+def _neighbor_target(t: Sequence[Segment], rules: list[MappingRule], idx: int) -> str:
     """Class of the temporally adjacent part of the nearest concrete neighbor:
     the following segment's first part, or the previous segment's last part
     when the transcript ends with the context-ruled segment."""
     for j, adjacent in (
-        *((j, 0) for j in range(idx + 1, len(t.segments))),
+        *((j, 0) for j in range(idx + 1, len(t))),
         *((j, -1) for j in range(idx - 1, -1, -1)),
     ):
-        rule = mapping.rule_for(t.segments[j].label)
-        if rule.targets:
-            return rule.targets[adjacent]
+        if rules[j].targets:
+            return rules[j].targets[adjacent]
     raise ValueError(
-        f"segment {t.segments[idx]}: no neighbor with a concrete target "
+        f"segment {t[idx]}: no neighbor with a concrete target "
         "for the 'following' rule"
     )
-

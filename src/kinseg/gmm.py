@@ -488,28 +488,6 @@ def dumps_model(model: GmmModel) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def loads_model(text: str) -> GmmModel:
-    doc = json.loads(text)
-    if doc.get("format") != "kinseg-gmm":
-        raise ValueError("not a mixture model file")
-    components = doc["components"]
-    k, dim = len(components), int(doc["dimension"])
-    return GmmModel(
-        means=np.array([c["mean"] for c in components], dtype=float).reshape(k, dim),
-        covariances=np.array(
-            [c["covariance"] for c in components], dtype=float
-        ).reshape(k, dim, dim),
-        weights=np.array([c["weight"] for c in components], dtype=float),
-        labels=tuple(c["label"] for c in components),
-        fit_trace=[float(v) for v in doc["fit_trace"]],
-    )
-
-
 def save_model(model: GmmModel, path) -> None:
     with open(path, "w") as fh:
         fh.write(dumps_model(model))
-
-
-def load_model(path) -> GmmModel:
-    with open(path) as fh:
-        return loads_model(fh.read())

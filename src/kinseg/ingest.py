@@ -4,12 +4,12 @@ Two on-disk layouts are supported: the robot dataset layout (76
 whitespace-separated reals per line, of which the last 38 columns are the
 two patient-side arms) and a generic CSV layout (header row of channel
 names, one frame per row). Transcripts are "start end label" lines with
-1-based inclusive frame ranges.
+1-based inclusive frame ranges; in memory a transcript is a tuple of
+Segments.
 """
 
 import csv
 import io
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
@@ -19,53 +19,11 @@ PSM_COLUMNS = 38
 JIGSAWS_RATE_HZ = 30.0
 UNANNOTATED = ""  # label of the frames no transcript segment covers
 
-# 19 variables per arm: position, row-major rotation matrix, linear
-# velocity, angular velocity, gripper angle.
-_ARM_VARIABLES = (
-    ["pos_x", "pos_y", "pos_z"]
-    + [f"rot_{i}{j}" for i in range(1, 4) for j in range(1, 4)]
-    + ["vel_x", "vel_y", "vel_z"]
-    + ["angvel_x", "angvel_y", "angvel_z"]
-    + ["gripper"]
-)
-
-PSM_CHANNEL_NAMES = [f"psm1_{v}" for v in _ARM_VARIABLES] + [
-    f"psm2_{v}" for v in _ARM_VARIABLES
-]
-
-
-class ParseError(ValueError):
-    """Malformed input; carries the 1-based line number when known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
 
 class Segment(NamedTuple):
     start: int  # 1-based inclusive
     end: int  # 1-based inclusive
     label: str
-
-
-@dataclass(frozen=True)
-class Transcript:
-    """Ordered, non-overlapping gesture segments (1-based inclusive frames)."""
-
-    segments: tuple[Segment, ...]
-
-    def __post_init__(self):
-        segs = tuple(Segment(*s) for s in self.segments)
-        prev_end = 0
-        for s in segs:
-            if not (1 <= s.start <= s.end):
-                raise ValueError(f"segment {s} has invalid bounds")
-            if s.start <= prev_end:
-                raise ValueError(f"segment {s} overlaps the previous segment")
-            prev_end = s.end
-        object.__setattr__(self, "segments", segs)
 
 
 def _lines(text: str | TextIO) -> Iterable[tuple[int, str]]:
@@ -78,8 +36,9 @@ def _lines(text: str | TextIO) -> Iterable[tuple[int, str]]:
 
 def parse_kinematics(
     text: str | TextIO, layout: str = "jigsaws"
-) -> tuple[np.ndarray, list[str]]:
-    """Parse a kinematic recording into its T x C frames and channel names.
+) -> tuple[np.ndarray, list[str] | None]:
+    """Parse a kinematic recording into its T x C frames and its CSV header
+    (None for robot text, whose columns have no names in the file).
 
     layout "jigsaws": 76 whitespace-separated reals per line; only the 38
     patient-side columns are kept.
@@ -91,19 +50,19 @@ def parse_kinematics(
         frames = _load_jigsaws(stream) if stream.seekable() else None
         if frames is None:
             frames = _parse_jigsaws_lines(stream)
-        return frames, list(PSM_CHANNEL_NAMES)
+        return frames, None
     if layout == "generic_csv":
         return _parse_csv(stream)
     raise ValueError(f"unknown layout {layout!r}")
 
 
 def _load_jigsaws(stream) -> np.ndarray | None:
-    """Fast path through np.loadtxt; blank input raises ParseError. Returns
+    """Fast path through np.loadtxt; blank input raises ValueError. Returns
     None, with the stream rewound, when the input is malformed, so that the
     line parser can report where."""
     start = stream.tell()
     if not any(line.strip() for line in iter(stream.readline, "")):
-        raise ParseError("empty input")
+        raise ValueError("empty input")
     stream.seek(start)
     try:
         values = np.loadtxt(stream, comments=None, ndmin=2)
@@ -121,12 +80,13 @@ def _parse_jigsaws_lines(stream) -> np.ndarray:
     for lineno, line in _lines(stream):
         tokens = line.split()
         if len(tokens) != JIGSAWS_TOTAL_COLUMNS:
-            raise ParseError(
-                f"expected {JIGSAWS_TOTAL_COLUMNS} columns, got {len(tokens)}", lineno
+            raise ValueError(
+                f"line {lineno}: expected {JIGSAWS_TOTAL_COLUMNS} columns, "
+                f"got {len(tokens)}"
             )
         rows.append(_finite_floats(tokens, lineno)[-PSM_COLUMNS:])
     if not rows:
-        raise ParseError("empty input")
+        raise ValueError("empty input")
     return np.array(rows, dtype=float)
 
 
@@ -135,9 +95,9 @@ def _finite_floats(tokens: list[str], lineno: int) -> list[float]:
     try:
         values = [float(t) for t in tokens]
     except ValueError:
-        raise ParseError("non-numeric token", lineno) from None
+        raise ValueError(f"line {lineno}: non-numeric token") from None
     if not all(np.isfinite(values)):
-        raise ParseError("non-finite value", lineno)
+        raise ValueError(f"line {lineno}: non-finite value")
     return values
 
 
@@ -153,51 +113,52 @@ def _parse_csv(stream) -> tuple[np.ndarray, list[str]]:
             header = [c.strip() for c in record]
             continue
         if len(record) != len(header):
-            raise ParseError(
-                f"expected {len(header)} columns, got {len(record)}", lineno
+            raise ValueError(
+                f"line {lineno}: expected {len(header)} columns, got {len(record)}"
             )
         rows.append(_finite_floats(record, lineno))
     if header is None:
-        raise ParseError("empty input")
+        raise ValueError("empty input")
     if not rows:
-        raise ParseError("no data rows")
+        raise ValueError("no data rows")
     return np.array(rows, dtype=float), header
 
 
-def parse_transcript(text: str | TextIO) -> Transcript:
-    """Parse "start end label" lines into a sorted Transcript."""
+def parse_transcript(text: str | TextIO) -> tuple[Segment, ...]:
+    """Parse "start end label" lines into segments sorted by start, each
+    within bounds and none overlapping another."""
     segments = []
     for lineno, line in _lines(text):
         tokens = line.split()
         if len(tokens) != 3:
-            raise ParseError(f"expected 'start end label', got {line!r}", lineno)
+            raise ValueError(f"line {lineno}: expected 'start end label', got {line!r}")
         try:
             start, end = int(tokens[0]), int(tokens[1])
         except ValueError:
-            raise ParseError("non-integer frame index", lineno) from None
+            raise ValueError(f"line {lineno}: non-integer frame index") from None
         if start > end:
-            raise ParseError(f"start {start} exceeds end {end}", lineno)
+            raise ValueError(f"line {lineno}: start {start} exceeds end {end}")
         if start < 1:
-            raise ParseError(f"frame indices are 1-based, got {start}", lineno)
+            raise ValueError(f"line {lineno}: frame indices are 1-based, got {start}")
         segments.append(Segment(start, end, tokens[2]))
     segments.sort(key=lambda s: s.start)
     for prev, cur in zip(segments, segments[1:]):
         if cur.start <= prev.end:
-            raise ParseError(f"segments {prev} and {cur} overlap")
-    return Transcript(tuple(segments))
+            raise ValueError(f"segments {prev} and {cur} overlap")
+    return tuple(segments)
 
 
-def serialize_transcript(t: Transcript) -> str:
-    return "".join(f"{s.start} {s.end} {s.label}\n" for s in t.segments)
+def serialize_transcript(t: Sequence[Segment]) -> str:
+    return "".join(f"{s.start} {s.end} {s.label}\n" for s in t)
 
 
-def expand_labels(t: Transcript, n_frames: int) -> np.ndarray:
+def expand_labels(t: Sequence[Segment], n_frames: int) -> np.ndarray:
     """Per-frame labels as an object array (0-based, length n_frames);
     frames no segment covers hold UNANNOTATED."""
     if n_frames < 0:
         raise ValueError(f"trajectory length must be >= 0, got {n_frames}")
     labels = np.full(n_frames, UNANNOTATED, dtype=object)
-    for s in t.segments:
+    for s in t:
         if s.end > n_frames:
             raise ValueError(
                 f"segment {s} exceeds trajectory length {n_frames}"
@@ -206,13 +167,13 @@ def expand_labels(t: Transcript, n_frames: int) -> np.ndarray:
     return labels
 
 
-def compress_labels(labels: Sequence[str]) -> Transcript:
+def compress_labels(labels: Sequence[str]) -> tuple[Segment, ...]:
     """Inverse of expand_labels: contiguous runs become segments, and
     UNANNOTATED runs become gaps."""
     labels = np.asarray(labels, dtype=object)
     # runs start at frame 0 (if there is one) and wherever the label changes
     starts = np.flatnonzero(np.r_[len(labels) > 0, labels[1:] != labels[:-1]])
     runs = zip(starts.tolist(), starts[1:].tolist() + [len(labels)], labels[starts])
-    return Transcript(
-        tuple(Segment(i + 1, j, label) for i, j, label in runs if label != UNANNOTATED)
+    return tuple(
+        Segment(i + 1, j, label) for i, j, label in runs if label != UNANNOTATED
     )

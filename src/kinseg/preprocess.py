@@ -81,25 +81,6 @@ def rotmat_to_quat(R: np.ndarray) -> np.ndarray:
     return q.reshape(R.shape[:-2] + (4,))
 
 
-def lowpass_filter(signal: np.ndarray, fc_hz: float, fs_hz: float) -> np.ndarray:
-    """Zero-phase low-pass: 2nd-order Butterworth applied forward-backward.
-
-    The section is designed by bilinear transform with prewarping; the net
-    magnitude response is the square of the single-pass response. Edges are
-    handled by even (reflective) padding of 3x the filter order, cropped
-    after the backward pass. A T x p matrix is filtered per column.
-
-    The result is bit for bit that of scipy.signal's
-    ``filtfilt(*butter(2, fc_hz, fs=fs_hz), x, axis=0, padtype="even",
-    padlen=min(6, T - 1))``: the coefficients, the initial state and the
-    recurrence repeat scipy's floating-point operations in scipy's order,
-    so every rounding is the same. It is _lowpass_batch on a batch of one.
-    """
-    x = _as_columns(signal)
-    (y,) = _lowpass_batch([x.shape], [x], fc_hz, fs_hz)
-    return y.reshape(np.shape(signal))
-
-
 def _filter_edge(n: int) -> int:
     """Rows of even padding at each end of a length-n signal."""
     if n < 4:
@@ -108,10 +89,20 @@ def _filter_edge(n: int) -> int:
 
 
 def _lowpass_batch(shapes, signals, fc_hz: float, fs_hz: float) -> list[np.ndarray]:
-    """lowpass_filter of T_i x p_i signals in one forward and one backward
-    recurrence over all their columns. `signals` yields arrays of the given
-    shapes, in order, and is read once, as each is copied into the buffer;
-    the results are views of that one buffer.
+    """Zero-phase low-pass of T_i x p_i signals, column by column: a 2nd-order
+    Butterworth section applied forward, then backward, in one recurrence
+    over all their columns. `signals` yields arrays of the given shapes, in
+    order, and is read once, as each is copied into the buffer; the results
+    are views of that one buffer.
+
+    The section is designed by bilinear transform with prewarping; the net
+    magnitude response is the square of the single-pass response. Edges are
+    handled by even (reflective) padding of 3x the filter order, cropped
+    after the backward pass. Each signal's result is bit for bit that of
+    scipy.signal's ``filtfilt(*butter(2, fc_hz, fs=fs_hz), x, axis=0,
+    padtype="even", padlen=min(6, T - 1))``: the coefficients, the initial
+    state and the recurrence repeat scipy's floating-point operations in
+    scipy's order, so every rounding is the same.
 
     Each signal's padded columns sit left-aligned in the buffer; the rows
     below a shorter signal (zeros, then the forward pass's decaying tail)

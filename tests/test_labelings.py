@@ -17,7 +17,6 @@ from kinseg.gmm import transition_points
 from kinseg.ingest import (
     UNANNOTATED,
     Segment,
-    Transcript,
     compress_labels,
     expand_labels,
 )
@@ -31,7 +30,7 @@ def ref_expand_labels(t, n_frames, fill=""):
     if n_frames < 0:
         raise ValueError(f"trajectory length must be >= 0, got {n_frames}")
     labels = [fill] * n_frames
-    for s in t.segments:
+    for s in t:
         if s.end > n_frames:
             raise ValueError(f"segment {s} exceeds trajectory length {n_frames}")
         for i in range(s.start - 1, s.end):
@@ -51,7 +50,7 @@ def ref_compress_labels(labels, fill=""):
         n = i + 1
     if current is not None and current != fill:
         segments.append(Segment(start + 1, n, current))
-    return Transcript(tuple(segments))
+    return tuple(segments)
 
 
 def ref_labels_at_rows(frame_labels, n_rows, stride):
@@ -190,7 +189,7 @@ def transcripts(draw):
         end = pos + draw(st.integers(0, 6))
         segments.append(Segment(pos, end, label))
         pos = end + 1
-    return Transcript(tuple(segments))
+    return tuple(segments)
 
 
 # ------------------------------------------------- equality with references
@@ -200,7 +199,7 @@ class TestAgainstReferences:
     @settings(max_examples=100, deadline=None)
     @given(t=transcripts(), extra=st.integers(-3, 5))
     def test_expand_labels(self, t, extra):
-        n = (t.segments[-1].end if t.segments else 0) + extra
+        n = (t[-1].end if t else 0) + extra
         if extra < 0:
             match = f"must be >= 0, got {n}" if n < 0 else "exceeds"
             with pytest.raises(ValueError, match=match):
@@ -315,19 +314,19 @@ class TestAgainstReferences:
 def _merge_touching(t):
     """Segments that touch and share a label become one."""
     merged = []
-    for s in t.segments:
+    for s in t:
         if merged and merged[-1].label == s.label and merged[-1].end + 1 == s.start:
             merged[-1] = Segment(merged[-1].start, s.end, s.label)
         else:
             merged.append(s)
-    return Transcript(tuple(merged))
+    return tuple(merged)
 
 
 class TestLabelingProperties:
     @settings(max_examples=100, deadline=None)
     @given(t=transcripts(), tail=st.integers(0, 5))
     def test_expand_compress_round_trip(self, t, tail):
-        n = (t.segments[-1].end if t.segments else 0) + tail
+        n = (t[-1].end if t else 0) + tail
         assert compress_labels(expand_labels(t, n)) == _merge_touching(t)
 
     @settings(max_examples=100, deadline=None)

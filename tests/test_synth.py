@@ -122,7 +122,7 @@ class TestSwitchedLds:
 class TestScheduleTranscript:
     def test_segments_one_based(self):
         t = schedule_transcript(((5, 0), (3, 2)))
-        assert t.segments == (Segment(1, 5, "R0"), Segment(6, 8, "R2"))
+        assert t == (Segment(1, 5, "R0"), Segment(6, 8, "R2"))
 
     def test_matches_generated_labels(self):
         sched = ((4, 1), (6, 0), (2, 1))
@@ -134,7 +134,7 @@ class TestScheduleTranscript:
         )
         _, labels = generate(model)
         t = schedule_transcript(sched)
-        for seg in t.segments:
+        for seg in t:
             for frame in range(seg.start - 1, seg.end):
                 assert labels[frame] == seg.label
 
@@ -217,8 +217,8 @@ class TestWriteDataset:
         assert frames.shape == (360, 4)
         assert names == ["s0", "s1", "s2", "s3"]
         t = parse_transcript((synth_dir / "transcripts" / "synth00.txt").read_text())
-        assert t.segments[-1].end == 360
-        assert {s.label for s in t.segments} == {"R0", "R1", "R2"}
+        assert t[-1].end == 360
+        assert {s.label for s in t} == {"R0", "R1", "R2"}
 
     def test_seed_repeat_identical_bytes(self, synth_dir, tmp_path):
         other = tmp_path / "again"
