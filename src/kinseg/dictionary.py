@@ -6,7 +6,8 @@ splits at externally supplied boundary frames, and a context rule that
 absorbs a segment into its neighbor's class. Split boundaries are data,
 not algorithm: a per-demonstration sidecar supplies exact frames; a split
 rule may carry default fractions, one per boundary, used when the sidecar
-is silent.
+is silent. On a segment too short for its fractions, the parts that get no
+frame are dropped; sidecar boundaries must give every part a frame.
 
 Mapping file syntax, one rule per line ('#' starts a comment):
 
@@ -161,9 +162,16 @@ def check_sidecar(
                 )
 
 
-def _boundaries_for(
-    segment: Segment, rule: MappingRule, explicit: list[int] | None
-) -> list[int]:
+def _split(segment: Segment, rule: MappingRule, explicit: list[int] | None) -> list[Segment]:
+    """The parts of a segment under a split rule, in the rule's order.
+
+    Boundaries come from the sidecar (explicit) or else from the rule's
+    fractions: f puts a boundary after round(n * f) of the segment's n
+    frames, kept within [1, n - 1]. Explicit boundaries must give every part
+    a frame. Fractions on a segment too short for them, or close enough to
+    round to the same frame, leave some parts no frame: those parts are
+    dropped, and the others keep the segment's frames in order.
+    """
     needed = len(rule.targets) - 1
     if explicit is not None:
         frames = sorted(explicit)
@@ -172,6 +180,16 @@ def _boundaries_for(
                 f"segment {segment}: rule {rule.source!r} needs {needed} "
                 f"boundary frame(s), got {len(frames)}"
             )
+        prev = segment.start - 1
+        for b in frames:
+            if not segment.start <= b < segment.end:
+                raise ValueError(
+                    f"segment {segment}: boundary {b} falls outside "
+                    f"[{segment.start}, {segment.end - 1}]"
+                )
+            if b <= prev:
+                raise ValueError(f"segment {segment}: boundaries must be increasing")
+            prev = b
     elif rule.fractions:
         total = segment.end - segment.start + 1
         frames = sorted(
@@ -183,17 +201,11 @@ def _boundaries_for(
             f"segment {segment}: split rule {rule.source!r} has no boundary "
             "frames (supply a sidecar entry or rule fractions)"
         )
-    prev = segment.start - 1
-    for b in frames:
-        if not segment.start <= b < segment.end:
-            raise ValueError(
-                f"segment {segment}: boundary {b} falls outside "
-                f"[{segment.start}, {segment.end - 1}]"
-            )
-        if b <= prev:
-            raise ValueError(f"segment {segment}: boundaries must be increasing")
-        prev = b
-    return frames
+    starts = [segment.start] + [b + 1 for b in frames]
+    ends = frames + [segment.end]
+    return [
+        Segment(s, e, label) for s, e, label in zip(starts, ends, rule.targets) if s <= e
+    ]
 
 
 def apply_mapping(
@@ -227,13 +239,7 @@ def apply_mapping(
             pieces.append(Segment(segment.start, segment.end, rule.targets[0]))
         else:
             explicit = sidecar["boundaries"].get((demo_id, idx))
-            frames = _boundaries_for(segment, rule, explicit)
-            starts = [segment.start] + [b + 1 for b in frames]
-            ends = frames + [segment.end]
-            pieces.extend(
-                Segment(s, e, label)
-                for s, e, label in zip(starts, ends, rule.targets)
-            )
+            pieces.extend(_split(segment, rule, explicit))
 
     merged: list[Segment] = []
     for piece in pieces:

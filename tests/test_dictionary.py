@@ -170,6 +170,49 @@ class TestApplyMapping:
         assert out[0].start == 1
         assert out[-1].end == 30
 
+    @pytest.mark.parametrize("t, want", [
+        ((Segment(4, 4, "G3"),), [(4, 4, "L1")]),
+        ((Segment(4, 4, "G6"),), [(4, 4, "L5")]),
+        ((Segment(4, 4, "G11"),), [(4, 4, "L7")]),
+        ((Segment(4, 5, "G11"),), [(4, 4, "L7"), (5, 5, "L10")]),
+        ((Segment(4, 6, "G11"),), [(4, 4, "L7"), (5, 5, "L9"), (6, 6, "L10")]),
+        ((Segment(1, 3, "G2"), Segment(4, 4, "G3")), [(1, 4, "L1")]),
+    ])
+    def test_builtin_split_of_a_short_segment(self, t, want):
+        # the parts that the default fractions give no frame are dropped
+        assert apply_mapping(t, default_mapping()) == tuple(Segment(*w) for w in want)
+
+    def test_fractions_on_one_frame_drop_the_part_between(self):
+        t = (Segment(1, 10, "G"),)
+        out = apply_mapping(t, parse_mapping("G -> A | B | C @ 0.5,0.52\n"))
+        assert out == (Segment(1, 5, "A"), Segment(6, 10, "C"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        total=st.integers(1, 40),
+        fractions=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3),
+    )
+    def test_fraction_split_keeps_every_boundary_that_gives_each_part_a_frame(
+        self, total, fractions
+    ):
+        targets = [f"P{i}" for i in range(len(fractions) + 1)]
+        rule = f"G -> {' | '.join(targets)} @ {','.join(map(repr, fractions))}\n"
+        out = apply_mapping((Segment(1, total, "G"),), parse_mapping(rule))
+        cuts = sorted(max(1, min(total - 1, round(total * f))) for f in fractions)
+        if all(0 < a < b < total for a, b in zip([0] + cuts, cuts + [total])):
+            # every part gets a frame: the parts end where the fractions cut
+            assert [s.end for s in out] == cuts + [total]
+            assert [s.label for s in out] == targets
+        assert [s.label for s in out] == sorted({s.label for s in out}, key=targets.index)
+        assert out[0].start == 1 and out[-1].end == total
+        assert all(a.end + 1 == b.start for a, b in zip(out, out[1:]))
+
+    def test_short_segment_with_sidecar_boundaries_errors(self):
+        t = (Segment(4, 5, "G11"),)
+        sc = {"boundaries": {("d", 0): [4, 5]}, "overrides": {}}
+        with pytest.raises(ValueError, match="outside"):
+            apply_mapping(t, default_mapping(), sc, demo_id="d")
+
     def test_split_without_boundary_errors(self):
         t = (Segment(1, 10, "G"),)
         with pytest.raises(ValueError, match="no boundary"):
@@ -302,15 +345,17 @@ def mapped_transcripts(draw):
     m = draw(mappings())
     segments, boundaries, overrides = [], {}, {}
     for s in draw(transcripts()):
-        # a split into n parts needs at least n frames
-        fits = [k for k, rule in m.items() if len(rule.targets) <= s.end - s.start + 1]
+        # sidecar boundaries must give each of n parts a frame; default
+        # fractions drop the parts a short segment leaves without one
+        frames = s.end - s.start + 1
+        fits = [k for k, rule in m.items() if rule.fractions or len(rule.targets) <= frames]
         if not fits:
             continue  # a gap where no rule can cut the segment
         rule = m[draw(st.sampled_from(fits))]
         idx = len(segments)
         segments.append(s._replace(label=rule.source))
         n = len(rule.targets)
-        if n > 1 and (not rule.fractions or draw(st.booleans())):
+        if 1 < n <= frames and (not rule.fractions or draw(st.booleans())):
             boundaries["d", idx] = draw(st.lists(
                 st.integers(s.start, s.end - 1), min_size=n - 1, max_size=n - 1,
                 unique=True,
@@ -329,9 +374,9 @@ class TestApplyMappingInvariant:
         try:
             out = apply_mapping(t, m, sidecar, demo_id="d")
         except ValueError as exc:
-            # default fractions that round to one frame, or a context-ruled
-            # segment with no override and no neighbor of concrete class
-            assert "increasing" in str(exc) or "neighbor" in str(exc)
+            # a context-ruled segment with no override and no neighbor of
+            # concrete class
+            assert "neighbor" in str(exc)
             reject()
         assert all(1 <= s.start <= s.end for s in out)
         assert all(a.end < b.start for a, b in zip(out, out[1:]))

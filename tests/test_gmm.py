@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from scipy import linalg
 
 from kinseg.gmm import (
+    GATHER_ELEMENTS,
     ROW_BLOCK,
     GmmModel,
     NumericalError,
     _log_densities,
     _logsumexp_rows,
+    _scatter,
     dumps_model,
     em_fit,
     kmeans_init,
@@ -438,6 +440,36 @@ class TestSerialization:
         assert text == json.dumps(doc, indent=2) + "\n"
         assert json.loads(text) == doc
 
+    @pytest.mark.parametrize("label", ["g", 'say "hi"\\\n\tüñ', None])
+    @pytest.mark.parametrize("trace", [[], [-3.5, -2.0]])
+    @pytest.mark.parametrize("odd", [None, np.nan, np.inf, -np.inf])
+    def test_same_bytes_as_json(self, label, trace, odd):
+        rng = np.random.default_rng(27)
+        A = rng.normal(size=(3, 3))
+        model = mixture(
+            (rng.normal(size=3), A @ A.T, 0.625, label),
+            (rng.normal(size=3) * 1e-300, np.eye(3) * 1e300, 0.375),
+        )
+        model.fit_trace.extend(trace)
+        if odd is not None:
+            model.covariances[0, 1, 2] = odd
+            model.means[1, 0] = odd
+        doc = {
+            "format": "kinseg-gmm",
+            "version": 1,
+            "dimension": 3,
+            "components": [
+                {"label": lab, "weight": w, "mean": m.tolist(), "covariance": c.tolist()}
+                for lab, w, m, c in zip(
+                    (label, None), (0.625, 0.375), model.means, model.covariances
+                )
+            ],
+            "fit_trace": trace,
+        }
+        text = dumps_model(model)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        assert odd is None or json.dumps(float(odd)) in text
+
     def test_dumps_is_self_describing(self):
         model = mixture((np.zeros(2), np.eye(2), 1.0, "g"))
         text = dumps_model(model)
@@ -498,6 +530,41 @@ def reference_em_fit(data, init, tol, max_iter):
 def rel_err(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), np.finfo(float).tiny))
+
+
+def dense_scatter(data, resp, means):
+    """The M-step scatter over every row of every component, one batched
+    Z^T Z per block of ROW_BLOCK rows, as before exact zeros were skipped."""
+    out = np.zeros((len(means), data.shape[1], data.shape[1]))
+    for start in range(0, len(data), ROW_BLOCK):
+        z = data[start : start + ROW_BLOCK] - means[:, None, :]
+        z *= np.sqrt(resp[start : start + ROW_BLOCK].T)[:, :, None]
+        out += np.swapaxes(z, 1, 2) @ z
+    return out
+
+
+class TestSparseScatter:
+    @pytest.mark.parametrize("n, dim", [
+        (1, 4),
+        (ROW_BLOCK + 1, 4),
+        (2 * ROW_BLOCK + 3, 96),  # 682-row chunks
+        (GATHER_ELEMENTS // 4 + 300, 4),  # the last component spans two chunks
+    ])
+    def test_matches_dense_reference(self, n, dim):
+        rng = np.random.default_rng(n + dim)
+        data = rng.normal(0, 2, (n, dim))
+        means = rng.normal(0, 1, (4, dim))
+        resp = rng.random((n, 4))
+        resp[rng.random(n) < 0.9, 0] = 0.0  # zero on most rows
+        resp[:, 1] = 0.0  # zero on every row
+        resp[:, 2] *= 1e-200  # tiny, never zero: every row counts
+        resp[0, :3] = 0.0  # a row only the last component holds
+        got = _scatter(data, resp, means)
+        want = dense_scatter(data, resp, means)
+        for k in range(4):
+            assert rel_err(got[k], want[k]) <= 1e-12
+        assert not np.any(got[1])
+        assert np.any(got[2]) == (n > 1)
 
 
 class TestStackedKernel:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kinseg.metrics import (
+    SILHOUETTE_ELEMENTS,
     confusion_matrix,
     evaluate,
     silhouette_index,
@@ -149,6 +150,24 @@ class TestSilhouette:
             assert abs(
                 silhouette_index(X, labels) - brute_silhouette(X, labels)
             ) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [3, 96])
+    def test_blocked_distances_equal_the_norm_form(self, dim):
+        # silhouette_samples with np.linalg.norm over all rows per mean, the
+        # form the blocked distances replaced; the rows span three blocks
+        rng = np.random.default_rng(dim)
+        n = 2 * (SILHOUETTE_ELEMENTS // dim) + 7
+        X = rng.normal(size=(n, dim)) * rng.uniform(0.01, 100, dim)
+        labels = rng.integers(0, 5, n).astype(str)
+        names, idx = np.unique(labels, return_inverse=True)
+        means = np.stack([X[idx == j].mean(axis=0) for j in range(len(names))])
+        dists = np.stack([np.linalg.norm(X - m[None, :], axis=1) for m in means], axis=1)
+        rows = np.arange(n)
+        a = dists[rows, idx]
+        dists[rows, idx] = np.inf
+        b = dists.min(axis=1)
+        want = (b - a) / np.maximum(a, b)
+        assert np.array_equal(silhouette_samples(X, labels), want)
 
     def test_collapsed_clusters_score_one(self):
         X = np.array([[0.0, 0.0]] * 3 + [[5.0, 5.0]] * 3)

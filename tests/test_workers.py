@@ -55,6 +55,18 @@ def problem(n, k, dim, seed):
     return model, X, resp / resp.sum(axis=1, keepdims=True)
 
 
+def sparse_resp(n, k, seed):
+    """Responsibilities with exact zeros, as EM's underflow leaves them:
+    component 0 is zero on most rows and component 1 on every row, and row 0
+    is zero for every component but the last."""
+    rng = np.random.default_rng(seed)
+    resp = rng.random((n, k))
+    resp[rng.random(n) < 0.9, 0] = 0.0
+    resp[:, 1] = 0.0
+    resp[0, :-1] = 0.0
+    return resp / resp.sum(axis=1, keepdims=True)
+
+
 def log_densities(model, X):
     return gmm._log_densities(X, model.means, model.covariances, model.weights)
 
@@ -88,6 +100,24 @@ class TestWorkerInvariance:
         model, X, resp = problem(n, 3, 4, 80 + n)
         seen = assert_same_for_all_workers(split, lambda: [gmm._scatter(X, resp, model.means)])
         assert seen == [3]  # one component per part
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_scatter_with_exact_zeros(self, split, n):
+        model, X, _ = problem(n, 3, 4, 85 + n)
+        resp = sparse_resp(n, 3, 85 + n)
+        seen = assert_same_for_all_workers(split, lambda: [gmm._scatter(X, resp, model.means)])
+        assert seen == [3]
+
+    def test_scatter_over_more_than_one_gather_chunk(self, split):
+        dim = 4
+        chunk = max(ROW_BLOCK, gmm.GATHER_ELEMENTS // dim)
+        n = 2 * chunk + 5
+        model, X, _ = problem(n, 3, dim, 87)
+        resp = sparse_resp(n, 3, 87)
+        assert np.count_nonzero(resp[:, 2]) > 2 * chunk  # three chunks
+        assert 0 < np.count_nonzero(resp[:, 0]) < chunk
+        seen = assert_same_for_all_workers(split, lambda: [gmm._scatter(X, resp, model.means)])
+        assert seen == [3]
 
     @pytest.mark.parametrize("n", ROW_COUNTS)
     def test_em_fit(self, split, n):
