@@ -20,6 +20,7 @@ failure.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -59,55 +60,79 @@ class ConfigError(Exception):
     """Invalid or incomplete run configuration (exit code 1)."""
 
 
+def _setting(default, flag: str, kind, help: str, **options):
+    """A RunConfig field that declares its setting: the flag, the kind (int,
+    float, str, or tuple for a comma-separated id list) and the options of
+    its add_argument call, the help text and any choices."""
+    options.update(help=help, type=kind if kind in (int, float) else None)
+    return dataclasses.field(
+        default=default, metadata={"flag": flag, "kind": kind, "options": options}
+    )
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One segmentation run; defaults are the reference operating point."""
 
-    data_dir: str = ""
-    output_dir: str = ""
-    sample_rate_hz: float = JIGSAWS_RATE_HZ
-    fc_hz: float = 1.5
-    subsample_factor: int = 3
-    window: int = 2
-    feature_subset: str = "all"
-    em_tol: float = 1e-6
-    em_max_iter: int = 300
-    seed: int = 0
-    init_method: str = "weak"  # weak | kmeans
-    init_demos: tuple[str, ...] = ()
-    k: int | None = None
-    mapping: str | None = None  # path, or "builtin" for the shipped rules
-    sidecar: str | None = None
+    data_dir: str = _setting("", "--data-dir", str, "dataset directory")
+    output_dir: str = _setting("", "--output-dir", str, "where results go")
+    sample_rate_hz: float = _setting(
+        JIGSAWS_RATE_HZ, "--sample-rate", float, "recording rate in Hz (default 30)"
+    )
+    fc_hz: float = _setting(1.5, "--fc", float, "low-pass cutoff in Hz")
+    subsample_factor: int = _setting(3, "--subsample", int, "keep every n-th frame")
+    window: int = _setting(2, "--window", int, "sliding-window length W")
+    feature_subset: str = _setting(
+        "all", "--subset", str,
+        "feature subset: all, no-pose, no-velocity, no-distance, or 1-based indices",
+    )
+    em_tol: float = _setting(1e-6, "--em-tol", float, "EM stopping tolerance")
+    em_max_iter: int = _setting(300, "--em-max-iter", int, "EM iteration cap")
+    seed: int = _setting(0, "--seed", int, "random seed")
+    init_method: str = _setting(
+        "weak", "--init", str, "mixture initialization", choices=["weak", "kmeans"]
+    )
+    init_demos: tuple[str, ...] = _setting(
+        (), "--init-demos", tuple,
+        "comma-separated ids of the annotated demonstrations used for weak init",
+    )
+    k: int | None = _setting(
+        None, "--k", int, "component count for k-means init (default: label count)"
+    )
+    mapping: str | None = _setting(
+        None, "--mapping", str,
+        "label remapping file, or 'builtin' for the shipped suturing rules",
+    )
+    sidecar: str | None = _setting(
+        None, "--sidecar", str, "JSON sidecar with split boundaries/overrides"
+    )
 
 
-_INT_FIELDS = {"subsample_factor", "window", "em_max_iter", "seed", "k"}
-_FLOAT_FIELDS = {"fc_hz", "em_tol", "sample_rate_hz"}
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
-_STR_FIELDS = _CONFIG_FIELDS - _INT_FIELDS - _FLOAT_FIELDS - {"init_demos"}
+# Each setting's kind, by field name.
+_KINDS = {f.name: f.metadata["kind"] for f in dataclasses.fields(RunConfig)}
 
 
 def _coerce(name: str, value):
-    try:
-        if isinstance(value, bool) and name in _INT_FIELDS | _FLOAT_FIELDS:
-            raise TypeError
-        if name in _INT_FIELDS:
-            if isinstance(value, float) and value != int(value):
+    kind = _KINDS[name]
+    if kind in (int, float):
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            if kind is int and isinstance(value, float) and value != int(value):
                 raise ValueError
-            return int(value)
-        if name in _FLOAT_FIELDS:
-            return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config field {name!r}: expected a number, got {value!r}")
-    if name == "init_demos":
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):  # int(inf) overflows
+            raise ConfigError(f"config field {name!r}: expected a number, got {value!r}")
+    if kind is tuple:
         if isinstance(value, str):
             value = [tok for tok in value.split(",") if tok]
         if isinstance(value, list) and all(isinstance(v, str) for v in value):
             return tuple(value)
         raise ConfigError(
-            f"config field 'init_demos': expected a string or a list of strings, "
+            f"config field {name!r}: expected a string or a list of strings, "
             f"got {value!r}"
         )
-    if name in _STR_FIELDS and not isinstance(value, str):
+    if not isinstance(value, str):
         raise ConfigError(f"config field {name!r}: expected a string, got {value!r}")
     return value
 
@@ -126,11 +151,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
         for key, value in doc.items():
-            if key not in _CONFIG_FIELDS:
+            if key not in _KINDS:
                 raise ConfigError(f"unknown config field {key!r}")
             if value is not None:  # null leaves the default, as an absent flag does
                 merged[key] = _coerce(key, value)
-    for name in _CONFIG_FIELDS:
+    for name in _KINDS:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = _coerce(name, value)
@@ -150,7 +175,7 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("weak init needs at least one --init-demos id")
     if len(set(config.init_demos)) < len(config.init_demos):
         raise ConfigError(f"an init demonstration id repeats in {list(config.init_demos)}")
-    for name in sorted(_FLOAT_FIELDS):
+    for name in sorted(n for n, kind in _KINDS.items() if kind is float):
         if not math.isfinite(getattr(config, name)):
             raise ConfigError(f"{name} must be finite, got {getattr(config, name)}")
     if config.fc_hz <= 0:
@@ -175,6 +200,16 @@ def _validate(config: RunConfig) -> None:
         _preprocess.resolve_subset(config.feature_subset)
     except ValueError as exc:
         raise ConfigError(str(exc))
+
+
+@contextlib.contextmanager
+def _naming(source: str):
+    """Prefix the message of a ValueError raised inside with its source, the
+    file or demonstration it came from."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 @dataclass
@@ -217,11 +252,8 @@ def load_dataset(config: RunConfig) -> tuple[dict[str, LoadedDemo], list[str]]:
     for name in files:
         demo_id, ext = os.path.splitext(name)
         layout = "generic_csv" if ext == ".csv" else "jigsaws"
-        with open(os.path.join(kin_dir, name)) as fh:
-            try:
-                frames, channels = parse_kinematics(fh, layout)
-            except ValueError as exc:
-                raise ValueError(f"{name}: {exc}") from None
+        with open(os.path.join(kin_dir, name)) as fh, _naming(name):
+            frames, channels = parse_kinematics(fh, layout)
         features = None  # built below for a 38-channel recording
         if frames.shape[1] == PSM_COLUMNS:
             kinematic[name] = frames
@@ -230,11 +262,8 @@ def load_dataset(config: RunConfig) -> tuple[dict[str, LoadedDemo], list[str]]:
             features = np.ascontiguousarray(frames[::config.subsample_factor])
         tpath = os.path.join(config.data_dir, "transcripts", f"{demo_id}.txt")
         if os.path.isfile(tpath):
-            with open(tpath) as fh:
-                try:
-                    transcripts[demo_id] = parse_transcript(fh)
-                except ValueError as exc:
-                    raise ValueError(f"{demo_id}.txt: {exc}") from None
+            with open(tpath) as fh, _naming(f"{demo_id}.txt"):
+                transcripts[demo_id] = parse_transcript(fh)
         names = names or channels
         if channels != names:
             raise ValueError(
@@ -243,19 +272,15 @@ def load_dataset(config: RunConfig) -> tuple[dict[str, LoadedDemo], list[str]]:
             )
         dataset[demo_id] = LoadedDemo(features, len(frames), None)
     if sidecar is not None:
-        try:
+        with _naming(config.sidecar):
             _dictionary.check_sidecar(sidecar, transcripts, mapping)
-        except ValueError as exc:
-            raise ValueError(f"{config.sidecar}: {exc}") from None
     for demo_id, transcript in transcripts.items():
-        try:
+        with _naming(f"{demo_id}.txt"):
             if mapping is not None:
                 transcript = _dictionary.apply_mapping(
                     transcript, mapping, sidecar, demo_id=demo_id
                 )
             dataset[demo_id].truth = expand_labels(transcript, dataset[demo_id].n_frames)
-        except ValueError as exc:
-            raise ValueError(f"{demo_id}.txt: {exc}") from None
     if kinematic:
         built = _preprocess.build_features(
             kinematic, fc_hz=config.fc_hz, fs_hz=config.sample_rate_hz,
@@ -274,18 +299,12 @@ def _load_mapping(config: RunConfig):
     if config.mapping == "builtin":
         mapping = _dictionary.default_mapping()
     else:
-        with open(config.mapping) as fh:
-            try:
-                mapping = _dictionary.parse_mapping(fh)
-            except ValueError as exc:
-                raise ValueError(f"{config.mapping}: {exc}") from None
+        with open(config.mapping) as fh, _naming(config.mapping):
+            mapping = _dictionary.parse_mapping(fh)
     sidecar = None
     if config.sidecar is not None:
-        with open(config.sidecar) as fh:
-            try:
-                sidecar = _dictionary.parse_sidecar(fh)
-            except ValueError as exc:
-                raise ValueError(f"{config.sidecar}: {exc}") from None
+        with open(config.sidecar) as fh, _naming(config.sidecar):
+            sidecar = _dictionary.parse_sidecar(fh)
     return mapping, sidecar
 
 
@@ -315,11 +334,26 @@ def _check_run(
 @dataclass
 class RunResult:
     model: _gmm.GmmModel
-    report: dict  # metrics.evaluate's report, as report.json holds it
-    per_demo: dict[str, dict]
     predictions: dict[str, np.ndarray]  # per-frame labels on the original grid
     row_predictions: dict[str, np.ndarray]
     augmented: dict[str, np.ndarray]
+    truth: dict[str, tuple[np.ndarray, np.ndarray]]  # frame, row labels of scored demos
+    report: dict | None = None  # score of every scored demo, as report.json holds it
+
+    def score(self, ids: list[str]) -> dict:
+        """One report over the frames and rows of the named demonstrations;
+        with none named, every metric is None."""
+        empty = np.empty(0, dtype=object)
+        return _metrics.evaluate(
+            np.concatenate([empty, *(self.predictions[d] for d in ids)]),
+            np.concatenate([empty, *(self.truth[d][0] for d in ids)]),
+            with_accuracy=self.model.has_labels(),
+            X=np.concatenate(
+                [np.empty((0, self.model.dimension)), *(self.augmented[d] for d in ids)]
+            ),
+            pred_rows=np.concatenate([empty, *(self.row_predictions[d] for d in ids)]),
+            truth_rows=np.concatenate([empty, *(self.truth[d][1] for d in ids)]),
+        )
 
 
 def run_pipeline(
@@ -361,30 +395,20 @@ def run_pipeline(
         for demo_id, item in dataset.items()
     }
 
-    scored = [d for d in fit_ids if dataset[d].truth is not None]
-    truth_rows = {
-        d: _preprocess.labels_at_rows(
-            dataset[d].truth, len(augmented[d]), config.subsample_factor
+    truth = {
+        d: (
+            dataset[d].truth,
+            _preprocess.labels_at_rows(
+                dataset[d].truth, len(augmented[d]), config.subsample_factor
+            ),
         )
-        for d in scored
+        for d in fit_ids
+        if dataset[d].truth is not None
     }
-
-    def score(ids: list[str]) -> dict:
-        """One report over the frames and rows of the named demonstrations;
-        with none named, every metric is None."""
-        empty = np.empty(0, dtype=object)
-        return _metrics.evaluate(
-            np.concatenate([empty, *(predictions[d] for d in ids)]),
-            np.concatenate([empty, *(dataset[d].truth for d in ids)]),
-            with_accuracy=model.has_labels(),
-            X=np.concatenate([fit_data[:0], *(augmented[d] for d in ids)]),
-            pred_rows=np.concatenate([empty, *(row_predictions[d] for d in ids)]),
-            truth_rows=np.concatenate([empty, *(truth_rows[d] for d in ids)]),
-        )
-
-    per_demo = {d: score([d]) for d in scored}
-    report = score(scored)
-    return RunResult(model, report, per_demo, predictions, row_predictions, augmented)
+    # The pooled report only: segment scores each demonstration itself.
+    result = RunResult(model, predictions, row_predictions, augmented, truth)
+    result.report = result.score(list(truth))
+    return result
 
 
 def _weak_init_model(config, dataset, augmented) -> _gmm.GmmModel:
@@ -434,7 +458,7 @@ def _write_segment_outputs(config, names, result: RunResult) -> None:
 
     _gmm.save_model(result.model, os.path.join(out, "model.json"))
 
-    per_demo = {d: result.per_demo[d] for d in sorted(result.per_demo)}
+    per_demo = {d: result.score([d]) for d in sorted(result.truth)}
     for name, doc in (("report.json", result.report),
                       ("report_per_demo.json", per_demo)):
         with open(os.path.join(out, name), "w") as fh:
@@ -537,48 +561,26 @@ def _subset_list(text: str) -> list[str]:
 
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its fields")
-    parser.add_argument("--data-dir", dest="data_dir", help="dataset directory")
-    parser.add_argument("--output-dir", dest="output_dir", help="where results go")
-    parser.add_argument(
-        "--sample-rate",
-        dest="sample_rate_hz",
-        type=float,
-        help="recording rate in Hz (default 30)",
-    )
-    parser.add_argument("--fc", dest="fc_hz", type=float, help="low-pass cutoff in Hz")
-    parser.add_argument(
-        "--subsample", dest="subsample_factor", type=int, help="keep every n-th frame"
-    )
-    parser.add_argument("--window", type=int, help="sliding-window length W")
-    parser.add_argument(
-        "--subset",
-        dest="feature_subset",
-        help="feature subset: all, no-pose, no-velocity, no-distance, or 1-based indices",
-    )
-    parser.add_argument("--em-tol", dest="em_tol", type=float, help="EM stopping tolerance")
-    parser.add_argument(
-        "--em-max-iter", dest="em_max_iter", type=int, help="EM iteration cap"
-    )
-    parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument(
-        "--init",
-        dest="init_method",
-        choices=["weak", "kmeans"],
-        help="mixture initialization",
-    )
-    parser.add_argument(
-        "--init-demos",
-        dest="init_demos",
-        help="comma-separated ids of the annotated demonstrations used for weak init",
-    )
-    parser.add_argument(
-        "--k", type=int, help="component count for k-means init (default: label count)"
-    )
-    parser.add_argument(
-        "--mapping",
-        help="label remapping file, or 'builtin' for the shipped suturing rules",
-    )
-    parser.add_argument("--sidecar", help="JSON sidecar with split boundaries/overrides")
+    for f in dataclasses.fields(RunConfig):
+        parser.add_argument(f.metadata["flag"], dest=f.name, **f.metadata["options"])
+
+
+# One row per sweep command: its name and help, the flag of its values and
+# their parser, the swept field, the CSV it writes, and the flag's help.
+_SWEEPS = [
+    (
+        "sweep-window", "repeat a run across window lengths",
+        "--w-values", _int_list, "window", "sweep_window.csv",
+        "comma-separated window lengths",
+    ),
+    (
+        "ablate", "repeat a run across feature subsets",
+        "--subsets", _subset_list, "feature_subset", "ablate.csv",
+        "comma-separated subsets, each a name (all, no-pose, no-velocity, "
+        "no-distance) or 1-based channel indices joined by '+': "
+        "'1,8+29' runs channel 1 alone, then channels 8 and 29 together",
+    ),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -589,37 +591,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_arguments(p)
     p.set_defaults(run=lambda args: cmd_segment(resolve_config(args)))
 
-    p = sub.add_parser("sweep-window", help="repeat a run across window lengths")
-    _add_run_arguments(p)
-    p.add_argument(
-        "--w-values",
-        dest="w_values",
-        type=_int_list,
-        required=True,
-        help="comma-separated window lengths",
-    )
-    p.set_defaults(
-        run=lambda args: _sweep(
-            resolve_config(args), "window", args.w_values, "sweep_window.csv"
+    for command, summary, flag, parse, field, csv_name, flag_help in _SWEEPS:
+        p = sub.add_parser(command, help=summary)
+        _add_run_arguments(p)
+        dest = p.add_argument(flag, type=parse, required=True, help=flag_help).dest
+        p.set_defaults(
+            run=lambda args, field=field, dest=dest, csv_name=csv_name: _sweep(
+                resolve_config(args), field, getattr(args, dest), csv_name
+            )
         )
-    )
-
-    p = sub.add_parser("ablate", help="repeat a run across feature subsets")
-    _add_run_arguments(p)
-    p.add_argument(
-        "--subsets",
-        type=_subset_list,
-        required=True,
-        help="comma-separated subsets, each a name (all, no-pose, no-velocity, "
-        "no-distance) or 1-based channel indices joined by '+': "
-        "'1,8+29' runs channel 1 alone, then channels 8 and 29 together",
-    )
-    p.set_defaults(
-        run=lambda args: _sweep(
-            resolve_config(args), "feature_subset", args.subsets, "ablate.csv"
-        )
-    )
-
     return parser
 
 

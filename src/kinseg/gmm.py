@@ -58,6 +58,7 @@ from typing import Sequence
 import numpy as np
 
 from kinseg import BLAS_PINNED
+from kinseg.ingest import code_labels
 
 REG_SCALE = 1e-6  # ridge = REG_SCALE * mean diagonal entry
 REG_FLOOR = 1e-12  # absolute fallback for exactly-zero covariances
@@ -185,7 +186,7 @@ def weak_init(
             )
         matrices.append(values)
         all_labels.append(labels)
-    names, codes = np.unique(np.concatenate(all_labels), return_inverse=True)
+    names, codes = code_labels(np.concatenate(all_labels))
     if not len(names):
         raise ValueError("no labeled rows in any demonstration")
     groups = [codes == k for k in range(len(names))]
@@ -495,7 +496,7 @@ def dumps_model(model: GmmModel) -> str:
                 "label": label,
                 "weight": float(weight),
                 "mean": mean.tolist(),
-                "covariance": covariance.tolist(),
+                "covariance": _matrix_rows(covariance),
             }
             for label, weight, mean, covariance in zip(
                 model.labels, model.weights, model.means, model.covariances
@@ -504,6 +505,28 @@ def dumps_model(model: GmmModel) -> str:
         "fit_trace": [float(v) for v in model.fit_trace],
     }
     return _json_indented(doc, 0) + "\n"
+
+
+class _Reprs(list):
+    """Finite floats already written as float.__repr__ writes them."""
+
+
+def _matrix_rows(C: np.ndarray) -> list:
+    """C's rows for _json_indented. A finite C that is bitwise symmetric, as
+    every fitted covariance is (regularize_covariance symmetrizes), has each
+    pair of mirrored entries formatted once; any other matrix is left to the
+    per-value path. Bitwise means equal and of equal sign: 0.0 == -0.0, but
+    their reprs differ."""
+    if not (
+        np.isfinite(C).all()
+        and np.array_equal(C, C.T)
+        and np.array_equal(np.signbit(C), np.signbit(C.T))
+    ):
+        return C.tolist()
+    rows = []
+    for i, row in enumerate(C.tolist()):
+        rows.append(_Reprs([r[i] for r in rows] + list(map(float.__repr__, row[i:]))))
+    return rows
 
 
 def _json_indented(value, depth: int) -> str:
@@ -524,7 +547,9 @@ def _json_indented(value, depth: int) -> str:
     else:
         opening, closing = "[]"
         body = None
-        if all(type(v) is float for v in value):
+        if isinstance(value, _Reprs):
+            body = sep.join(value)
+        elif all(type(v) is float for v in value):
             body = sep.join(map(float.__repr__, value))
         if body is None or "n" in body:
             body = sep.join(_json_indented(v, depth + 1) for v in value)

@@ -167,6 +167,17 @@ def expand_labels(t: Sequence[Segment], n_frames: int) -> np.ndarray:
     return labels
 
 
+def code_labels(labels: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct labels and each label's index among them, as
+    np.unique(labels, return_inverse=True) gives them for an object array,
+    from one set and one dict lookup per label instead of a comparison sort."""
+    values = np.asarray(labels, dtype=object).tolist()
+    names = sorted(set(values))
+    index = {name: i for i, name in enumerate(names)}
+    codes = map(index.__getitem__, values)
+    return names, np.fromiter(codes, dtype=np.intp, count=len(values))
+
+
 def compress_labels(labels: Sequence[str]) -> tuple[Segment, ...]:
     """Inverse of expand_labels: contiguous runs become segments, and
     UNANNOTATED runs become gaps."""

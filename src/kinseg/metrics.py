@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from kinseg.ingest import UNANNOTATED
+from kinseg.ingest import UNANNOTATED, code_labels
 
 # Doubles per block of silhouette_samples' distance kernel. A budget in
 # elements, not rows: for the distances to 10 means, 256-row blocks took
@@ -30,15 +30,15 @@ def _check_lengths(a, b):
 def confusion_matrix(pred: Sequence, truth: Sequence) -> tuple[list[str], np.ndarray]:
     """Counts over the sorted union of labels; rows = truth, cols = pred.
 
-    One np.unique over truth and pred together codes both axes alike, and
+    One code_labels over truth and pred together codes both axes alike, and
     one np.bincount over the code pairs fills the matrix.
     """
     _check_lengths(pred, truth)
     both = [np.asarray(truth, dtype=object), np.asarray(pred, dtype=object)]
-    names, codes = np.unique(np.concatenate(both), return_inverse=True)
+    names, codes = code_labels(np.concatenate(both))
     k, n = len(names), len(truth)
     counts = np.bincount(codes[:n] * k + codes[n:], minlength=k * k).reshape(k, k)
-    return names.tolist(), counts
+    return names, counts
 
 
 def _per_label_accuracy(names: list[str], counts: np.ndarray) -> dict[str, float]:
@@ -82,7 +82,7 @@ def silhouette_samples(X, labels: Sequence) -> np.ndarray:
     labels = np.asarray(labels, dtype=object)
     if data.shape[0] != labels.shape[0]:
         raise ValueError("label count does not match row count")
-    names, idx = np.unique(labels, return_inverse=True)
+    names, idx = code_labels(labels)
     if len(names) < 2:
         raise ValueError("need at least 2 distinct clusters")
     means = np.stack([data[idx == j].mean(axis=0) for j in range(len(names))])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from kinseg import cli
+from kinseg import cli, metrics
 from kinseg.cli import main
 from kinseg.gmm import NumericalError
 from kinseg.ingest import (
@@ -20,6 +20,7 @@ from kinseg.ingest import (
     parse_transcript,
     serialize_transcript,
 )
+from kinseg.preprocess import labels_at_rows
 from synth import serialize_kinematics, write_dataset
 from test_preprocess import lowpass_filter
 
@@ -940,6 +941,18 @@ class TestConfigFile:
         assert f"kinseg: config error: config field {next(iter(doc))!r}" in err
 
 
+def test_infinite_integer_setting_rejected(synth_dir, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"window": float("inf")}))  # JSON's Infinity
+    code = main([
+        "segment", "--config", str(cfg), "--data-dir", str(synth_dir),
+        "--output-dir", str(tmp_path / "out"), "--init-demos", "synth00",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "kinseg: config error: config field 'window': expected a number, got inf\n"
+
+
 # Each config field: its flag, and values that pass validation alone.
 _CONFIG_VALUES = {
     "data_dir": ("--data-dir", st.sampled_from(["data", "other/data"])),
@@ -965,7 +978,7 @@ _CONFIG_VALUES = {
 def _file_form(name, value, data):
     """A value as a config file may spell it: integral floats for integer
     fields, a comma-separated string or a list for init_demos."""
-    if name in cli._INT_FIELDS and data.draw(st.booleans()):
+    if cli._KINDS[name] is int and data.draw(st.booleans()):
         return float(value)
     if name == "init_demos" and data.draw(st.booleans()):
         return ",".join(value)
@@ -1037,6 +1050,49 @@ def test_help_description_names_the_subcommands():
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     listed = parser.description.split(":", 1)[1].rstrip(".").split(",")
     assert [name.strip() for name in listed] == list(sub.choices)
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("command", ["kinseg", "segment", "sweep-window", "ablate"])
+def test_help_pages_match_golden(command, monkeypatch, capsys):
+    """Every flag, metavar, help text and their order, at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if command == "kinseg" else [command, "--help"]
+    assert main(argv) == 0
+    with open(os.path.join(GOLDEN, f"help_{command}.txt")) as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
+def test_per_demo_report_scores_each_demo_alone(synth_dir, tmp_path):
+    """report_per_demo.json holds, per scored demonstration, the report of
+    metrics.evaluate over that demonstration's frames and rows alone."""
+    out = tmp_path / "out"
+    assert run_segment(synth_dir, out) == 0
+    args = cli.build_parser().parse_args([
+        "segment", "--data-dir", str(synth_dir), "--output-dir", str(out),
+        "--init", "weak", "--init-demos", "synth00", "--window", "1", "--seed", "0",
+    ])
+    config = cli.resolve_config(args)
+    dataset, names = cli.load_dataset(config)
+    result = cli.run_pipeline(config, dataset, names)
+    expected = {}
+    for demo_id in sorted(dataset):
+        truth = dataset[demo_id].truth
+        if demo_id in config.init_demos or truth is None:
+            continue
+        X = result.augmented[demo_id]
+        expected[demo_id] = metrics.evaluate(
+            result.predictions[demo_id],
+            truth,
+            X=X,
+            pred_rows=result.row_predictions[demo_id],
+            truth_rows=labels_at_rows(truth, len(X), config.subsample_factor),
+        )
+    assert len(expected) == SYNTH_ARGS["n_demos"] - 1
+    text = (out / "report_per_demo.json").read_text()
+    assert text == json.dumps(expected, indent=2) + "\n"
 
 
 class TestErrorExits:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
+from kinseg import gmm
 from kinseg.gmm import (
     GATHER_ELEMENTS,
     ROW_BLOCK,
@@ -469,6 +470,42 @@ class TestSerialization:
         text = dumps_model(model)
         assert text == json.dumps(doc, indent=2) + "\n"
         assert odd is None or json.dumps(float(odd)) in text
+
+    @pytest.mark.parametrize(
+        "case", ["symmetric", "asymmetric", "nan", "signed_zero", "one_by_one"]
+    )
+    def test_mirrored_covariance_bytes(self, case):
+        """A finite, bitwise symmetric covariance formats each mirrored pair
+        once; any other goes per value. Both give json.dumps's bytes."""
+        rng = np.random.default_rng(29)
+        A = rng.normal(size=(4, 4))
+        C = regularize_covariance(A @ A.T)
+        if case == "asymmetric":
+            C[0, 3] = np.nextafter(C[0, 3], np.inf)
+        elif case == "nan":
+            C[1, 2] = C[2, 1] = np.nan
+        elif case == "signed_zero":  # equal under ==, yet "0.0" and "-0.0"
+            C[0, 1], C[1, 0] = 0.0, -0.0
+        elif case == "one_by_one":
+            C = C[:1, :1]
+        model = mixture((rng.normal(size=len(C)), C, 1.0, "g"))
+        doc = {
+            "format": "kinseg-gmm",
+            "version": 1,
+            "dimension": len(C),
+            "components": [
+                {
+                    "label": "g",
+                    "weight": 1.0,
+                    "mean": model.means[0].tolist(),
+                    "covariance": C.tolist(),
+                }
+            ],
+            "fit_trace": [],
+        }
+        assert dumps_model(model) == json.dumps(doc, indent=2) + "\n"
+        mirrored = isinstance(gmm._matrix_rows(C)[0], gmm._Reprs)
+        assert mirrored == (case in ("symmetric", "one_by_one"))
 
     def test_dumps_is_self_describing(self):
         model = mixture((np.zeros(2), np.eye(2), 1.0, "g"))

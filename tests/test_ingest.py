@@ -310,3 +310,23 @@ class TestCompressLabels:
     def test_fill_becomes_gap(self):
         t = compress_labels(["", "A", "A", ""])
         assert t == (Segment(2, 3, "A"),)
+
+
+# Labels as transcripts carry them: the unannotated "", digits, gesture
+# names and non-ASCII text, drawn so that many of them repeat.
+_LABELS = st.one_of(
+    st.sampled_from(["", "0", "9", "10", "G1", "G10", "G2", "é", "É", "ñ", "Ω", "名"]),
+    st.text(max_size=3),
+)
+
+
+class TestCodeLabels:
+    @settings(max_examples=200, deadline=None)
+    @given(labels=st.lists(_LABELS, max_size=60), as_array=st.booleans())
+    def test_equals_np_unique_on_object_arrays(self, labels, as_array):
+        values = np.array(labels, dtype=object)
+        names, codes = ingest.code_labels(values if as_array else labels)
+        expected_names, expected_codes = np.unique(values, return_inverse=True)
+        assert names == expected_names.tolist()
+        assert codes.dtype == expected_codes.dtype
+        assert np.array_equal(codes, expected_codes)
