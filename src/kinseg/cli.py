@@ -388,6 +388,7 @@ def run_pipeline(
     )
     ends = np.cumsum([len(augmented[d]) for d in dataset])
     row_predictions = dict(zip(dataset, np.split(labels, ends[:-1])))
+    _warn_if_degenerate(model, {name for d in fit_ids for name in row_predictions[d]})
     predictions = {
         demo_id: _preprocess.rows_to_frames(
             row_predictions[demo_id], config.subsample_factor, item.n_frames
@@ -409,6 +410,30 @@ def run_pipeline(
     result = RunResult(model, predictions, row_predictions, augmented, truth)
     result.report = result.score(list(truth))
     return result
+
+
+def _warn_if_degenerate(model: _gmm.GmmModel, predicted: set) -> None:
+    """Warn about a fit that cannot segment: a mixture of two or more
+    components whose fit rows are all predicted as one, or components whose
+    means and covariances are equal bit for bit."""
+    names = [model.component_name(k) for k in range(model.n_components)]
+    if len(names) >= 2 and len(predicted) < 2:
+        unused = ", ".join(repr(n) for n in names if n not in predicted)
+        warnings.warn(
+            "degenerate fit: every fit row is predicted as "
+            f"{', '.join(map(repr, predicted))}; none as {unused}",
+            RuntimeWarning,
+        )
+    same: dict[bytes, list[str]] = {}
+    for name, mean, cov in zip(names, model.means, model.covariances):
+        same.setdefault(mean.tobytes() + cov.tobytes(), []).append(name)
+    for group in same.values():
+        if len(group) >= 2:
+            warnings.warn(
+                f"degenerate fit: components {', '.join(map(repr, group))} have equal "
+                "means and covariances",
+                RuntimeWarning,
+            )
 
 
 def _weak_init_model(config, dataset, augmented) -> _gmm.GmmModel:
@@ -616,6 +641,9 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning
+            # Python shows a repeated warning once; each run of a sweep
+            # reports its own degenerate fit.
+            warnings.filterwarnings("always", message="degenerate fit")
             return args.run(args)
     except ConfigError as exc:
         print(f"kinseg: config error: {exc}", file=sys.stderr)

@@ -485,77 +485,76 @@ def transition_points(labels: Sequence[str]) -> np.ndarray:
     return np.flatnonzero(labels[1:] != labels[:-1])
 
 
+_COMPONENT_KEYS = ("label", "weight", "mean", "covariance")  # of a model.json component
+
+
+def _model_json(model: GmmModel):
+    """model.json version 2 as pieces of json.dumps(doc) + "\n", one per
+    component, so a write holds one component's floats and text at a time
+    (5 MiB less at K=10, D=96). Each covariance is its row-major upper
+    triangle, so it must be bitwise symmetric (signed zeros, NaN), as fits are."""
+    covariances = np.asarray(model.covariances, dtype=float)
+    bits = covariances.view(np.uint64)
+    for k in np.flatnonzero((bits != np.swapaxes(bits, 1, 2)).any(axis=(1, 2))):
+        raise ValueError(f"the covariance of component {model.component_name(k)!r} "
+                         "is not symmetric")
+    head = json.dumps({"format": "kinseg-gmm", "version": 2, "dimension": model.dimension})
+    yield head[:-1] + ', "components": ['
+    upper = np.triu_indices(model.dimension)
+    for k, label in enumerate(model.labels):
+        values = (label, float(model.weights[k]), model.means[k].tolist(),
+                  covariances[k][upper].tolist())
+        yield (", " if k else "") + json.dumps(dict(zip(_COMPONENT_KEYS, values)))
+    yield '], "fit_trace": ' + json.dumps([float(v) for v in model.fit_trace]) + "}\n"
+
+
 def dumps_model(model: GmmModel) -> str:
-    """Self-describing JSON; floats serialize at full round-trip precision."""
-    doc = {
-        "format": "kinseg-gmm",
-        "version": 1,
-        "dimension": model.dimension,
-        "components": [
-            {
-                "label": label,
-                "weight": float(weight),
-                "mean": mean.tolist(),
-                "covariance": _matrix_rows(covariance),
-            }
-            for label, weight, mean, covariance in zip(
-                model.labels, model.weights, model.means, model.covariances
-            )
-        ],
-        "fit_trace": [float(v) for v in model.fit_trace],
-    }
-    return _json_indented(doc, 0) + "\n"
-
-
-class _Reprs(list):
-    """Finite floats already written as float.__repr__ writes them."""
-
-
-def _matrix_rows(C: np.ndarray) -> list:
-    """C's rows for _json_indented. A finite C that is bitwise symmetric, as
-    every fitted covariance is (regularize_covariance symmetrizes), has each
-    pair of mirrored entries formatted once; any other matrix is left to the
-    per-value path. Bitwise means equal and of equal sign: 0.0 == -0.0, but
-    their reprs differ."""
-    if not (
-        np.isfinite(C).all()
-        and np.array_equal(C, C.T)
-        and np.array_equal(np.signbit(C), np.signbit(C.T))
-    ):
-        return C.tolist()
-    rows = []
-    for i, row in enumerate(C.tolist()):
-        rows.append(_Reprs([r[i] for r in rows] + list(map(float.__repr__, row[i:]))))
-    return rows
-
-
-def _json_indented(value, depth: int) -> str:
-    """json.dumps(value, indent=2) of a value nested depth levels deep.
-
-    json's indent mode falls back to its pure-Python encoder, one call per
-    float. Here a list of finite floats is one join of float.__repr__, which
-    is what json writes for each. json writes NaN and Infinity, and no
-    finite repr contains an "n", so a list holding either goes per value."""
-    if not isinstance(value, (dict, list)):
-        return json.dumps(value)
-    if not value:
-        return "{}" if isinstance(value, dict) else "[]"
-    sep = ",\n" + "  " * (depth + 1)
-    if isinstance(value, dict):
-        opening, closing = "{}"
-        body = sep.join(f"{json.dumps(key)}: {_json_indented(v, depth + 1)}" for key, v in value.items())
-    else:
-        opening, closing = "[]"
-        body = None
-        if isinstance(value, _Reprs):
-            body = sep.join(value)
-        elif all(type(v) is float for v in value):
-            body = sep.join(map(float.__repr__, value))
-        if body is None or "n" in body:
-            body = sep.join(_json_indented(v, depth + 1) for v in value)
-    return opening + sep[1:] + body + "\n" + "  " * depth + closing
+    return "".join(_model_json(model))
 
 
 def save_model(model: GmmModel, path) -> None:
     with open(path, "w") as fh:
-        fh.write(dumps_model(model))
+        fh.writelines(_model_json(model))
+
+
+def _numbers(values, shape: tuple, what: str) -> np.ndarray:
+    """values as a float array of the given shape (None: any length), or a
+    ValueError naming what they are."""
+    try:
+        array = np.array(values)
+    except ValueError:  # ragged nesting
+        array = np.array(None)
+    if array.dtype.kind not in "fi" or array.shape != (shape or (array.size,)):
+        raise ValueError(f"model.json: {what} must be {shape or 'a list of'} numbers")
+    return array.astype(float)
+
+
+def load_model(path) -> GmmModel:
+    """The mixture that save_model wrote to path, every array bit for bit (a
+    NaN comes back as the NaN json reads). Only version 2 is read."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or doc.get("format") != "kinseg-gmm":
+        raise ValueError("model.json: not a kinseg-gmm model")
+    if doc.get("version") != 2:
+        raise ValueError(f"model.json: version {doc.get('version')!r} is not read, only 2; "
+                         "re-run `kinseg segment` to write it")
+    dim, parts = doc.get("dimension"), doc.get("components")
+    if type(dim) is not int or dim < 1:
+        raise ValueError(f"model.json: dimension must be a positive integer, got {dim!r}")
+    if not isinstance(parts, list) or not parts or not all(
+        isinstance(c, dict) and c.keys() == set(_COMPONENT_KEYS)
+        and isinstance(c["label"], (str, type(None))) for c in parts
+    ):
+        raise ValueError(f"model.json: components need keys {_COMPONENT_KEYS}, label str/null")
+    k, size = len(parts), dim * (dim + 1) // 2  # size is checked before any D x D array
+    triangles = _numbers([c["covariance"] for c in parts], (k, size), "covariance")
+    upper, covariances = np.triu_indices(dim), np.empty((k, dim, dim))
+    covariances[:, upper[0], upper[1]] = covariances[:, upper[1], upper[0]] = triangles
+    return GmmModel(
+        means=_numbers([c["mean"] for c in parts], (k, dim), "mean"),
+        covariances=covariances,
+        weights=_numbers([c["weight"] for c in parts], (k,), "weight"),
+        labels=tuple(c["label"] for c in parts),
+        fit_trace=_numbers(doc.get("fit_trace"), None, "fit_trace").tolist(),
+    )

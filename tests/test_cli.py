@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from scipy.spatial.transform import Rotation
 
 from kinseg import cli, metrics
 from kinseg.cli import main
-from kinseg.gmm import NumericalError
+from kinseg.gmm import GmmModel, NumericalError, load_model, save_model
 from kinseg.ingest import (
     Segment,
     parse_kinematics,
@@ -59,8 +60,7 @@ def run_segment(data_dir, out_dir, extra=()):
 
 def model_labels(out_dir):
     """The component labels that model.json holds."""
-    doc = json.loads((out_dir / "model.json").read_text())
-    return [c["label"] for c in doc["components"]]
+    return list(load_model(out_dir / "model.json").labels)
 
 
 @pytest.fixture(scope="session")
@@ -108,6 +108,10 @@ class TestSegmentCommand:
         labels = model_labels(weak_run)
         assert None not in labels
         assert set(labels) == {"R0", "R1", "R2"}
+
+    def test_model_json_round_trips(self, weak_run, tmp_path):
+        save_model(load_model(weak_run / "model.json"), tmp_path / "model.json")
+        assert (tmp_path / "model.json").read_bytes() == (weak_run / "model.json").read_bytes()
 
     def test_raw_features_are_every_stride_th_frame(self, synth_dir):
         # a recording that is not 38 channels is used raw, with its header
@@ -847,6 +851,16 @@ def test_builtin_mapping_on_suturing_data(tmp_path, capsys):
     assert report["accuracy"] > max(truth_counts) / report["n_frames_evaluated"]
 
 
+@pytest.mark.parametrize("init", [["weak", "--window", "2"], ["kmeans", "--window", "1"]])
+def test_no_degenerate_warning_on_suturing_data(tmp_path, capsys, init):
+    write_jigsaws(tmp_path / "data", 7, 3, 900)
+    assert main([
+        "segment", "--data-dir", str(tmp_path / "data"), "--output-dir", str(tmp_path / "out"),
+        "--init-demos", "d00", "--em-max-iter", "5", "--init", *init,
+    ]) == 0
+    assert "degenerate" not in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_file_supplies_settings(self, synth_dir, tmp_path):
         cfg = tmp_path / "run.json"
@@ -1029,6 +1043,20 @@ class TestConfigPrecedence:
             assert type(getattr(config, f.name)) is type(getattr(merged, f.name))
 
 
+def constant_data(data):
+    """Three recordings of 60 frames x 3 constant channels, each annotated
+    A then B: every component fits the same point, and one of them takes
+    every fit row."""
+    for sub in ("kinematics", "transcripts"):
+        (data / sub).mkdir(parents=True)
+    for i in range(3):
+        (data / "kinematics" / f"d{i}.csv").write_text(
+            serialize_kinematics(np.ones((60, 3)), "generic_csv", ["a", "b", "c"])
+        )
+        (data / "transcripts" / f"d{i}.txt").write_text("1 30 A\n31 60 B\n")
+    return data
+
+
 class TestWarnings:
     def test_small_label_warning_on_stderr(self, synth_dir, tmp_path, capsys):
         # W=9 makes 4 x 10 = 40 columns; each label of synth00 has fewer
@@ -1043,6 +1071,58 @@ class TestWarnings:
     def test_no_warning_with_enough_rows(self, weak_run, synth_dir, tmp_path, capsys):
         assert run_segment(synth_dir, tmp_path / "out") == 0
         assert "warning" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "means, predicted, expected",
+        [
+            ([[0.0], [1.0], [0.0]], {"a", "b"}, ["components 'a', 'c' have equal"]),
+            ([[0.0], [1.0], [2.0]], {"c"}, ["every fit row is predicted as 'c'; none as 'a', 'b'"]),
+            ([[0.0], [1.0], [-0.0]], {"a", "c"}, []),  # equal, yet not bit for bit
+        ],
+    )
+    def test_degenerate_cases(self, means, predicted, expected):
+        model = GmmModel(np.array(means), np.ones((3, 1, 1)), np.full(3, 1 / 3), ("a", "b", "c"))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            cli._warn_if_degenerate(model, predicted)
+        assert len(seen) == len(expected)
+        for warning, text in zip(seen, expected):
+            assert warning.category is RuntimeWarning
+            assert f"degenerate fit: {text}" in str(warning.message)
+
+    @pytest.mark.parametrize(
+        "init, names",
+        [(["weak"], "'A', 'B'"), (["kmeans"], "'cluster_0', 'cluster_1'"),
+         (["kmeans", "--k", "1"], None)],
+    )
+    def test_degenerate_fit_warns(self, tmp_path, capsys, init, names):
+        assert main([
+            "segment", "--data-dir", str(constant_data(tmp_path / "data")),
+            "--output-dir", str(tmp_path / "out"),
+            "--subsample", "1", "--init-demos", "d0", "--init", *init,
+        ]) == 0
+        err = capsys.readouterr().err
+        if names is None:  # one component is no degenerate mixture
+            assert err == ""
+            return
+        lines = err.splitlines()
+        assert len(lines) == 2, err
+        assert lines[0].startswith(
+            "kinseg: warning: degenerate fit: every fit row is predicted as "
+        )
+        assert lines[1] == (
+            f"kinseg: warning: degenerate fit: components {names} have equal "
+            "means and covariances"
+        )
+
+    def test_every_sweep_run_warns(self, tmp_path, capsys):
+        # the same text from the same line, which Python shows once by default
+        assert main([
+            "sweep-window", "--data-dir", str(constant_data(tmp_path / "data")),
+            "--output-dir", str(tmp_path / "out"),
+            "--subsample", "1", "--init-demos", "d0", "--w-values", "1,1",
+        ]) == 0
+        assert capsys.readouterr().err.count("have equal means and covariances") == 2
 
 
 def test_help_description_names_the_subcommands():

@@ -1,13 +1,14 @@
 import json
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
-from kinseg import gmm
 from kinseg.gmm import (
     GATHER_ELEMENTS,
     ROW_BLOCK,
@@ -19,6 +20,7 @@ from kinseg.gmm import (
     dumps_model,
     em_fit,
     kmeans_init,
+    load_model,
     predict_labels,
     regularize_covariance,
     save_model,
@@ -209,7 +211,8 @@ class TestWeakInit:
         assert weak_init(demos).n_components == 3
 
     def test_small_class_names_it(self):
-        with pytest.raises(ValueError, match="'tiny'"):
+        # 'big' has 2 rows at dimension 2, so it warns before 'tiny' raises
+        with pytest.warns(RuntimeWarning, match="'big'"), pytest.raises(ValueError, match="'tiny'"):
             weak_init([(np.ones((3, 2)), ["big", "big", "tiny"])])
 
     def test_dimension_mismatch(self):
@@ -393,6 +396,43 @@ class TestTransitionPoints:
         assert len(transition_points(labels)) == 5
 
 
+# Values whose bits a naive text format would lose or change.
+SPECIALS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1.7976931348623157e308]
+
+
+@st.composite
+def odd_models(draw):
+    """A mixture of arbitrary floats, not a fitted one: each covariance is
+    only symmetric, with specials placed at mirrored entries."""
+    k = draw(st.integers(1, 3))
+    dim = draw(st.sampled_from([1, 2, 3, 96]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    means = rng.normal(size=(k, dim)) * 10.0 ** rng.integers(-300, 300, size=(k, dim))
+    covariances = rng.normal(size=(k, dim, dim))
+    covariances += np.swapaxes(covariances, 1, 2)
+    weights = rng.random(k)
+    for value in draw(st.lists(st.sampled_from(SPECIALS), max_size=8)):
+        j, a, b = rng.integers(k), rng.integers(dim), rng.integers(dim)
+        means[j, a] = covariances[j, a, b] = covariances[j, b, a] = weights[j] = value
+    labels = draw(st.lists(st.none() | st.text(), min_size=k, max_size=k))
+    trace = draw(st.lists(st.floats(allow_nan=False) | st.sampled_from(SPECIALS), max_size=4))
+    return GmmModel(means, covariances, weights, tuple(labels), trace)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def write_doc(path, **changes):
+    """A valid one-component D=2 model.json with the given top-level keys
+    changed (None deletes a key)."""
+    doc = json.loads(dumps_model(mixture((np.zeros(2), np.eye(2), 1.0, "g"))))
+    doc.update(changes)
+    path.write_text(json.dumps({key: v for key, v in doc.items() if v is not None}))
+    return path
+
+
 class TestSerialization:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(26)
@@ -401,111 +441,110 @@ class TestSerialization:
         model = em_fit(X, init, tol=1e-6, max_iter=25)
         path = tmp_path / "model.json"
         save_model(model, path)
-        back = json.loads(path.read_text())
-        components = back["components"]
-        assert back["dimension"] == model.dimension
-        assert back["fit_trace"] == model.fit_trace
-        assert tuple(c["label"] for c in components) == model.labels
-        assert np.array_equal([c["weight"] for c in components], model.weights)
-        assert np.array_equal([c["mean"] for c in components], model.means)
-        assert np.array_equal([c["covariance"] for c in components], model.covariances)
+        back = load_model(path)
+        assert back.fit_trace == model.fit_trace
+        assert back.labels == model.labels
+        for name in ("weights", "means", "covariances"):
+            assert same_bits(getattr(back, name), getattr(model, name)), name
 
-    def test_v1_layout(self):
-        # the on-disk format: one object per component, keys in this order
+    @settings(max_examples=60, deadline=None)
+    @given(model=odd_models())
+    @example(model=GmmModel(
+        np.array([[-0.0], [np.inf]]), np.array([[[np.nan]], [[-np.inf]]]),
+        np.array([0.0, -0.0]), (None, 'say "hi"\\\n\tüñ'), [],
+    ))
+    @example(model=GmmModel(
+        np.full((1, 96), -0.0), np.where(np.eye(96) > 0, np.nan, -0.0)[None],
+        np.ones(1), ("über",), [np.nan, -np.inf],
+    ))
+    def test_load_after_save_is_bit_exact(self, model):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.json")
+            save_model(model, path)
+            back = load_model(path)
+            save_model(back, path + ".again")
+            with open(path, "rb") as a, open(path + ".again", "rb") as b:
+                text = a.read()
+                assert text == b.read()
+        # written a component at a time, yet the text of one json.dumps
+        assert text.decode() == json.dumps(json.loads(text)) + "\n"
+        assert back.labels == model.labels
+        assert same_bits(back.fit_trace, model.fit_trace)
+        for name in ("weights", "means", "covariances"):
+            assert same_bits(getattr(back, name), getattr(model, name)), name
+
+    def test_v2_layout(self):
+        # the on-disk format: one line, one object per component, keys in
+        # this order, each covariance as its upper triangle
         model = mixture(
             (np.array([0.5, -1.0]), np.array([[2.0, 0.25], [0.25, 1.0]]), 0.75, "g"),
             (np.array([0.0, 3.0]), np.eye(2), 0.25),
         )
         model.fit_trace.extend([-3.5, -2.0])
-        doc = {
-            "format": "kinseg-gmm",
-            "version": 1,
-            "dimension": 2,
-            "components": [
-                {
-                    "label": "g",
-                    "weight": 0.75,
-                    "mean": [0.5, -1.0],
-                    "covariance": [[2.0, 0.25], [0.25, 1.0]],
-                },
-                {
-                    "label": None,
-                    "weight": 0.25,
-                    "mean": [0.0, 3.0],
-                    "covariance": [[1.0, 0.0], [0.0, 1.0]],
-                },
-            ],
-            "fit_trace": [-3.5, -2.0],
-        }
-        text = dumps_model(model)
-        assert text == json.dumps(doc, indent=2) + "\n"
-        assert json.loads(text) == doc
-
-    @pytest.mark.parametrize("label", ["g", 'say "hi"\\\n\tüñ', None])
-    @pytest.mark.parametrize("trace", [[], [-3.5, -2.0]])
-    @pytest.mark.parametrize("odd", [None, np.nan, np.inf, -np.inf])
-    def test_same_bytes_as_json(self, label, trace, odd):
-        rng = np.random.default_rng(27)
-        A = rng.normal(size=(3, 3))
-        model = mixture(
-            (rng.normal(size=3), A @ A.T, 0.625, label),
-            (rng.normal(size=3) * 1e-300, np.eye(3) * 1e300, 0.375),
+        assert dumps_model(model) == (
+            '{"format": "kinseg-gmm", "version": 2, "dimension": 2, "components": ['
+            '{"label": "g", "weight": 0.75, "mean": [0.5, -1.0], "covariance": [2.0, 0.25, 1.0]}, '
+            '{"label": null, "weight": 0.25, "mean": [0.0, 3.0], "covariance": [1.0, 0.0, 1.0]}'
+            '], "fit_trace": [-3.5, -2.0]}\n'
         )
-        model.fit_trace.extend(trace)
-        if odd is not None:
-            model.covariances[0, 1, 2] = odd
-            model.means[1, 0] = odd
-        doc = {
-            "format": "kinseg-gmm",
-            "version": 1,
-            "dimension": 3,
-            "components": [
-                {"label": lab, "weight": w, "mean": m.tolist(), "covariance": c.tolist()}
-                for lab, w, m, c in zip(
-                    (label, None), (0.625, 0.375), model.means, model.covariances
-                )
-            ],
-            "fit_trace": trace,
-        }
-        text = dumps_model(model)
-        assert text == json.dumps(doc, indent=2) + "\n"
-        assert odd is None or json.dumps(float(odd)) in text
 
-    @pytest.mark.parametrize(
-        "case", ["symmetric", "asymmetric", "nan", "signed_zero", "one_by_one"]
-    )
-    def test_mirrored_covariance_bytes(self, case):
-        """A finite, bitwise symmetric covariance formats each mirrored pair
-        once; any other goes per value. Both give json.dumps's bytes."""
+    def test_triangle_is_row_major(self):
+        C = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
+        doc = json.loads(dumps_model(mixture((np.zeros(3), C, 1.0))))
+        assert doc["components"][0]["covariance"] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+    @pytest.mark.parametrize("case", ["nextafter", "signed_zero", "nan_bits"])
+    def test_asymmetric_covariance_rejected(self, case):
         rng = np.random.default_rng(29)
         A = rng.normal(size=(4, 4))
         C = regularize_covariance(A @ A.T)
-        if case == "asymmetric":
+        if case == "nextafter":
             C[0, 3] = np.nextafter(C[0, 3], np.inf)
-        elif case == "nan":
-            C[1, 2] = C[2, 1] = np.nan
         elif case == "signed_zero":  # equal under ==, yet "0.0" and "-0.0"
             C[0, 1], C[1, 0] = 0.0, -0.0
-        elif case == "one_by_one":
-            C = C[:1, :1]
-        model = mixture((rng.normal(size=len(C)), C, 1.0, "g"))
-        doc = {
-            "format": "kinseg-gmm",
-            "version": 1,
-            "dimension": len(C),
-            "components": [
-                {
-                    "label": "g",
-                    "weight": 1.0,
-                    "mean": model.means[0].tolist(),
-                    "covariance": C.tolist(),
-                }
-            ],
-            "fit_trace": [],
-        }
-        assert dumps_model(model) == json.dumps(doc, indent=2) + "\n"
-        mirrored = isinstance(gmm._matrix_rows(C)[0], gmm._Reprs)
-        assert mirrored == (case in ("symmetric", "one_by_one"))
+        else:  # two NaNs that json would write alike but differ in sign
+            C[1, 2], C[2, 1] = np.nan, -np.nan
+        model = mixture((np.zeros(4), np.eye(4), 0.5, "ok"), (np.zeros(4), C, 0.5, "bad"))
+        with pytest.raises(ValueError, match="component 'bad' is not symmetric"):
+            dumps_model(model)
+
+    @pytest.mark.parametrize(
+        "version, message",
+        [(1, "version 1 is not read.*re-run `kinseg segment`"), (3, "version 3"),
+         ("2", "version '2'"), (None, "version None")],
+    )
+    def test_other_versions_rejected(self, tmp_path, version, message):
+        with pytest.raises(ValueError, match=message):
+            load_model(write_doc(tmp_path / "model.json", version=version))
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"format": "other"}, "not a kinseg-gmm model"),
+            ({"dimension": 0}, "dimension must be a positive integer"),
+            ({"dimension": 3}, r"covariance must be \(1, 6\)"),
+            ({"dimension": True}, "dimension must be a positive integer"),
+            ({"dimension": 10**6}, "covariance must be"),  # before any D x D array
+            ({"components": []}, "components need keys"),
+            ({"components": [{"label": 1, "weight": 1.0, "mean": [0.0, 0.0],
+                              "covariance": [1.0, 0.0, 1.0]}]}, "label str/null"),
+            ({"components": [{"label": "g", "weight": 1.0, "mean": [0.0, 0.0],
+                              "covariance": [[1.0, 0.0], [0.0, 1.0]]}]}, "covariance must be"),
+            ({"components": [{"label": "g", "weight": 1.0, "mean": [0.0, "0.0"],
+                              "covariance": [1.0, 0.0, 1.0]}]}, "mean must be"),
+            ({"components": [{"label": "g", "weight": [1.0], "mean": [0.0, 0.0],
+                              "covariance": [1.0, 0.0, [1.0]]}]}, "covariance must be"),
+            ({"components": None}, "components need keys"),
+            ({"components": {"label": "g"}}, "components need keys"),
+            ({"components": [{"label": "g", "weight": 1.0, "mean": [0.0, 0.0],
+                              "covariance": [1.0, 0.0, 1.0], "extra": 0}]}, "components need keys"),
+            ({"fit_trace": [[1.0]]}, "fit_trace must be"),
+            ({"fit_trace": None}, "fit_trace must be"),
+        ],
+    )
+    def test_malformed_model_rejected(self, tmp_path, changes, message):
+        with pytest.raises(ValueError, match=message):
+            load_model(write_doc(tmp_path / "model.json", **changes))
 
     def test_dumps_is_self_describing(self):
         model = mixture((np.zeros(2), np.eye(2), 1.0, "g"))
