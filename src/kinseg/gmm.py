@@ -2,7 +2,9 @@
 
 The mixture is initialized either from annotated demonstrations (one
 component per gesture label, estimated from the labeled rows) or by
-seeded k-means++, then refined with EM on the unlabeled data. Components
+seeded k-means++, then refined with EM on the unlabeled data. One estimator
+serves both inits and EM's M-step: an init is an M-step on 0/1
+responsibilities, each row's label or final k-means cluster. Components
 keep full covariance matrices: with a one-step window the cross-block
 covariance between x(t) and x(t+1) is what encodes the per-gesture linear
 regime, so diagonal covariances would discard the very structure being
@@ -19,7 +21,7 @@ factored with one batched Cholesky, C_k = L_k L_k^T, and the precision
 factors P_k = L_k^-T are concatenated into one D x (K*D) matrix, so the
 Mahalanobis terms of a block of rows come from a single GEMM:
 ||x P_k - mu_k P_k||^2 (as in scikit-learn's GaussianMixture with
-precisions_cholesky_). The M-step takes all means as one product resp^T X.
+precisions_cholesky_). The estimator takes all means as one product resp^T X.
 Its centered, responsibility-weighted scatter sums each component over only
 the rows whose responsibility is not exactly 0, which at D=96 is often
 under half of them: the rows are gathered a fixed number at a time, and each
@@ -137,26 +139,6 @@ def regularize_covariance(cov: np.ndarray) -> np.ndarray:
     return cov + eps[..., None, None] * np.eye(cov.shape[-1])
 
 
-def _moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and biased (1/n) centered scatter of a block of rows."""
-    mean = rows.mean(axis=0)
-    diff = rows - mean
-    return mean, diff.T @ diff / rows.shape[0]
-
-
-def _group_model(data: np.ndarray, groups, labels) -> GmmModel:
-    """One component per row mask: the rows' mean, their regularized
-    covariance, and their share of all rows as weight."""
-    means, scatters = zip(*(_moments(data[g]) for g in groups))
-    counts = np.array([np.count_nonzero(g) for g in groups])
-    return GmmModel(
-        means=np.array(means),
-        covariances=regularize_covariance(np.array(scatters)),
-        weights=counts / data.shape[0],
-        labels=tuple(labels),
-    )
-
-
 def weak_init(
     labeled: Sequence[tuple[object, Sequence[str]]],
 ) -> GmmModel:
@@ -189,9 +171,8 @@ def weak_init(
     names, codes = code_labels(np.concatenate(all_labels))
     if not len(names):
         raise ValueError("no labeled rows in any demonstration")
-    groups = [codes == k for k in range(len(names))]
-    for name, group in zip(names, groups):
-        n_rows = np.count_nonzero(group)
+    counts = np.bincount(codes)
+    for name, n_rows in zip(names, counts.tolist()):
         if n_rows < 2:
             raise ValueError(f"label {name!r} has only {n_rows} row(s); need at least 2")
         if n_rows <= dim:
@@ -201,7 +182,8 @@ def weak_init(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    return _group_model(np.vstack(matrices), groups, names)
+    means, covariances = _estimate(np.vstack(matrices), np.eye(len(names))[codes], counts)
+    return GmmModel(means, covariances, counts / len(codes), tuple(names))
 
 
 def kmeans_init(X, k: int, seed: int) -> GmmModel:
@@ -231,8 +213,9 @@ def kmeans_init(X, k: int, seed: int) -> GmmModel:
         for j in range(k):
             centers[j] = data[assignment == j].mean(axis=0)
 
-    groups = [assignment == j for j in range(k)]
-    return _group_model(data, groups, [None] * k)
+    counts = np.bincount(assignment, minlength=k)
+    means, covariances = _estimate(data, np.eye(k)[assignment], counts)
+    return GmmModel(means, covariances, counts / n, (None,) * k)
 
 
 def _kmeans_pp_seeds(data: np.ndarray, k: int, rng) -> np.ndarray:
@@ -407,6 +390,15 @@ def _scatter(data: np.ndarray, resp: np.ndarray, means: np.ndarray) -> np.ndarra
     return out
 
 
+def _estimate(data: np.ndarray, resp: np.ndarray, mass: np.ndarray):
+    """Means and regularized covariances of the components whose
+    responsibilities are the columns of resp, mass holding each column's
+    sum: EM's M-step, and on 0/1 responsibilities both inits' estimate."""
+    means = (resp.T @ data) / mass[:, None]
+    scatter = _scatter(data, resp, means)
+    return means, regularize_covariance(scatter / mass[:, None, None])
+
+
 def _logsumexp_rows(logs: np.ndarray) -> np.ndarray:
     m = np.max(logs, axis=1)
     return m + np.log(np.sum(np.exp(logs - m[:, None]), axis=1))
@@ -451,11 +443,7 @@ def em_fit(X, init: GmmModel, tol: float = 1e-6, max_iter: int = 300) -> GmmMode
         resp = np.exp(logs - norm[:, None])
         mass = resp.sum(axis=0)
         live = np.flatnonzero(mass >= mass_floor)  # the others stay frozen
-        live_resp = resp[:, live]
-        live_mass = mass[live, None]
-        means[live] = (live_resp.T @ data) / live_mass
-        scatter = _scatter(data, live_resp, means[live])
-        covariances[live] = regularize_covariance(scatter / live_mass[:, :, None])
+        means[live], covariances[live] = _estimate(data, resp[:, live], mass[live])
         floored = np.maximum(mass, mass_floor)
         weights = floored / floored.sum()
     return GmmModel(means, covariances, weights, init.labels, fit_trace)

@@ -201,6 +201,25 @@ class TestWeakInit:
         assert np.allclose(model.covariances[0], emp + eps * np.eye(2))
         assert abs(model.weights[0] - 9 / 14) < 1e-12
 
+    def test_matches_dense_reference_over_two_gather_chunks(self):
+        # At D=96 the scatter gathers 682 rows at a time; "long" needs two.
+        dim, sizes = 96, {"long": GATHER_ELEMENTS // 96 + 100, "short": 150}
+        rng = np.random.default_rng(12)
+        labels = rng.permutation(np.repeat(list(sizes), list(sizes.values())))
+        X = rng.normal(1.0, 2.0, (len(labels), dim))
+        cut = len(labels) // 3
+        model = weak_init([(X[:cut], labels[:cut]), (X[cut:], labels[cut:])])
+        assert list(model.labels) == ["long", "short"]
+        for k, name in enumerate(model.labels):
+            rows = X[labels == name]
+            mean = rows.mean(axis=0)
+            emp = (rows - mean).T @ (rows - mean) / len(rows)
+            want = emp + 1e-6 * np.mean(np.diag(emp)) * np.eye(dim)
+            assert rel_err(model.means[k], mean) <= 1e-12
+            assert rel_err(model.covariances[k], want) <= 1e-12
+        counts = np.array(list(sizes.values()))
+        assert np.array_equal(model.weights, counts / len(labels))
+
     def test_component_count_matches_dictionary(self):
         rng = np.random.default_rng(8)
         demos = [

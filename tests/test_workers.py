@@ -224,6 +224,22 @@ class TestWorkerInvariance:
         seen = assert_same_for_all_workers(split, kernels, floor)
         assert seen == [3, 3]  # 5 row blocks, 8 components
 
+    def test_inits_above_default_floor(self, split):
+        # Both inits estimate their components with the M-step's split
+        # scatter; each label spans two of its 682-row gather chunks.
+        n, k, dim = 3000, 4, 96
+        assert k * dim * dim >= gmm.SPLIT_FLOOR
+        _, X, _ = problem(n, k, dim, 160)
+        labels = [f"g{j}" for j in np.arange(n) % k]  # 750 rows each
+
+        def inits():
+            return model_arrays(gmm.weak_init([(X, labels)])) + model_arrays(
+                gmm.kmeans_init(X, k, seed=7)
+            )
+
+        seen = assert_same_for_all_workers(split, inits, gmm.SPLIT_FLOOR)
+        assert seen == [3, 3]  # one scatter per init, 4 components
+
     def test_more_workers_than_cores_with_fast_switching(self, split):
         # Parts write disjoint slices of one output; a lost or doubled update
         # under frequent thread switches would change the bytes.
