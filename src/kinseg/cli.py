@@ -60,14 +60,16 @@ class ConfigError(Exception):
     """Invalid or incomplete run configuration (exit code 1)."""
 
 
-def _setting(default, flag: str, kind, help: str, **options):
+def _setting(default, flag: str, kind, help: str, minimum=None, **options):
     """A RunConfig field that declares its setting: the flag, the kind (int,
-    float, str, or tuple for a comma-separated id list) and the options of
-    its add_argument call, the help text and any choices."""
+    float, str, or tuple for a comma-separated id list), its range, and the
+    options of its add_argument call, the help text and any choices. Every
+    float setting must be finite and positive; an int setting with a
+    minimum must be at least that when it is set (not None)."""
     options.update(help=help, type=kind if kind in (int, float) else None)
-    return dataclasses.field(
-        default=default, metadata={"flag": flag, "kind": kind, "options": options}
-    )
+    return dataclasses.field(default=default, metadata={
+        "flag": flag, "kind": kind, "minimum": minimum, "options": options,
+    })
 
 
 @dataclass(frozen=True)
@@ -80,15 +82,17 @@ class RunConfig:
         JIGSAWS_RATE_HZ, "--sample-rate", float, "recording rate in Hz (default 30)"
     )
     fc_hz: float = _setting(1.5, "--fc", float, "low-pass cutoff in Hz")
-    subsample_factor: int = _setting(3, "--subsample", int, "keep every n-th frame")
-    window: int = _setting(2, "--window", int, "sliding-window length W")
+    subsample_factor: int = _setting(
+        3, "--subsample", int, "keep every n-th frame", minimum=1
+    )
+    window: int = _setting(2, "--window", int, "sliding-window length W", minimum=0)
     feature_subset: str = _setting(
         "all", "--subset", str,
         "feature subset: all, no-pose, no-velocity, no-distance, or 1-based indices",
     )
     em_tol: float = _setting(1e-6, "--em-tol", float, "EM stopping tolerance")
-    em_max_iter: int = _setting(300, "--em-max-iter", int, "EM iteration cap")
-    seed: int = _setting(0, "--seed", int, "random seed")
+    em_max_iter: int = _setting(300, "--em-max-iter", int, "EM iteration cap", minimum=1)
+    seed: int = _setting(0, "--seed", int, "random seed", minimum=0)
     init_method: str = _setting(
         "weak", "--init", str, "mixture initialization", choices=["weak", "kmeans"]
     )
@@ -97,7 +101,8 @@ class RunConfig:
         "comma-separated ids of the annotated demonstrations used for weak init",
     )
     k: int | None = _setting(
-        None, "--k", int, "component count for k-means init (default: label count)"
+        None, "--k", int, "component count for k-means init (default: label count)",
+        minimum=1,
     )
     mapping: str | None = _setting(
         None, "--mapping", str,
@@ -164,7 +169,23 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
+def _check_ranges(config: RunConfig) -> None:
+    """Each setting against the range its RunConfig field declares."""
+    for f in dataclasses.fields(RunConfig):
+        value, minimum = getattr(config, f.name), f.metadata["minimum"]
+        if f.metadata["kind"] is float:
+            if not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+            if value <= 0:
+                raise ConfigError(f"{f.name} must be positive")
+        elif minimum is not None and value is not None and value < minimum:
+            raise ConfigError(f"{f.name} must be >= {minimum}")
+
+
 def _validate(config: RunConfig) -> None:
+    """Raise a ConfigError for the first rule the config breaks: the two
+    directories, the init method and its demos, repeated ids, each
+    setting's declared range, the Nyquist limit and the feature subset."""
     if not config.data_dir:
         raise ConfigError("a data directory is required (--data-dir)")
     if not config.output_dir:
@@ -175,27 +196,11 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("weak init needs at least one --init-demos id")
     if len(set(config.init_demos)) < len(config.init_demos):
         raise ConfigError(f"an init demonstration id repeats in {list(config.init_demos)}")
-    for name in sorted(n for n, kind in _KINDS.items() if kind is float):
-        if not math.isfinite(getattr(config, name)):
-            raise ConfigError(f"{name} must be finite, got {getattr(config, name)}")
-    if config.fc_hz <= 0:
-        raise ConfigError("fc_hz must be positive")
-    if config.sample_rate_hz <= 0:
-        raise ConfigError("sample_rate_hz must be positive")
+    _check_ranges(config)
     if config.fc_hz >= config.sample_rate_hz / 2:
         raise ConfigError(
             f"fc_hz must lie below the Nyquist frequency {config.sample_rate_hz / 2} Hz"
         )
-    if config.subsample_factor < 1:
-        raise ConfigError("subsample_factor must be >= 1")
-    if config.window < 0:
-        raise ConfigError("window must be >= 0")
-    if config.em_tol <= 0:
-        raise ConfigError("em_tol must be positive")
-    if config.em_max_iter < 1:
-        raise ConfigError("em_max_iter must be >= 1")
-    if config.k is not None and config.k < 1:
-        raise ConfigError("k must be >= 1")
     try:
         _preprocess.resolve_subset(config.feature_subset)
     except ValueError as exc:
@@ -437,7 +442,7 @@ def _warn_if_degenerate(model: _gmm.GmmModel, predicted: set) -> None:
 
 
 def _weak_init_model(config, dataset, augmented) -> _gmm.GmmModel:
-    labeled = []
+    rows, labels = [], []
     for demo_id in config.init_demos:
         truth = dataset[demo_id].truth
         if truth is None:
@@ -451,8 +456,9 @@ def _weak_init_model(config, dataset, augmented) -> _gmm.GmmModel:
             raise ValueError(
                 f"init demonstration {demo_id!r} has no annotated rows"
             )
-        labeled.append((X[keep], row_labels[keep]))
-    return _gmm.weak_init(labeled)
+        rows.append(X[keep])
+        labels.append(row_labels[keep])
+    return _gmm.weak_init(np.vstack(rows), np.concatenate(labels))
 
 
 def _kmeans_init_model(config, dataset, fit_data) -> _gmm.GmmModel:
@@ -641,8 +647,11 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning
+            # A run reports its warnings on stderr whatever the caller's
+            # filters say (an "error" filter would end it in a traceback).
             # Python shows a repeated warning once; each run of a sweep
             # reports its own degenerate fit.
+            warnings.simplefilter("default", RuntimeWarning)
             warnings.filterwarnings("always", message="degenerate fit")
             return args.run(args)
     except ConfigError as exc:

@@ -139,38 +139,23 @@ def regularize_covariance(cov: np.ndarray) -> np.ndarray:
     return cov + eps[..., None, None] * np.eye(cov.shape[-1])
 
 
-def weak_init(
-    labeled: Sequence[tuple[object, Sequence[str]]],
-) -> GmmModel:
-    """Initial mixture from annotated demonstrations.
+def weak_init(X, labels: Sequence[str]) -> GmmModel:
+    """Initial mixture from annotated rows, one label per row (the labeled
+    rows of every init demonstration, stacked).
 
     One component per distinct label; mean, covariance and weight are the
-    empirical statistics of that label's rows pooled over all the given
-    demonstrations. A label with no more rows than dimensions gets a
-    singular scatter matrix that only the ridge keeps invertible; such a
-    label raises a RuntimeWarning, since EM tends to starve its component.
+    empirical statistics of that label's rows. A label with no more rows
+    than dimensions gets a singular scatter matrix that only the ridge keeps
+    invertible; such a label raises a RuntimeWarning, since EM tends to
+    starve its component.
     """
-    if not labeled:
-        raise ValueError("need at least one labeled demonstration")
-    matrices = []
-    all_labels = []
-    dim = None
-    for X, labels in labeled:
-        values = _as_matrix(X)
-        labels = np.asarray(labels, dtype=object)
-        if len(labels) != values.shape[0]:
-            raise ValueError("label count does not match row count")
-        if dim is None:
-            dim = values.shape[1]
-        elif values.shape[1] != dim:
-            raise ValueError(
-                f"dimension mismatch across demonstrations ({values.shape[1]} vs {dim})"
-            )
-        matrices.append(values)
-        all_labels.append(labels)
-    names, codes = code_labels(np.concatenate(all_labels))
+    data = _as_matrix(X)
+    dim = data.shape[1]
+    if len(labels) != data.shape[0]:
+        raise ValueError("label count does not match row count")
+    names, codes = code_labels(labels)
     if not len(names):
-        raise ValueError("no labeled rows in any demonstration")
+        raise ValueError("no labeled rows")
     counts = np.bincount(codes)
     for name, n_rows in zip(names, counts.tolist()):
         if n_rows < 2:
@@ -182,7 +167,7 @@ def weak_init(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    means, covariances = _estimate(np.vstack(matrices), np.eye(len(names))[codes], counts)
+    means, covariances = _estimate(data, np.eye(len(names))[codes], counts)
     return GmmModel(means, covariances, counts / len(codes), tuple(names))
 
 
@@ -404,7 +389,7 @@ def _logsumexp_rows(logs: np.ndarray) -> np.ndarray:
     return m + np.log(np.sum(np.exp(logs - m[:, None]), axis=1))
 
 
-def em_fit(X, init: GmmModel, tol: float = 1e-6, max_iter: int = 300) -> GmmModel:
+def em_fit(X, init: GmmModel, tol: float, max_iter: int) -> GmmModel:
     """Refine a mixture by EM until the relative log-likelihood change
     drops below tol or max_iter iterations are reached.
 

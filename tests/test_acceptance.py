@@ -80,7 +80,7 @@ def _run_pair(seed, *, window=1, sigma=0.05, n_regimes=4, p=6, contraction=0.95,
 
     Xa, la = make(seed * 1000 + 1)
     Xb, lb = make(seed * 1000 + 2)
-    init = gmm.weak_init([(Xa, la)])
+    init = gmm.weak_init(Xa, la)
     model = gmm.em_fit(Xb, init, tol=1e-6, max_iter=300)
     report = metrics.evaluate(gmm.predict_labels(model, Xb), lb)
 

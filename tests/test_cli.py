@@ -1,7 +1,10 @@
 import argparse
+import contextlib
 import csv
 import dataclasses
+import io
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -1043,6 +1046,76 @@ class TestConfigPrecedence:
             assert type(getattr(config, f.name)) is type(getattr(merged, f.name))
 
 
+# The settings that declare a range: every float, and each int with a minimum.
+_RANGED = [
+    f for f in dataclasses.fields(cli.RunConfig)
+    if f.metadata["kind"] is float or f.metadata["minimum"] is not None
+]
+
+
+def _range_error(f, value):
+    """The config error of a value outside the range of setting f."""
+    if f.metadata["kind"] is int:
+        return f"{f.name} must be >= {f.metadata['minimum']}"
+    if not math.isfinite(value):
+        return f"{f.name} must be finite, got {value}"
+    return f"{f.name} must be positive"
+
+
+class TestRanges:
+    def test_declared_ranges(self):
+        assert {f.name: f.metadata["minimum"] for f in _RANGED} == {
+            "sample_rate_hz": None, "fc_hz": None, "subsample_factor": 1,
+            "window": 0, "em_tol": None, "em_max_iter": 1, "seed": 0, "k": 1,
+        }
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_value_outside_range_fails_before_loading(self, data):
+        f = data.draw(st.sampled_from(_RANGED), label="field")
+        if f.metadata["kind"] is float:
+            outside = st.floats(max_value=0.0) | st.sampled_from([math.inf, math.nan])
+        else:
+            below = f.metadata["minimum"] - 1
+            outside = st.just(below) | st.integers(max_value=below)
+        value = data.draw(outside, label="value")
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["segment", "--data-dir", os.path.join(tmp, "data"),
+                    "--output-dir", os.path.join(tmp, "out"), "--init-demos", "d00"]
+            if data.draw(st.booleans(), label="from config file"):
+                path = os.path.join(tmp, "run.json")
+                with open(path, "w") as fh:
+                    json.dump({f.name: value}, fh)
+                argv += ["--config", path]
+            else:  # "--fc -inf" would read -inf as an option
+                argv.append(f"{f.metadata['flag']}={_flag_form(value)}")
+            loads, err = [], io.StringIO()
+
+            def load(config):
+                loads.append(config)
+                raise OSError("loaded")
+
+            with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+                mp.setattr(cli, "load_dataset", load)
+                code = main(argv)
+            assert not os.path.exists(os.path.join(tmp, "out"))
+        assert (code, err.getvalue()) == (
+            1, f"kinseg: config error: {_range_error(f, value)}\n"
+        )
+        assert loads == []
+
+    @pytest.mark.parametrize(
+        "f", [f for f in _RANGED if f.metadata["kind"] is int], ids=lambda f: f.name
+    )
+    def test_value_on_integer_bound_passes(self, f):
+        minimum = f.metadata["minimum"]
+        args = cli.build_parser().parse_args([
+            "segment", "--data-dir", "d", "--output-dir", "o", "--init-demos", "d00",
+            f"{f.metadata['flag']}={minimum}",
+        ])
+        assert getattr(cli.resolve_config(args), f.name) == minimum
+
+
 def constant_data(data):
     """Three recordings of 60 frames x 3 constant channels, each annotated
     A then B: every component fits the same point, and one of them takes
@@ -1277,6 +1350,19 @@ class TestErrorExits:
         assert code == 1
         assert f"kinseg: config error: {field} must be finite, got {float(value)}" \
             in capsys.readouterr().err
+        assert reads == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("init", [["--init", "kmeans", "--k", "3"], ["--init", "weak"]])
+    def test_negative_seed_rejected_before_any_read(
+        self, synth_dir, tmp_path, count_calls, capsys, init
+    ):
+        # k-means used to read every recording and then exit 2 from numpy's
+        # seeding; weak init, which draws no random number, took it silently
+        reads = count_calls(cli, "parse_kinematics")
+        code = run_segment(synth_dir, tmp_path / "out", [*init, "--seed", "-1"])
+        assert code == 1
+        assert capsys.readouterr().err == "kinseg: config error: seed must be >= 0\n"
         assert reads == []
         assert not (tmp_path / "out").exists()
 

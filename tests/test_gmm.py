@@ -175,7 +175,7 @@ class TestWeakInit:
     def test_single_class(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(20, 3))
-        model = weak_init([(X, ["g"] * 20)])
+        model = weak_init(X, ["g"] * 20)
         assert model.n_components == 1
         assert model.weights[0] == 1.0
         assert model.labels[0] == "g"
@@ -184,7 +184,7 @@ class TestWeakInit:
     def test_equal_counts_equal_weights(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(10, 2))
-        model = weak_init([(X, ["a"] * 5 + ["b"] * 5)])
+        model = weak_init(X, ["a"] * 5 + ["b"] * 5)
         assert np.allclose(model.weights, [0.5, 0.5])
 
     def test_pooled_statistics(self):
@@ -192,7 +192,7 @@ class TestWeakInit:
         Xa, Xb = rng.normal(size=(8, 2)), rng.normal(size=(6, 2))
         la = ["p"] * 5 + ["q"] * 3
         lb = ["q"] * 2 + ["p"] * 4
-        model = weak_init([(Xa, la), (Xb, lb)])
+        model = weak_init(np.vstack([Xa, Xb]), la + lb)
         assert list(model.labels) == ["p", "q"]
         rows_p = np.vstack([Xa[:5], Xb[2:]])
         assert np.allclose(model.means[0], rows_p.mean(axis=0))
@@ -207,8 +207,7 @@ class TestWeakInit:
         rng = np.random.default_rng(12)
         labels = rng.permutation(np.repeat(list(sizes), list(sizes.values())))
         X = rng.normal(1.0, 2.0, (len(labels), dim))
-        cut = len(labels) // 3
-        model = weak_init([(X[:cut], labels[:cut]), (X[cut:], labels[cut:])])
+        model = weak_init(X, labels)
         assert list(model.labels) == ["long", "short"]
         for k, name in enumerate(model.labels):
             rows = X[labels == name]
@@ -222,25 +221,23 @@ class TestWeakInit:
 
     def test_component_count_matches_dictionary(self):
         rng = np.random.default_rng(8)
-        demos = [
-            (rng.normal(size=(12, 2)), ["a", "b", "c"] * 4),
-            (rng.normal(size=(6, 2)), ["b", "c"] * 3),
-            (rng.normal(size=(4, 2)), ["a"] * 4),
-        ]
-        assert weak_init(demos).n_components == 3
+        X = np.vstack([rng.normal(size=(12, 2)), rng.normal(size=(6, 2)),
+                       rng.normal(size=(4, 2))])
+        labels = ["a", "b", "c"] * 4 + ["b", "c"] * 3 + ["a"] * 4
+        assert weak_init(X, labels).n_components == 3
 
     def test_small_class_names_it(self):
         # 'big' has 2 rows at dimension 2, so it warns before 'tiny' raises
         with pytest.warns(RuntimeWarning, match="'big'"), pytest.raises(ValueError, match="'tiny'"):
-            weak_init([(np.ones((3, 2)), ["big", "big", "tiny"])])
+            weak_init(np.ones((3, 2)), ["big", "big", "tiny"])
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            weak_init([(np.ones((2, 2)), ["a"] * 2), (np.ones((2, 3)), ["a"] * 2)])
+    def test_label_count_mismatch(self):
+        with pytest.raises(ValueError, match="label count does not match row count"):
+            weak_init(np.ones((3, 2)), ["a"] * 2)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(9)
-        model = weak_init([(rng.normal(size=(30, 2)), ["x", "y", "z"] * 10)])
+        model = weak_init(rng.normal(size=(30, 2)), ["x", "y", "z"] * 10)
         assert abs(model.weights.sum() - 1.0) < 1e-9
 
 
@@ -456,7 +453,7 @@ class TestSerialization:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(26)
         X = rng.normal(size=(40, 3))
-        init = weak_init([(X, ["a", "b"] * 20)])
+        init = weak_init(X, ["a", "b"] * 20)
         model = em_fit(X, init, tol=1e-6, max_iter=25)
         path = tmp_path / "model.json"
         save_model(model, path)
@@ -795,16 +792,16 @@ class TestWeakInitSizeWarning:
         X = np.vstack([big, tiny])
         labels = ["big"] * 400 + ["tiny"] * 30
         with pytest.warns(RuntimeWarning, match=r"'tiny' has 30 row\(s\) at dimension 96"):
-            model = weak_init([(X, labels)])
+            model = weak_init(X, labels)
         assert list(model.labels) == ["big", "tiny"]
 
     def test_enough_rows_do_not_warn(self):
         rng = np.random.default_rng(71)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            weak_init([(rng.normal(size=(20, 3)), ["a", "b"] * 10)])
+            weak_init(rng.normal(size=(20, 3)), ["a", "b"] * 10)
 
     def test_rows_equal_to_dimension_warn(self):
         rng = np.random.default_rng(72)
         with pytest.warns(RuntimeWarning, match=r"'b' has 3 row\(s\) at dimension 3"):
-            weak_init([(rng.normal(size=(13, 3)), ["a"] * 10 + ["b"] * 3)])
+            weak_init(rng.normal(size=(13, 3)), ["a"] * 10 + ["b"] * 3)

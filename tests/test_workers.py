@@ -233,7 +233,7 @@ class TestWorkerInvariance:
         labels = [f"g{j}" for j in np.arange(n) % k]  # 750 rows each
 
         def inits():
-            return model_arrays(gmm.weak_init([(X, labels)])) + model_arrays(
+            return model_arrays(gmm.weak_init(X, labels)) + model_arrays(
                 gmm.kmeans_init(X, k, seed=7)
             )
 
