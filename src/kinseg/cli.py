@@ -147,7 +147,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     merged = {}
     if getattr(args, "config", None):
         try:
-            with open(args.config) as fh:
+            with _read(args.config) as fh:
                 doc = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}")
@@ -207,6 +207,11 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(str(exc))
 
 
+def _read(path: str):
+    """An input file as UTF-8 text, less a byte-order mark at its start."""
+    return open(path, encoding="utf-8-sig")
+
+
 @contextlib.contextmanager
 def _naming(source: str):
     """Prefix the message of a ValueError raised inside with its source, the
@@ -257,7 +262,7 @@ def load_dataset(config: RunConfig) -> tuple[dict[str, LoadedDemo], list[str]]:
     for name in files:
         demo_id, ext = os.path.splitext(name)
         layout = "generic_csv" if ext == ".csv" else "jigsaws"
-        with open(os.path.join(kin_dir, name)) as fh, _naming(name):
+        with _read(os.path.join(kin_dir, name)) as fh, _naming(name):
             frames, channels = parse_kinematics(fh, layout)
         features = None  # built below for a 38-channel recording
         if frames.shape[1] == PSM_COLUMNS:
@@ -267,7 +272,7 @@ def load_dataset(config: RunConfig) -> tuple[dict[str, LoadedDemo], list[str]]:
             features = np.ascontiguousarray(frames[::config.subsample_factor])
         tpath = os.path.join(config.data_dir, "transcripts", f"{demo_id}.txt")
         if os.path.isfile(tpath):
-            with open(tpath) as fh, _naming(f"{demo_id}.txt"):
+            with _read(tpath) as fh, _naming(f"{demo_id}.txt"):
                 transcripts[demo_id] = parse_transcript(fh)
         names = names or channels
         if channels != names:
@@ -304,11 +309,11 @@ def _load_mapping(config: RunConfig):
     if config.mapping == "builtin":
         mapping = _dictionary.default_mapping()
     else:
-        with open(config.mapping) as fh, _naming(config.mapping):
+        with _read(config.mapping) as fh, _naming(config.mapping):
             mapping = _dictionary.parse_mapping(fh)
     sidecar = None
     if config.sidecar is not None:
-        with open(config.sidecar) as fh, _naming(config.sidecar):
+        with _read(config.sidecar) as fh, _naming(config.sidecar):
             sidecar = _dictionary.parse_sidecar(fh)
     return mapping, sidecar
 
@@ -484,7 +489,8 @@ def _write_segment_outputs(config, names, result: RunResult) -> None:
 
     for demo_id in sorted(result.predictions):
         t = compress_labels(result.predictions[demo_id])
-        with open(os.path.join(out, "predictions", f"{demo_id}.txt"), "w") as fh:
+        path = os.path.join(out, "predictions", f"{demo_id}.txt")
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(serialize_transcript(t))
 
     _gmm.save_model(result.model, os.path.join(out, "model.json"))
@@ -492,7 +498,7 @@ def _write_segment_outputs(config, names, result: RunResult) -> None:
     per_demo = {d: result.score([d]) for d in sorted(result.truth)}
     for name, doc in (("report.json", result.report),
                       ("report_per_demo.json", per_demo)):
-        with open(os.path.join(out, name), "w") as fh:
+        with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc, indent=2) + "\n")
 
     if config.feature_subset != "all":
@@ -503,7 +509,7 @@ def _write_segment_outputs(config, names, result: RunResult) -> None:
         X = result.augmented[demo_id]
         labels = result.row_predictions[demo_id]
         path = os.path.join(out, "transitions", f"{demo_id}.csv")
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             # Row t is the last of the old label; the vector is row t + 1's.
@@ -555,7 +561,7 @@ def _sweep(config: RunConfig, field: str, values: list, csv_name: str) -> int:
         _print_report_line(report)
     os.makedirs(config.output_dir, exist_ok=True)
     path = os.path.join(config.output_dir, csv_name)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([name, *_SCORES])
         writer.writerows(rows)

@@ -129,8 +129,8 @@ def parse_sidecar(text: str | TextIO) -> dict[str, dict]:
 
 def default_mapping() -> dict[str, MappingRule]:
     """The remapping rules shipped with the package."""
-    text = resources.files("kinseg").joinpath("data/remap_suturing.txt").read_text()
-    return parse_mapping(text)
+    path = resources.files("kinseg").joinpath("data/remap_suturing.txt")
+    return parse_mapping(path.read_text(encoding="utf-8"))
 
 
 def check_sidecar(

@@ -486,7 +486,7 @@ def dumps_model(model: GmmModel) -> str:
 
 
 def save_model(model: GmmModel, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_model_json(model))
 
 

@@ -10,7 +10,7 @@ Segments.
 
 import csv
 import io
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -18,6 +18,7 @@ JIGSAWS_TOTAL_COLUMNS = 76
 PSM_COLUMNS = 38
 JIGSAWS_RATE_HZ = 30.0
 UNANNOTATED = ""  # label of the frames no transcript segment covers
+_DELIMITERS = {"jigsaws": None, "generic_csv": ","}  # np.loadtxt's, by layout
 
 
 class Segment(NamedTuple):
@@ -28,7 +29,8 @@ class Segment(NamedTuple):
 
 def _lines(text: str | TextIO) -> Iterable[tuple[int, str]]:
     stream = io.StringIO(text) if isinstance(text, str) else text
-    for lineno, raw in enumerate(stream, start=1):
+    # readline, not iteration, so that tell() on a file still works
+    for lineno, raw in enumerate(iter(stream.readline, ""), start=1):
         line = raw.strip()
         if line:
             yield lineno, line
@@ -44,84 +46,74 @@ def parse_kinematics(
     patient-side columns are kept.
     layout "generic_csv": comma-separated with a header row naming the
     channels.
+    Blank lines are skipped. A malformed line raises ValueError "line N:
+    expected W columns, got M", "line N: non-numeric token" or "line N:
+    non-finite value"; no rows raise "empty input", or "no data rows" after a
+    CSV header.
     """
+    if layout not in _DELIMITERS:
+        raise ValueError(f"unknown layout {layout!r}")
+    delimiter = _DELIMITERS[layout]
     stream = io.StringIO(text) if isinstance(text, str) else text
-    if layout == "jigsaws":
-        frames = _load_jigsaws(stream) if stream.seekable() else None
-        if frames is None:
-            frames = _parse_jigsaws_lines(stream)
-        return frames, None
-    if layout == "generic_csv":
-        return _parse_csv(stream)
-    raise ValueError(f"unknown layout {layout!r}")
+    if not stream.seekable():  # read once, so that the record parser can go back
+        stream = io.StringIO(stream.read())
+    records = _records(stream, delimiter)
+    header = None
+    if delimiter:  # the first record names the channels
+        header = [c.strip() for c in next(records, (0, []))[1]]
+        if not header:
+            raise ValueError("empty input")
+    width = len(header) if header else JIGSAWS_TOTAL_COLUMNS
+    start = stream.tell()
+    frames = _load(stream, delimiter, width)
+    if frames is None:  # the record parser names the line at fault
+        stream.seek(start)
+        frames = _parse_records(records, width)
+    if not len(frames):
+        raise ValueError("no data rows" if header else "empty input")
+    if header is None:
+        frames = np.ascontiguousarray(frames[:, -PSM_COLUMNS:])
+    return frames, header
 
 
-def _load_jigsaws(stream) -> np.ndarray | None:
-    """Fast path through np.loadtxt; blank input raises ValueError. Returns
-    None, with the stream rewound, when the input is malformed, so that the
-    line parser can report where."""
+def _load(stream: TextIO, delimiter: str | None, width: int) -> np.ndarray | None:
+    """The rest of stream through np.loadtxt, or None when it is not `width`
+    finite values a line or holds no line. np.loadtxt rejects all that float
+    does, and a few cells float reads ("1_0", a quoted number)."""
     start = stream.tell()
     if not any(line.strip() for line in iter(stream.readline, "")):
-        raise ValueError("empty input")
+        return None  # np.loadtxt would warn
     stream.seek(start)
     try:
-        values = np.loadtxt(stream, comments=None, ndmin=2)
+        values = np.loadtxt(stream, delimiter=delimiter, comments=None, ndmin=2)
     except ValueError:
-        values = np.empty((0, 0))
-    if values.shape[1] == JIGSAWS_TOTAL_COLUMNS and np.all(np.isfinite(values)):
-        return np.ascontiguousarray(values[:, -PSM_COLUMNS:])
-    stream.seek(start)
-    return None
+        return None
+    return values if values.shape[1] == width and np.all(np.isfinite(values)) else None
 
 
-def _parse_jigsaws_lines(stream) -> np.ndarray:
-    """Line-by-line parse; its errors carry the 1-based line number."""
+def _records(stream: TextIO, delimiter: str | None) -> Iterator[tuple[int, list[str]]]:
+    """The 1-based number and the cells of each record with a cell that is
+    not blank: whitespace-split lines, or csv.reader's records."""
+    if delimiter is None:
+        return ((lineno, line.split()) for lineno, line in _lines(stream))
+    records = enumerate(csv.reader(iter(stream.readline, "")), start=1)
+    return ((lineno, cells) for lineno, cells in records if any(c.strip() for c in cells))
+
+
+def _parse_records(records: Iterable[tuple[int, list[str]]], width: int) -> np.ndarray:
+    """The records as rows of `width` finite floats, as Python's float reads
+    them; the first malformed record raises ValueError naming its line."""
     rows = []
-    for lineno, line in _lines(stream):
-        tokens = line.split()
-        if len(tokens) != JIGSAWS_TOTAL_COLUMNS:
-            raise ValueError(
-                f"line {lineno}: expected {JIGSAWS_TOTAL_COLUMNS} columns, "
-                f"got {len(tokens)}"
-            )
-        rows.append(_finite_floats(tokens, lineno)[-PSM_COLUMNS:])
-    if not rows:
-        raise ValueError("empty input")
-    return np.array(rows, dtype=float)
-
-
-def _finite_floats(tokens: list[str], lineno: int) -> list[float]:
-    """The tokens of line lineno as finite floats."""
-    try:
-        values = [float(t) for t in tokens]
-    except ValueError:
-        raise ValueError(f"line {lineno}: non-numeric token") from None
-    if not all(np.isfinite(values)):
-        raise ValueError(f"line {lineno}: non-finite value")
-    return values
-
-
-def _parse_csv(stream) -> tuple[np.ndarray, list[str]]:
-    """Frames and the header's channel names."""
-    reader = csv.reader(stream)
-    header = None
-    rows = []
-    for lineno, record in enumerate(reader, start=1):
-        if not record or all(not c.strip() for c in record):
-            continue
-        if header is None:
-            header = [c.strip() for c in record]
-            continue
-        if len(record) != len(header):
-            raise ValueError(
-                f"line {lineno}: expected {len(header)} columns, got {len(record)}"
-            )
-        rows.append(_finite_floats(record, lineno))
-    if header is None:
-        raise ValueError("empty input")
-    if not rows:
-        raise ValueError("no data rows")
-    return np.array(rows, dtype=float), header
+    for lineno, cells in records:
+        if len(cells) != width:
+            raise ValueError(f"line {lineno}: expected {width} columns, got {len(cells)}")
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-numeric token") from None
+        if not all(np.isfinite(rows[-1])):
+            raise ValueError(f"line {lineno}: non-finite value")
+    return np.array(rows, dtype=float).reshape(-1, width)
 
 
 def parse_transcript(text: str | TextIO) -> tuple[Segment, ...]:

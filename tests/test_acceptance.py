@@ -17,6 +17,7 @@ from scipy.spatial.transform import Rotation
 import synth
 from kinseg import gmm, metrics, preprocess
 from kinseg.cli import main
+from test_cli import write_jigsaws
 from test_preprocess import lowpass_filter
 
 
@@ -322,11 +323,10 @@ def test_segment_determinism(tmp_path):
 JIGSAWS_DIR = os.environ.get("JIGSAWS_DIR")
 
 
-@pytest.mark.skipif(
-    not JIGSAWS_DIR, reason="set JIGSAWS_DIR to run the real-data benchmark"
-)
-def test_jigsaws_benchmarks(tmp_path):
-    root = os.path.join(JIGSAWS_DIR, "Suturing")
+def jigsaws_accuracies(root, tmp_path):
+    """Accuracy of the gate's three runs on the expert demonstrations of the
+    Suturing tree at root: (original, remapped, remapped without velocity).
+    Skips when the tree does not hold what the runs need."""
     meta = os.path.join(root, "meta_file_Suturing.txt")
     kin_src = os.path.join(root, "kinematics", "AllGestures")
     tr_src = os.path.join(root, "transcriptions")
@@ -374,12 +374,21 @@ def test_jigsaws_benchmarks(tmp_path):
         assert code == 0, f"run {out_name} failed with exit {code}"
         return json.loads((out / "report.json").read_text())["accuracy"]
 
-    acc_original = accuracy_of("original", [])
-    acc_proposed = accuracy_of("proposed", ["--mapping", "builtin"])
-    acc_all = acc_proposed
-    acc_no_velocity = accuracy_of(
-        "no_velocity", ["--mapping", "builtin", "--subset", "no-velocity"]
+    return (
+        accuracy_of("original", []),
+        accuracy_of("proposed", ["--mapping", "builtin"]),
+        accuracy_of("no_velocity", ["--mapping", "builtin", "--subset", "no-velocity"]),
     )
+
+
+@pytest.mark.skipif(
+    not JIGSAWS_DIR, reason="set JIGSAWS_DIR to run the real-data benchmark"
+)
+def test_jigsaws_benchmarks(tmp_path):
+    acc_original, acc_proposed, acc_no_velocity = jigsaws_accuracies(
+        os.path.join(JIGSAWS_DIR, "Suturing"), tmp_path
+    )
+    acc_all = acc_proposed
 
     ok = (
         acc_proposed > acc_original
@@ -395,3 +404,22 @@ def test_jigsaws_benchmarks(tmp_path):
         f"{acc_original:.3f} (ref 0.58±0.10); no-velocity {acc_no_velocity:.3f} "
         f"(ref 0.85±0.10) >= all {acc_all:.3f}",
     )
+
+
+def test_jigsaws_benchmark_plumbing(tmp_path):
+    # The gate's runs on a Suturing tree written from the JIGSAWS-shaped
+    # generator; its accuracies say nothing about the paper's claims.
+    root = tmp_path / "Suturing"
+    write_jigsaws(tmp_path / "gen", 1, 5, 900)
+    (root / "kinematics").mkdir(parents=True)
+    os.rename(tmp_path / "gen" / "kinematics", root / "kinematics" / "AllGestures")
+    os.rename(tmp_path / "gen" / "transcripts", root / "transcriptions")
+    levels = dict(d00="E", d01="N", d02="E", d03="I", d04="E")
+    (root / "meta_file_Suturing.txt").write_text(
+        "".join(f"{demo_id}\t{level}\t10\n" for demo_id, level in levels.items())
+    )
+    try:
+        accuracies = jigsaws_accuracies(str(root), tmp_path)
+    except pytest.skip.Exception as exc:
+        pytest.fail(f"the gate skipped a complete tree: {exc}")
+    assert all(math.isfinite(acc) for acc in accuracies)

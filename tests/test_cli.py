@@ -6,8 +6,10 @@ import io
 import json
 import math
 import os
+import shutil
 import tempfile
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -693,6 +695,30 @@ class TestRuntimeNeedsOnlyNumpy:
         assert report == (plain / "report.json").read_bytes()
 
 
+def test_traced_benchmark_runs(tmp_path):
+    # perfbench/traced_cli.py wraps kinseg functions by name and reads the
+    # recording's size from the file object it is given; a rename or a new
+    # signature fails here.
+    data = write_jigsaws(tmp_path / "data", 1, 3, 900)
+    repo = os.path.dirname(os.path.dirname(__file__))
+    traced = os.path.join(repo, "perfbench", "traced_cli.py")
+    spans = tmp_path / "spans.json"
+    proc = run_python([
+        traced, str(spans), "segment", "--data-dir", str(data),
+        "--output-dir", str(tmp_path / "out"), "--init-demos", "d00", "--window", "1",
+        "--em-max-iter", "3",
+    ])
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(spans.read_text())
+    assert doc["exit_code"] == 0
+    parsed = [
+        span["counts"]["bytes"]
+        for span in doc["spans"] if span["name"] == "ingest.parse_kinematics"
+    ]
+    sizes = [p.stat().st_size for p in sorted((data / "kinematics").iterdir())]
+    assert parsed == sizes
+
+
 def copy_tree(src, data):
     """Copy of a dataset's kinematics and transcripts directories."""
     for sub in ("kinematics", "transcripts"):
@@ -862,6 +888,60 @@ def test_no_degenerate_warning_on_suturing_data(tmp_path, capsys, init):
         "--init-demos", "d00", "--em-max-iter", "5", "--init", *init,
     ]) == 0
     assert "degenerate" not in capsys.readouterr().err
+
+
+BOM = "\ufeff".encode("utf-8")
+
+
+def output_bytes(out):
+    """Every file under out, by its path relative to out."""
+    return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def robot_inputs(tmp_path_factory):
+    """JIGSAWS-shaped data with every kind of input file a run reads, and
+    the outputs of a run on it."""
+    root = tmp_path_factory.mktemp("robot_inputs")
+    write_jigsaws(root / "data", 1, 3, 900)
+    shipped = resources.files("kinseg").joinpath("data/remap_suturing.txt")
+    (root / "rules.txt").write_bytes(shipped.read_bytes())
+    (root / "sidecar.json").write_text("{}")
+    (root / "run.json").write_text(json.dumps({"init_demos": ["d00"], "window": 1}))
+    assert main(robot_argv(root, root / "out")) == 0
+    return root
+
+
+def robot_argv(root, out):
+    return [
+        "segment", "--config", str(root / "run.json"), "--data-dir", str(root / "data"),
+        "--output-dir", str(out), "--mapping", str(root / "rules.txt"),
+        "--sidecar", str(root / "sidecar.json"),
+    ]
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of an input file is not part of
+    its text: the outputs are the bytes of the run without one."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["data/kinematics/d01.txt", "data/transcripts/d01.txt", "rules.txt",
+         "sidecar.json", "run.json"],
+    )
+    def test_robot_inputs(self, robot_inputs, tmp_path, name):
+        root = tmp_path / "inputs"
+        shutil.copytree(robot_inputs, root, ignore=shutil.ignore_patterns("out"))
+        (root / name).write_bytes(BOM + (root / name).read_bytes())
+        assert main(robot_argv(root, tmp_path / "out")) == 0
+        assert output_bytes(tmp_path / "out") == output_bytes(robot_inputs / "out")
+
+    def test_csv_recording(self, synth_dir, weak_run, tmp_path):
+        data = copy_synth(synth_dir, tmp_path / "data")
+        for path in (data / "kinematics").iterdir():
+            path.write_bytes(BOM + path.read_bytes())
+        assert run_segment(data, tmp_path / "out") == 0
+        assert output_bytes(tmp_path / "out") == output_bytes(weak_run)
 
 
 class TestConfigFile:

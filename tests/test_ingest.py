@@ -1,5 +1,6 @@
 import io
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -79,15 +80,19 @@ def jigsaws_texts(draw):
     return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n", "\n\n"]))
 
 
-def parse_both(text):
-    """(fast-path result or error, line-parser result or error)."""
+def record_parse(text, layout="jigsaws"):
+    """parse_kinematics with the fast reader turned off, so that every line
+    goes through the record parser."""
+    with mock.patch.object(ingest, "_load", return_value=None):
+        return parse_kinematics(text, layout)
+
+
+def parse_both(text, layout="jigsaws"):
+    """(fast-path frames or error, record-parser frames or error)."""
     out = []
-    for parse in (
-        lambda: parse_kinematics(text, "jigsaws")[0],
-        lambda: ingest._parse_jigsaws_lines(io.StringIO(text)),
-    ):
+    for parse in (parse_kinematics, record_parse):
         try:
-            out.append(parse())
+            out.append(parse(text, layout)[0])
         except ValueError as exc:
             out.append(str(exc))
     return out
@@ -97,9 +102,9 @@ class TestJigsawsFastPath:
     @settings(max_examples=60, deadline=None)
     @given(text=jigsaws_texts())
     def test_loadtxt_agrees_with_line_parser(self, text):
-        fast = ingest._load_jigsaws(io.StringIO(text))
-        assert fast is not None  # valid input takes the fast path
-        slow = ingest._parse_jigsaws_lines(io.StringIO(text))
+        # valid input takes the fast path
+        assert ingest._load(io.StringIO(text), None, 76) is not None
+        fast, slow = parse_both(text)
         assert np.array_equal(fast, slow)
         assert np.array_equal(np.signbit(fast), np.signbit(slow))
         assert fast.flags.c_contiguous
@@ -132,7 +137,7 @@ class TestJigsawsFastPath:
     def test_tokens_only_float_accepts_fall_back(self, token):
         rng = np.random.default_rng(12)
         text = jigsaws_line(rng) + "\n" + " ".join(["2.0"] * 75 + [token]) + "\n"
-        assert ingest._load_jigsaws(io.StringIO(text)) is None
+        assert ingest._load(io.StringIO(text), None, 76) is None
         fast, slow = parse_both(text)
         assert np.array_equal(fast, slow)
         assert fast[1, -1] == 10.0
@@ -155,11 +160,121 @@ class TestJigsawsFastPath:
         path = tmp_path / "d.txt"
         path.write_text("".join(jigsaws_line(rng) + "\n" for _ in range(4)))
         with open(path) as fh:
-            fast = ingest._load_jigsaws(fh)
+            fast = ingest._load(fh, None, 76)
         with open(path) as fh:
             frames, _ = parse_kinematics(fh, "jigsaws")
         assert fast is not None
-        assert np.array_equal(frames, fast)
+        assert np.array_equal(frames, fast[:, -38:])
+
+
+pads = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def csv_texts(draw):
+    """Valid CSV text and whether np.loadtxt can read its data lines: padded
+    cells, blank lines, all-empty records and either line ending. Only the
+    blank lines that hold nothing at all are ones np.loadtxt skips."""
+    width = draw(st.integers(1, 5))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(f" c{i} " for i in range(width))]
+    plain = True
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            blank = draw(st.sampled_from(["", "   ", "\t", ",", " , ,", ",,\t"]))
+            plain = plain and blank == ""
+            lines.append(blank)
+        values = draw(st.lists(finite_floats, min_size=width, max_size=width))
+        fmt = draw(st.sampled_from([repr, "{:.6g}".format, "{:.17e}".format]))
+        lines.append(",".join(draw(pads) + fmt(v) + draw(pads) for v in values))
+    end = draw(st.sampled_from(["", newline, newline * 2]))
+    return newline.join(lines) + end, plain
+
+
+class TestCsvFastPath:
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=csv_texts())
+    def test_loadtxt_agrees_with_record_parser(self, drawn):
+        text, plain = drawn
+        with mock.patch.object(
+            ingest, "_parse_records", wraps=ingest._parse_records
+        ) as records:
+            fast, names = parse_kinematics(text, "generic_csv")
+        if plain:  # the fast reader took every data line
+            assert records.call_count == 0
+        slow, slow_names = record_parse(text, "generic_csv")
+        assert names == slow_names == [f"c{i}" for i in range(fast.shape[1])]
+        assert np.array_equal(fast, slow)
+        assert np.array_equal(np.signbit(fast), np.signbit(slow))
+        assert fast.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            ("1.0,2.0", "expected 3 columns, got 2"),
+            ("1.0,2.0,3.0,4.0", "expected 3 columns, got 4"),
+            ("1.0,2.0,", "non-numeric token"),  # a trailing comma is an empty cell
+            ("1.0,,3.0", "non-numeric token"),
+            ("1.0,oops,3.0", "non-numeric token"),
+            ("1.0,0x10,3.0", "non-numeric token"),
+            ("1.0,nan,3.0", "non-finite value"),
+            ("1.0,2.0,-inf", "non-finite value"),
+            ("1e999,2.0,3.0", "non-finite value"),
+        ],
+    )
+    @pytest.mark.parametrize("before", [0, 1, 3])
+    def test_same_errors_as_record_parser(self, bad_line, message, before):
+        good = ["0.5,-1.5,2.5"] * before
+        # blank lines count towards the reported line number
+        text = "a,b,c\n" + "\n\n".join(good + [bad_line, "4.0,5.0,6.0"]) + "\n"
+        fast, slow = parse_both(text, "generic_csv")
+        assert fast == slow == f"line {2 + 2 * before}: {message}"
+
+    @pytest.mark.parametrize("cell, value", [('"2.5"', 2.5), ("1_0", 10.0)])
+    def test_cells_only_float_accepts_fall_back(self, cell, value):
+        text = f"a,b\n1.0,2.0\n3.0,{cell}\n"
+        with mock.patch.object(
+            ingest, "_parse_records", wraps=ingest._parse_records
+        ) as records:
+            fast, _ = parse_kinematics(text, "generic_csv")
+        assert records.call_count == 1
+        assert np.array_equal(fast, [[1.0, 2.0], [3.0, value]])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "empty input"), (" , \n\n", "empty input"),
+         ("a,b\n", "no data rows"), ("a,b\n\n , \n", "no data rows")],
+    )
+    def test_no_rows_without_warning(self, text, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert parse_both(text, "generic_csv") == [message, message]
+
+
+class _Unseekable(io.StringIO):
+    def seekable(self):
+        return False
+
+
+@pytest.mark.parametrize(
+    "text, layout",
+    [
+        (" ".join(["1.5"] * 76) + "\n", "jigsaws"),
+        (" ".join(["1.5"] * 75) + " 1_0\n", "jigsaws"),
+        ("a,b\n1,2\n3,4\n", "generic_csv"),
+        ('a,b\n1,2\n3,"4"\n', "generic_csv"),
+        ("a,b\n1,2\n3,x\n", "generic_csv"),
+    ],
+)
+def test_unseekable_stream_reads_the_same(text, layout):
+    def parse(source):
+        try:
+            frames, names = parse_kinematics(source, layout)
+        except ValueError as exc:
+            return str(exc)
+        return frames.tolist(), names
+
+    assert parse(_Unseekable(text)) == parse(text)
 
 
 class TestParseKinematicsCsv:
