@@ -321,10 +321,14 @@ def _load_mapping(config: RunConfig):
 def _check_run(
     config: RunConfig, dataset: dict[str, LoadedDemo], names: list[str]
 ) -> None:
-    """What a run needs of the loaded data, checked before any of its work.
-    A feature subset other than "all" needs the kinematic pipeline's
-    features (the dataset's channel names), the init demonstrations must be
-    loaded, and every demonstration needs more rows than the window."""
+    """What a run needs of the loaded data, checked in this order before any
+    of its work. A feature subset other than "all" needs the kinematic
+    pipeline's features (the dataset's channel names); the init
+    demonstrations must be loaded; every demonstration needs more rows than
+    the window; some demonstration must be left to fit; for weak init each
+    init demonstration needs a transcript with an annotated row among the
+    run's rows; and k-means init without --k needs an annotated frame in
+    some transcript, to count the labels."""
     if config.feature_subset != "all" and names != _preprocess.FULL_CHANNEL_NAMES:
         raise ConfigError(
             "feature subsets apply only to the kinematic pipeline "
@@ -339,6 +343,21 @@ def _check_run(
                 f"{demo_id}: need more than {config.window} rows, "
                 f"got {len(item.features)}"
             )
+    if len(dataset) == len(config.init_demos):
+        raise ValueError("every demonstration is an init demonstration; nothing to fit")
+    stride = config.subsample_factor
+    for demo_id in config.init_demos if config.init_method == "weak" else ():
+        truth, n_rows = dataset[demo_id].truth, len(dataset[demo_id].features)
+        if truth is None:
+            raise ValueError(f"init demonstration {demo_id!r} has no transcript")
+        # the labels at the rows' anchor frames, as labels_at_rows picks them
+        if np.all(truth[: (n_rows - config.window) * stride : stride] == UNANNOTATED):
+            raise ValueError(f"init demonstration {demo_id!r} has no annotated rows")
+    if config.init_method == "kmeans" and config.k is None and not any(
+        np.any(item.truth != UNANNOTATED)
+        for item in dataset.values() if item.truth is not None
+    ):
+        raise ConfigError("k-means init needs --k when no transcripts are available")
 
 
 @dataclass
@@ -372,21 +391,29 @@ def run_pipeline(
     """Fit on the non-init demonstrations and score the annotated ones."""
     _check_run(config, dataset, names)
     augmented: dict[str, np.ndarray] = {}
+    row_truth: dict[str, np.ndarray] = {}  # row labels of the transcribed demos
     for demo_id, item in dataset.items():
         values = item.features
         if config.feature_subset != "all":
             values = _preprocess.select_channels(values, config.feature_subset)
         augmented[demo_id] = _preprocess.augment(values, config.window)
+        if item.truth is not None:
+            row_truth[demo_id] = _preprocess.labels_at_rows(
+                item.truth, len(augmented[demo_id]), config.subsample_factor
+            )
 
     fit_ids = [d for d in dataset if d not in set(config.init_demos)]
-    if not fit_ids:
-        raise ValueError("every demonstration is an init demonstration; nothing to fit")
-
     fit_data = np.vstack([augmented[d] for d in fit_ids])
     if config.init_method == "weak":
-        init = _weak_init_model(config, dataset, augmented)
-    else:
-        init = _kmeans_init_model(config, dataset, fit_data)
+        keep = {d: row_truth[d] != UNANNOTATED for d in config.init_demos}
+        init = _gmm.weak_init(
+            np.vstack([augmented[d][keep[d]] for d in config.init_demos]),
+            np.concatenate([row_truth[d][keep[d]] for d in config.init_demos]),
+        )
+    else:  # without --k, one component per distinct annotated label
+        truths = [item.truth for item in dataset.values() if item.truth is not None]
+        k = config.k or len(set().union(*truths) - {UNANNOTATED})
+        init = _gmm.kmeans_init(fit_data, k, config.seed)
     model = _gmm.em_fit(
         fit_data, init, tol=config.em_tol, max_iter=config.em_max_iter
     )
@@ -406,16 +433,7 @@ def run_pipeline(
         for demo_id, item in dataset.items()
     }
 
-    truth = {
-        d: (
-            dataset[d].truth,
-            _preprocess.labels_at_rows(
-                dataset[d].truth, len(augmented[d]), config.subsample_factor
-            ),
-        )
-        for d in fit_ids
-        if dataset[d].truth is not None
-    }
+    truth = {d: (dataset[d].truth, row_truth[d]) for d in fit_ids if d in row_truth}
     # The pooled report only: segment scores each demonstration itself.
     result = RunResult(model, predictions, row_predictions, augmented, truth)
     result.report = result.score(list(truth))
@@ -444,42 +462,6 @@ def _warn_if_degenerate(model: _gmm.GmmModel, predicted: set) -> None:
                 "means and covariances",
                 RuntimeWarning,
             )
-
-
-def _weak_init_model(config, dataset, augmented) -> _gmm.GmmModel:
-    rows, labels = [], []
-    for demo_id in config.init_demos:
-        truth = dataset[demo_id].truth
-        if truth is None:
-            raise ValueError(
-                f"init demonstration {demo_id!r} has no transcript"
-            )
-        X = augmented[demo_id]
-        row_labels = _preprocess.labels_at_rows(truth, len(X), config.subsample_factor)
-        keep = row_labels != UNANNOTATED
-        if not keep.any():
-            raise ValueError(
-                f"init demonstration {demo_id!r} has no annotated rows"
-            )
-        rows.append(X[keep])
-        labels.append(row_labels[keep])
-    return _gmm.weak_init(np.vstack(rows), np.concatenate(labels))
-
-
-def _kmeans_init_model(config, dataset, fit_data) -> _gmm.GmmModel:
-    k = config.k
-    if k is None:
-        labels = set()
-        for item in dataset.values():
-            if item.truth is not None:
-                labels.update(item.truth)
-        labels.discard(UNANNOTATED)
-        if not labels:
-            raise ConfigError(
-                "k-means init needs --k when no transcripts are available"
-            )
-        k = len(labels)
-    return _gmm.kmeans_init(fit_data, k, config.seed)
 
 
 def _write_segment_outputs(config, names, result: RunResult) -> None:

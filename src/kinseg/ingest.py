@@ -47,8 +47,9 @@ def parse_kinematics(
     layout "generic_csv": comma-separated with a header row naming the
     channels.
     Blank lines are skipped. A malformed line raises ValueError "line N:
-    expected W columns, got M", "line N: non-numeric token" or "line N:
-    non-finite value"; no rows raise "empty input", or "no data rows" after a
+    expected W columns, got M", "line N: non-numeric token", "line N:
+    non-finite value" or, for a CSV record csv.reader rejects, "line N:
+    <csv's message>"; no rows raise "empty input", or "no data rows" after a
     CSV header.
     """
     if layout not in _DELIMITERS:
@@ -92,12 +93,23 @@ def _load(stream: TextIO, delimiter: str | None, width: int) -> np.ndarray | Non
 
 
 def _records(stream: TextIO, delimiter: str | None) -> Iterator[tuple[int, list[str]]]:
-    """The 1-based number and the cells of each record with a cell that is
-    not blank: whitespace-split lines, or csv.reader's records."""
+    """The 1-based line number and the cells of each record with a cell that
+    is not blank: whitespace-split lines, or csv.reader's records, whose
+    errors (a cell over csv.field_size_limit(), a bare "\\r") raise
+    ValueError naming the line."""
     if delimiter is None:
-        return ((lineno, line.split()) for lineno, line in _lines(stream))
-    records = enumerate(csv.reader(iter(stream.readline, "")), start=1)
-    return ((lineno, cells) for lineno, cells in records if any(c.strip() for c in cells))
+        yield from ((lineno, line.split()) for lineno, line in _lines(stream))
+        return
+    reader = csv.reader(iter(stream.readline, ""))
+    while True:
+        try:
+            cells = next(reader, None)
+        except csv.Error as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
+        if cells is None:
+            return
+        if any(c.strip() for c in cells):
+            yield reader.line_num, cells
 
 
 def _parse_records(records: Iterable[tuple[int, list[str]]], width: int) -> np.ndarray:

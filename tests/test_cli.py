@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import pathlib
+import re
 import shutil
 import tempfile
 import warnings
@@ -13,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
@@ -1792,3 +1794,236 @@ class TestErrorExits:
 
     def test_no_command(self, capsys):
         assert main([]) == 1
+
+    def test_oversized_csv_cell_names_file_and_line(self, synth_dir, tmp_path, capsys):
+        # csv.reader raises csv.Error, which main does not catch, for a cell
+        # over csv.field_size_limit(); it must exit 2 naming file and line.
+        data = copy_synth(synth_dir, tmp_path / "data")
+        path = data / "kinematics" / "synth01.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = "1" + "0" * 140_000 + lines[2][lines[2].index(","):]
+        path.write_text("".join(lines))
+        code = run_segment(data, tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "kinseg: data error: synth01.csv: line 3: field larger than field limit" in err
+        assert not (tmp_path / "out").exists()
+
+
+def cut_synth00(data, line):
+    """Replace synth00's transcript with one line."""
+    (data / "transcripts" / "synth00.txt").write_text(line)
+    return data
+
+
+class TestRunPreconditions:
+    """Each precondition of a run on its data exits 2 with its message; the
+    session data has 360 frames, so 119 rows at W=1 anchored up to frame
+    355 (1-based)."""
+
+    @pytest.mark.parametrize(
+        "init_demos, prepare, message",
+        [
+            ("missing", None, "init demonstration 'missing' not in the dataset"),
+            ("synth00,synth01,synth02", None,
+             "every demonstration is an init demonstration; nothing to fit"),
+            ("synth00", lambda d: (d / "transcripts" / "synth00.txt").unlink(),
+             "init demonstration 'synth00' has no transcript"),
+            ("synth00", lambda d: cut_synth00(d, "356 360 R1\n"),
+             "init demonstration 'synth00' has no annotated rows"),
+        ],
+    )
+    def test_message_and_exit(self, synth_dir, tmp_path, capsys, init_demos, prepare, message):
+        data = copy_synth(synth_dir, tmp_path / "data")
+        if prepare:
+            prepare(data)
+        code = run_segment(data, tmp_path / "out", ["--init-demos", init_demos])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"kinseg: data error: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_first_failing_precondition_wins(self, synth_dir, tmp_path, capsys):
+        # nothing to fit comes before synth00's missing transcript
+        data = copy_synth(synth_dir, tmp_path / "data")
+        (data / "transcripts" / "synth00.txt").unlink()
+        code = run_segment(data, tmp_path / "out",
+                           ["--init-demos", "synth00,synth01,synth02"])
+        assert code == 2
+        assert "nothing to fit" in capsys.readouterr().err
+
+    def test_annotated_row_at_the_last_anchor(self, synth_dir, tmp_path, capsys):
+        # frame 355 anchors row 118 at W=1: one annotated row is enough to
+        # pass the check, and weak init then asks for two of the label
+        data = cut_synth00(copy_synth(synth_dir, tmp_path / "data"), "355 360 R1\n")
+        assert run_segment(data, tmp_path / "out") == 2
+        assert "label 'R1' has only 1 row(s); need at least 2" in capsys.readouterr().err
+
+    def test_checked_before_any_work(self, synth_dir, tmp_path, count_calls):
+        data = cut_synth00(copy_synth(synth_dir, tmp_path / "data"), "356 360 R1\n")
+        augmented = count_calls(cli._preprocess, "augment")
+        assert run_segment(data, tmp_path / "out") == 2
+        assert augmented == []
+
+    def test_row_labels_made_once_per_run(self, synth_dir, tmp_path, count_calls):
+        made = count_calls(cli._preprocess, "labels_at_rows")
+        assert run_segment(synth_dir, tmp_path / "out") == 0
+        assert len(made) == 3  # the init demonstration's and both scored ones
+
+    def test_sweep_fails_before_its_first_run(self, tmp_path, capsys):
+        # synth00's only annotated frames, 1789-1800, fall past the last
+        # anchor at W=5 (frame 1783) but not at W=0: a check made only when
+        # each run starts would print the W=0 line before failing
+        data = tmp_path / "data"
+        write_dataset(data, n_demos=3, seed=1)
+        cut_synth00(data, "1789 1800 R1\n")
+        out = tmp_path / "sweep"
+        code = main([
+            "sweep-window",
+            "--data-dir", str(data),
+            "--output-dir", str(out),
+            "--init", "weak",
+            "--init-demos", "synth00",
+            "--w-values", "0,5",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "kinseg: data error: init demonstration 'synth00' has no annotated rows\n"
+        )
+        assert not (out / "sweep_window.csv").exists()
+
+
+# ---------------------------------------------------------------- whole commands
+# on generated datasets
+
+_ERROR_LINE = re.compile(r"kinseg( \S+)?: (config error|data error|numerical failure|error): ")
+
+
+@st.composite
+def generated_datasets(draw):
+    """(files, frames, annotated): 1-4 recordings of 5-200 frames, all CSV
+    or all robot text, each with a transcript or none. A transcript cuts
+    the frames into runs, one-frame runs included, each labelled or a gap.
+    files maps relative paths to text, frames each id's frame count, and
+    annotated each transcribed id's annotated frame count."""
+    robot = draw(st.booleans())
+    width = 3 if robot else draw(st.integers(1, 3))  # of a random walk
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    files, frames, annotated = {}, {}, {}
+    for i in range(draw(st.integers(1, 4))):
+        demo_id, T = f"g{i}", draw(st.integers(5, 200))
+        frames[demo_id] = T
+        walk = np.cumsum(rng.normal(size=(T, width)), axis=0)
+        if robot:  # each arm: position, rotation, velocities and grip
+            arms = [
+                np.hstack([
+                    walk + arm,
+                    Rotation.from_rotvec(0.3 * walk[:, ::-1]).as_matrix().reshape(T, 9),
+                    rng.normal(size=(T, 7)),
+                ])
+                for arm in range(2)
+            ]
+            text = serialize_kinematics(np.hstack(arms), "jigsaws")
+            files[f"kinematics/{demo_id}.txt"] = text
+        else:
+            names = [f"c{j}" for j in range(width)]
+            files[f"kinematics/{demo_id}.csv"] = serialize_kinematics(walk, names=names)
+        if draw(st.integers(0, 4)) == 2:  # 0 and 4 come up more often
+            continue  # no transcript
+        cuts = sorted(set(draw(st.lists(st.integers(1, T - 1), max_size=6))))
+        segments = []
+        for start, end in zip([1] + [c + 1 for c in cuts], cuts + [T]):
+            label = draw(st.sampled_from(["A", "B", "C", None]))
+            if label is not None:
+                segments.append(Segment(start, end, label))
+        files[f"transcripts/{demo_id}.txt"] = serialize_transcript(segments)
+        annotated[demo_id] = sum(s.end - s.start + 1 for s in segments)
+    return files, frames, annotated
+
+
+@st.composite
+def generated_argv(draw, ids):
+    """A segment command's settings: window, subsample, init method, init
+    demos (ids of the dataset, now and then one it lacks), k, and now and
+    then a label mapping of renames, splits and context rules; returns
+    (argv, the init demos in the dataset, the rules text or None)."""
+    init = draw(st.sampled_from(["weak", "kmeans"]))
+    demos = draw(st.lists(
+        st.sampled_from(ids), min_size=init == "weak",
+        max_size=max(1, min(2, len(ids) - 1)), unique=True,
+    ))
+    if draw(st.integers(0, 7)) == 3:  # now and then an id it lacks, or none
+        demos = draw(st.sampled_from([demos + ["absent"], []]))
+    argv = [
+        "--window", str(draw(st.integers(0, 3))),
+        "--subsample", str(draw(st.integers(1, 3))),
+        "--init", init,
+        "--em-max-iter", "8",
+    ]
+    if demos:
+        argv += ["--init-demos", ",".join(demos)]
+    if init == "kmeans" and draw(st.booleans()):
+        argv += ["--k", str(draw(st.integers(1, 3)))]
+    rules = None
+    if draw(st.integers(0, 3)) == 1:
+        targets = st.sampled_from(["X", "Y", "X | Y @ 0.5", ">"])
+        rules = "".join(f"{label} -> {draw(targets)}\n" for label in "ABC")
+    return argv, [d for d in demos if d in ids], rules
+
+
+def run_main(argv):
+    """main(argv) with its stdout and stderr captured: (code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def tree_bytes(root):
+    """Every file under root, by relative path, as bytes."""
+    root = pathlib.Path(root)
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestGeneratedDatasets:
+    """segment on drawn recordings, transcripts and settings: it exits 0 with
+    outputs that cover the data, or 1-3 with one error line; nothing
+    escapes main. The example count comes from the hypothesis profile."""
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_segment(self, data):
+        files, frames, annotated = data.draw(generated_datasets())
+        argv, init_demos, rules = data.draw(generated_argv(sorted(frames)))
+        with tempfile.TemporaryDirectory() as tmp:
+            if rules is not None:
+                files["rules.txt"] = rules
+                argv += ["--mapping", os.path.join(tmp, "rules.txt")]
+            for rel, text in files.items():
+                os.makedirs(os.path.dirname(os.path.join(tmp, rel)), exist_ok=True)
+                with open(os.path.join(tmp, rel), "w") as fh:
+                    fh.write(text)
+            outs = [os.path.join(tmp, "out1"), os.path.join(tmp, "out2")]
+            base = ["segment", "--data-dir", tmp, "--seed", "0"] + argv
+            code, out, err = run_main(base + ["--output-dir", outs[0]])
+            assert code in (0, 1, 2, 3)
+            event(f"exit {code}")  # shown by --hypothesis-show-statistics
+            if code:
+                errors = [line for line in err.splitlines() if _ERROR_LINE.match(line)]
+                assert len(errors) == 1, err
+                return
+            for demo_id, T in frames.items():
+                with open(os.path.join(outs[0], "predictions", f"{demo_id}.txt")) as fh:
+                    predicted = parse_transcript(fh)
+                assert [s.start for s in predicted] == [1] + [s.end + 1 for s in predicted[:-1]]
+                assert predicted[-1].end == T
+            with open(os.path.join(outs[0], "report.json")) as fh:
+                report = json.load(fh)
+            scored = [d for d in annotated if d not in init_demos]
+            assert report["n_frames_evaluated"] == sum(annotated[d] for d in scored)
+            again = run_main(base + ["--output-dir", outs[1]])
+            assert again == (0, out.replace(outs[0], outs[1]), err)
+            assert tree_bytes(outs[1]) == tree_bytes(outs[0])

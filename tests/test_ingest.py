@@ -1,3 +1,4 @@
+import csv
 import io
 import warnings
 from unittest import mock
@@ -300,6 +301,28 @@ class TestParseKinematicsCsv:
     def test_non_finite_reports_line(self, cell):
         with pytest.raises(ValueError, match="line 3: non-finite value"):
             parse_kinematics(f"a,b\n1,2\n3,{cell}\n", "generic_csv")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b\n1,2\n3," + "1" + "0" * 140_000 + "\n",
+             "line 3: field larger than field limit"),
+            ("a" * 140_001 + ",b\n1,2\n", "line 1: field larger than field limit"),
+            ("x,y\n1,2\n3,4\r5\n", "line 3: new-line character seen in unquoted field"),
+        ],
+    )
+    def test_csv_reader_error_reports_line(self, text, message):
+        # csv.reader's csv.Error comes out as a ValueError naming the line,
+        # and the process-wide field limit is left as it was
+        limit = csv.field_size_limit()
+        with pytest.raises(ValueError, match=message):
+            parse_kinematics(io.StringIO(text), "generic_csv")
+        assert csv.field_size_limit() == limit
+
+    def test_line_of_a_record_after_a_multiline_cell(self):
+        # a quoted cell spans lines 3 and 4, so the bad record is on line 5
+        with pytest.raises(ValueError, match="line 5: non-numeric token"):
+            parse_kinematics('a,b\n1,2\n"3\n",4\n5,x\n', "generic_csv")
 
 
 class TestRoundTrip:
