@@ -20,6 +20,7 @@ failure.
 """
 
 import argparse
+import collections
 import contextlib
 import csv
 import dataclasses
@@ -327,7 +328,8 @@ def _check_run(
     demonstrations must be loaded; every demonstration needs more rows than
     the window; some demonstration must be left to fit; for weak init each
     init demonstration needs a transcript with an annotated row among the
-    run's rows; and k-means init without --k needs an annotated frame in
+    run's rows, each label at least 2 of the init rows and the init rows at
+    least two labels; and k-means init without --k needs an annotated frame in
     some transcript, to count the labels."""
     if config.feature_subset != "all" and names != _preprocess.FULL_CHANNEL_NAMES:
         raise ConfigError(
@@ -345,14 +347,23 @@ def _check_run(
             )
     if len(dataset) == len(config.init_demos):
         raise ValueError("every demonstration is an init demonstration; nothing to fit")
-    stride = config.subsample_factor
+    stride, counts = config.subsample_factor, collections.Counter()
     for demo_id in config.init_demos if config.init_method == "weak" else ():
         truth, n_rows = dataset[demo_id].truth, len(dataset[demo_id].features)
         if truth is None:
             raise ValueError(f"init demonstration {demo_id!r} has no transcript")
         # the labels at the rows' anchor frames, as labels_at_rows picks them
-        if np.all(truth[: (n_rows - config.window) * stride : stride] == UNANNOTATED):
+        labels = truth[: (n_rows - config.window) * stride : stride]
+        if np.all(labels == UNANNOTATED):
             raise ValueError(f"init demonstration {demo_id!r} has no annotated rows")
+        counts.update(labels[labels != UNANNOTATED].tolist())
+    for label, n_rows in sorted(counts.items()):
+        if n_rows < 2:
+            raise ValueError(f"label {label!r} has only {n_rows} row(s); need at least 2")
+    if config.init_method == "weak" and len(counts) < 2:
+        raise ValueError(
+            f"weak init needs at least two labels among the init rows, got {sorted(counts)}"
+        )
     if config.init_method == "kmeans" and config.k is None and not any(
         np.any(item.truth != UNANNOTATED)
         for item in dataset.values() if item.truth is not None
@@ -364,78 +375,79 @@ def _check_run(
 class RunResult:
     model: _gmm.GmmModel
     predictions: dict[str, np.ndarray]  # per-frame labels on the original grid
-    row_predictions: dict[str, np.ndarray]
-    augmented: dict[str, np.ndarray]
+    X: np.ndarray  # every demonstration's augmented rows, init demonstrations first
+    spans: dict[str, slice]  # each demonstration's rows of X
+    labels: np.ndarray  # the predicted label of each row of X
     truth: dict[str, tuple[np.ndarray, np.ndarray]]  # frame, row labels of scored demos
     report: dict | None = None  # score of every scored demo, as report.json holds it
 
     def score(self, ids: list[str]) -> dict:
-        """One report over the frames and rows of the named demonstrations;
-        with none named, every metric is None."""
+        """One report over the frames and rows of the named demonstrations,
+        given in X's order; with none named, every metric is None. The
+        silhouettes run on X from the first one's rows to the last's; the
+        rows of any demonstration between them are labelled UNANNOTATED."""
+        spans = [self.spans[d] for d in ids] or [slice(0, 0)]
+        start, stop = spans[0].start, spans[-1].stop
+        pred_rows, truth_rows = np.full((2, stop - start), UNANNOTATED, dtype=object)
+        for demo_id, span in zip(ids, spans):
+            at = slice(span.start - start, span.stop - start)
+            pred_rows[at], truth_rows[at] = self.labels[span], self.truth[demo_id][1]
         empty = np.empty(0, dtype=object)
         return _metrics.evaluate(
             np.concatenate([empty, *(self.predictions[d] for d in ids)]),
             np.concatenate([empty, *(self.truth[d][0] for d in ids)]),
             with_accuracy=self.model.has_labels(),
-            X=np.concatenate(
-                [np.empty((0, self.model.dimension)), *(self.augmented[d] for d in ids)]
-            ),
-            pred_rows=np.concatenate([empty, *(self.row_predictions[d] for d in ids)]),
-            truth_rows=np.concatenate([empty, *(self.truth[d][1] for d in ids)]),
+            X=self.X[start:stop], pred_rows=pred_rows, truth_rows=truth_rows,
         )
 
 
 def run_pipeline(
     config: RunConfig, dataset: dict[str, LoadedDemo], names: list[str]
 ) -> RunResult:
-    """Fit on the non-init demonstrations and score the annotated ones."""
+    """Fit on the non-init demonstrations and score the annotated ones. The
+    rows of every demonstration make one matrix X, the init demonstrations'
+    first: EM takes the rest, a view of X, and one prediction takes X."""
     _check_run(config, dataset, names)
-    augmented: dict[str, np.ndarray] = {}
-    row_truth: dict[str, np.ndarray] = {}  # row labels of the transcribed demos
-    for demo_id, item in dataset.items():
-        values = item.features
+    ids = [*config.init_demos, *(d for d in dataset if d not in config.init_demos)]
+    blocks, spans, row_truth, start = [], {}, {}, 0  # row labels of transcribed demos
+    for demo_id in ids:
+        values, truth = dataset[demo_id].features, dataset[demo_id].truth
         if config.feature_subset != "all":
             values = _preprocess.select_channels(values, config.feature_subset)
-        augmented[demo_id] = _preprocess.augment(values, config.window)
-        if item.truth is not None:
+        blocks.append(_preprocess.augment(values, config.window))
+        spans[demo_id] = slice(start, start := start + len(blocks[-1]))
+        if truth is not None:
             row_truth[demo_id] = _preprocess.labels_at_rows(
-                item.truth, len(augmented[demo_id]), config.subsample_factor
+                truth, len(blocks[-1]), config.subsample_factor
             )
+    X = np.concatenate(blocks)
+    del blocks  # X is the run's one copy of the rows
 
-    fit_ids = [d for d in dataset if d not in set(config.init_demos)]
-    fit_data = np.vstack([augmented[d] for d in fit_ids])
+    fit_ids = ids[len(config.init_demos):]
+    n_init = spans[fit_ids[0]].start
+    fit_rows = X[n_init:]
     if config.init_method == "weak":
-        keep = {d: row_truth[d] != UNANNOTATED for d in config.init_demos}
-        init = _gmm.weak_init(
-            np.vstack([augmented[d][keep[d]] for d in config.init_demos]),
-            np.concatenate([row_truth[d][keep[d]] for d in config.init_demos]),
-        )
+        init_truth = np.concatenate([row_truth[d] for d in config.init_demos])
+        keep = init_truth != UNANNOTATED
+        init = _gmm.weak_init(X[:n_init][keep], init_truth[keep])
     else:  # without --k, one component per distinct annotated label
         truths = [item.truth for item in dataset.values() if item.truth is not None]
         k = config.k or len(set().union(*truths) - {UNANNOTATED})
-        init = _gmm.kmeans_init(fit_data, k, config.seed)
-    model = _gmm.em_fit(
-        fit_data, init, tol=config.em_tol, max_iter=config.em_max_iter
-    )
+        init = _gmm.kmeans_init(fit_rows, k, config.seed)
+    model = _gmm.em_fit(fit_rows, init, tol=config.em_tol, max_iter=config.em_max_iter)
 
-    # One prediction over every demonstration's rows; each demonstration's
-    # labels are its slice. The stacked copy lives only for the call.
-    labels = _gmm.predict_labels(
-        model, np.vstack([augmented[d] for d in dataset])
-    )
-    ends = np.cumsum([len(augmented[d]) for d in dataset])
-    row_predictions = dict(zip(dataset, np.split(labels, ends[:-1])))
-    _warn_if_degenerate(model, {name for d in fit_ids for name in row_predictions[d]})
+    labels = _gmm.predict_labels(model, X)
+    _warn_if_degenerate(model, set(labels[n_init:]))
     predictions = {
         demo_id: _preprocess.rows_to_frames(
-            row_predictions[demo_id], config.subsample_factor, item.n_frames
+            labels[spans[demo_id]], config.subsample_factor, item.n_frames
         )
         for demo_id, item in dataset.items()
     }
 
     truth = {d: (dataset[d].truth, row_truth[d]) for d in fit_ids if d in row_truth}
     # The pooled report only: segment scores each demonstration itself.
-    result = RunResult(model, predictions, row_predictions, augmented, truth)
+    result = RunResult(model, predictions, X, spans, labels, truth)
     result.report = result.score(list(truth))
     return result
 
@@ -487,9 +499,8 @@ def _write_segment_outputs(config, names, result: RunResult) -> None:
         names = [names[i] for i in _preprocess.resolve_subset(config.feature_subset)]
     header = ["row_index", "from_label", "to_label"]
     header += _preprocess.augmented_names(names, config.window)
-    for demo_id in sorted(result.augmented):
-        X = result.augmented[demo_id]
-        labels = result.row_predictions[demo_id]
+    for demo_id, span in sorted(result.spans.items()):
+        X, labels = result.X[span], result.labels[span]
         path = os.path.join(out, "transitions", f"{demo_id}.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

@@ -481,10 +481,6 @@ def _model_json(model: GmmModel):
     yield '], "fit_trace": ' + json.dumps([float(v) for v in model.fit_trace]) + "}\n"
 
 
-def dumps_model(model: GmmModel) -> str:
-    return "".join(_model_json(model))
-
-
 def save_model(model: GmmModel, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_model_json(model))

@@ -76,13 +76,17 @@ def silhouette_samples(X, labels: Sequence) -> np.ndarray:
 
     a(i): distance to the mean of the sample's own cluster; b(i): distance
     to the nearest mean of any other cluster; s = (b - a) / max(a, b),
-    with s = 0 when the sample coincides with both means.
+    with s = 0 when the sample coincides with both means. Rows labelled
+    UNANNOTATED are left out: the values are those of the other rows
+    alone, bit for bit, in their order.
     """
     data = np.asarray(X, dtype=float)
     labels = np.asarray(labels, dtype=object)
     if data.shape[0] != labels.shape[0]:
         raise ValueError("label count does not match row count")
     names, idx = code_labels(labels)
+    if names[:1] == [UNANNOTATED]:  # sorted first; its rows get code -1
+        names, idx = names[1:], idx - 1
     if len(names) < 2:
         raise ValueError("need at least 2 distinct clusters")
     means = np.stack([data[idx == j].mean(axis=0) for j in range(len(names))])
@@ -102,12 +106,13 @@ def silhouette_samples(X, labels: Sequence) -> np.ndarray:
             np.subtract(block, m, out=d)
             np.multiply(d, d, out=d)
             np.sqrt(np.add.reduce(d, axis=1), out=dists[start : start + rows, j])
-    a = dists[np.arange(len(labels)), idx]
-    others = dists.copy()
-    others[np.arange(len(labels)), idx] = np.inf
+    kept = np.flatnonzero(idx >= 0)
+    others = dists[kept]
+    a = others[np.arange(len(kept)), idx[kept]]
+    others[np.arange(len(kept)), idx[kept]] = np.inf
     b = others.min(axis=1)
     denom = np.maximum(a, b)
-    s = np.zeros(len(labels))
+    s = np.zeros(len(kept))
     nz = denom > 0
     s[nz] = (b[nz] - a[nz]) / denom[nz]
     return s
@@ -136,12 +141,13 @@ def evaluate(
 
     Frames and rows whose reference label is UNANNOTATED are left out of
     every metric except si_pred, which scores the clustering's own geometry
-    over all rows. One confusion count over the kept frames gives accuracy,
-    per-label accuracy and NMI; with no frame left, accuracy and nmi are
-    None. accuracy is also None, and per_label_accuracy empty, when
-    predictions carry no label identities (anonymous clusters);
-    si_pred / si_truth are None when their labeling is degenerate (fewer
-    than two clusters).
+    over every row pred_rows labels (silhouette_samples leaves out the rows
+    either row labeling marks UNANNOTATED). One confusion count over the
+    kept frames gives accuracy, per-label accuracy and NMI; with no frame
+    left, accuracy and nmi are None. accuracy is also None, and
+    per_label_accuracy empty, when predictions carry no label identities
+    (anonymous clusters); si_pred / si_truth are None when their labeling
+    is degenerate (fewer than two clusters).
     """
     _check_lengths(pred, truth)
     pred, truth = np.asarray(pred, dtype=object), np.asarray(truth, dtype=object)
@@ -149,14 +155,10 @@ def evaluate(
     names, counts = confusion_matrix(pred[kept], truth[kept])
     n_frames = int(counts.sum())
     si_pred = si_truth = None
-    if X is not None:
-        data = np.asarray(X, dtype=float)
-        if pred_rows is not None:
-            si_pred = _try_silhouette(data, pred_rows)
-        if truth_rows is not None:
-            truth_rows = np.asarray(truth_rows, dtype=object)
-            rows = truth_rows != UNANNOTATED
-            si_truth = _try_silhouette(data[rows], truth_rows[rows])
+    if X is not None and pred_rows is not None:
+        si_pred = _try_silhouette(X, pred_rows)
+    if X is not None and truth_rows is not None:
+        si_truth = _try_silhouette(X, truth_rows)
     with_accuracy = with_accuracy and n_frames > 0
     return {
         "accuracy": int(np.trace(counts)) / n_frames if with_accuracy else None,

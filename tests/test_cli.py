@@ -147,8 +147,8 @@ class TestSegmentCommand:
         cli._write_segment_outputs(config, names, result)
         changes = 0
         for demo_id in dataset:
-            labels = result.row_predictions[demo_id]
-            values = result.augmented[demo_id]
+            labels = result.labels[result.spans[demo_id]]
+            values = result.X[result.spans[demo_id]]
             with open(tmp_path / "transitions" / f"{demo_id}.csv", newline="") as fh:
                 lines = list(csv.reader(fh))[1:]
             assert len(lines) == np.count_nonzero(labels[1:] != labels[:-1])
@@ -178,13 +178,19 @@ class TestSegmentCommand:
     def test_kmeans_init_and_em_share_the_fit_rows(self, synth_dir, tmp_path, monkeypatch):
         import kinseg.gmm as gmm_mod
 
-        seen = {}
-        for name in ("kmeans_init", "em_fit"):
-            def record(data, *args, _name=name, _real=getattr(gmm_mod, name), **kwargs):
-                seen[_name] = data
-                return _real(data, *args, **kwargs)
+        seen, results = {}, []
+        for name in ("kmeans_init", "em_fit", "predict_labels"):
+            def record(*args, _name=name, _real=getattr(gmm_mod, name), **kwargs):
+                seen[_name] = args
+                return _real(*args, **kwargs)
 
             monkeypatch.setattr(gmm_mod, name, record)
+
+        def run_pipeline(*args, _real=cli.run_pipeline):
+            results.append(_real(*args))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
         code = main([
             "segment",
             "--data-dir", str(synth_dir),
@@ -193,8 +199,13 @@ class TestSegmentCommand:
             "--window", "1",
         ])
         assert code == 0
-        assert seen["kmeans_init"] is seen["em_fit"]
-        assert seen["em_fit"].shape == (3 * (360 // 3 - 1), 8)  # every demo, subsampled
+        fit_rows = seen["em_fit"][0]
+        assert seen["kmeans_init"][0] is fit_rows
+        assert fit_rows.shape == (3 * (360 // 3 - 1), 8)  # every demo, subsampled
+        # the fit rows are a view of the run's one matrix, which predict takes
+        (result,) = results
+        assert np.shares_memory(fit_rows, result.X)
+        assert seen["predict_labels"][1] is result.X
 
     def test_deterministic_reruns(self, synth_dir, weak_run, tmp_path):
         out = tmp_path / "rerun"
@@ -1317,16 +1328,48 @@ def test_per_demo_report_scores_each_demo_alone(synth_dir, tmp_path):
         truth = dataset[demo_id].truth
         if demo_id in config.init_demos or truth is None:
             continue
-        X = result.augmented[demo_id]
+        X = result.X[result.spans[demo_id]]
         expected[demo_id] = metrics.evaluate(
             result.predictions[demo_id],
             truth,
             X=X,
-            pred_rows=result.row_predictions[demo_id],
+            pred_rows=result.labels[result.spans[demo_id]],
             truth_rows=labels_at_rows(truth, len(X), config.subsample_factor),
         )
     assert len(expected) == SYNTH_ARGS["n_demos"] - 1
     text = (out / "report_per_demo.json").read_text()
+    assert text == json.dumps(expected, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("init_demo", ["synth00", "synth01"])
+def test_pooled_report_leaves_out_a_fit_demo_without_transcript(tmp_path, init_demo):
+    """The pooled silhouettes run on one slice of the run's matrix, with
+    synth02 (a fit demonstration without a transcript, between the scored
+    synth01 and synth03) masked out: report.json equals metrics.evaluate on
+    the scored demonstrations' frames and rows concatenated."""
+    data, out = tmp_path / "data", tmp_path / "out"
+    write_dataset(data, **{**SYNTH_ARGS, "n_demos": 4})
+    (data / "transcripts" / "synth02.txt").unlink()
+    assert run_segment(data, out, ["--init-demos", init_demo]) == 0
+    config = cli.RunConfig(data_dir=str(data), output_dir=str(out), window=1,
+                           init_demos=(init_demo,))
+    dataset, names = cli.load_dataset(config)
+    result = cli.run_pipeline(config, dataset, names)
+    scored = [d for d in ("synth00", "synth01", "synth03") if d != init_demo]
+    spans = [result.spans[d] for d in scored]
+    truth = [dataset[d].truth for d in scored]
+    expected = metrics.evaluate(
+        np.concatenate([result.predictions[d] for d in scored]),
+        np.concatenate(truth),
+        X=np.concatenate([result.X[s] for s in spans]),
+        pred_rows=np.concatenate([result.labels[s] for s in spans]),
+        truth_rows=np.concatenate([
+            labels_at_rows(t, s.stop - s.start, config.subsample_factor)
+            for t, s in zip(truth, spans)
+        ]),
+    )
+    assert expected["si_pred"] is not None and expected["si_truth"] is not None
+    text = (out / "report.json").read_text()
     assert text == json.dumps(expected, indent=2) + "\n"
 
 
@@ -1855,7 +1898,7 @@ class TestRunPreconditions:
 
     def test_annotated_row_at_the_last_anchor(self, synth_dir, tmp_path, capsys):
         # frame 355 anchors row 118 at W=1: one annotated row is enough to
-        # pass the check, and weak init then asks for two of the label
+        # pass that check, and the next one asks for two rows of the label
         data = cut_synth00(copy_synth(synth_dir, tmp_path / "data"), "355 360 R1\n")
         assert run_segment(data, tmp_path / "out") == 2
         assert "label 'R1' has only 1 row(s); need at least 2" in capsys.readouterr().err
@@ -1871,13 +1914,13 @@ class TestRunPreconditions:
         assert run_segment(synth_dir, tmp_path / "out") == 0
         assert len(made) == 3  # the init demonstration's and both scored ones
 
-    def test_sweep_fails_before_its_first_run(self, tmp_path, capsys):
-        # synth00's only annotated frames, 1789-1800, fall past the last
-        # anchor at W=5 (frame 1783) but not at W=0: a check made only when
-        # each run starts would print the W=0 line before failing
+    @staticmethod
+    def sweep_w_0_5(tmp_path, capsys, transcript, message):
+        # a check made only when each run starts would print the W=0 line
+        # before failing
         data = tmp_path / "data"
         write_dataset(data, n_demos=3, seed=1)
-        cut_synth00(data, "1789 1800 R1\n")
+        cut_synth00(data, transcript)
         out = tmp_path / "sweep"
         code = main([
             "sweep-window",
@@ -1890,10 +1933,36 @@ class TestRunPreconditions:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == (
-            "kinseg: data error: init demonstration 'synth00' has no annotated rows\n"
-        )
+        assert captured.err == f"kinseg: data error: {message}\n"
         assert not (out / "sweep_window.csv").exists()
+
+    def test_sweep_fails_before_its_first_run(self, tmp_path, capsys):
+        # synth00's only annotated frames, 1784-1800, fall past the last
+        # anchor at W=5 (frame 1783) but not at W=0, where each label has
+        # two or more rows
+        self.sweep_w_0_5(tmp_path, capsys, "1784 1790 R0\n1791 1800 R1\n",
+                         "init demonstration 'synth00' has no annotated rows")
+
+    def test_sweep_fails_on_a_label_with_one_row(self, tmp_path, capsys):
+        # R1 anchors 6 rows at W=0 and one, frame 1783, at W=5
+        self.sweep_w_0_5(tmp_path, capsys, "1 600 R0\n1783 1800 R1\n",
+                         "label 'R1' has only 1 row(s); need at least 2")
+
+    def test_weak_init_with_one_label(self, tmp_path, capsys):
+        # one distinct init label would fit a one-component mixture and put
+        # every frame on it
+        data = tmp_path / "data"
+        write_dataset(data, n_demos=3, seed=1)
+        cut_synth00(data, "1 600 R0\n")
+        code = run_segment(data, tmp_path / "out")
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "kinseg: data error: weak init needs at least two labels among the init "
+            "rows, got ['R0']\n"
+        )
+        assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------- whole commands

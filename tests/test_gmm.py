@@ -17,7 +17,6 @@ from kinseg.gmm import (
     _log_densities,
     _logsumexp_rows,
     _scatter,
-    dumps_model,
     em_fit,
     kmeans_init,
     load_model,
@@ -440,10 +439,16 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def saved_text(model, path):
+    """model.json's text, as save_model writes it to path."""
+    save_model(model, path)
+    return path.read_text()
+
+
 def write_doc(path, **changes):
     """A valid one-component D=2 model.json with the given top-level keys
     changed (None deletes a key)."""
-    doc = json.loads(dumps_model(mixture((np.zeros(2), np.eye(2), 1.0, "g"))))
+    doc = json.loads(saved_text(mixture((np.zeros(2), np.eye(2), 1.0, "g")), path))
     doc.update(changes)
     path.write_text(json.dumps({key: v for key, v in doc.items() if v is not None}))
     return path
@@ -489,7 +494,7 @@ class TestSerialization:
         for name in ("weights", "means", "covariances"):
             assert same_bits(getattr(back, name), getattr(model, name)), name
 
-    def test_v2_layout(self):
+    def test_v2_layout(self, tmp_path):
         # the on-disk format: one line, one object per component, keys in
         # this order, each covariance as its upper triangle
         model = mixture(
@@ -497,20 +502,20 @@ class TestSerialization:
             (np.array([0.0, 3.0]), np.eye(2), 0.25),
         )
         model.fit_trace.extend([-3.5, -2.0])
-        assert dumps_model(model) == (
+        assert saved_text(model, tmp_path / "model.json") == (
             '{"format": "kinseg-gmm", "version": 2, "dimension": 2, "components": ['
             '{"label": "g", "weight": 0.75, "mean": [0.5, -1.0], "covariance": [2.0, 0.25, 1.0]}, '
             '{"label": null, "weight": 0.25, "mean": [0.0, 3.0], "covariance": [1.0, 0.0, 1.0]}'
             '], "fit_trace": [-3.5, -2.0]}\n'
         )
 
-    def test_triangle_is_row_major(self):
+    def test_triangle_is_row_major(self, tmp_path):
         C = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
-        doc = json.loads(dumps_model(mixture((np.zeros(3), C, 1.0))))
+        doc = json.loads(saved_text(mixture((np.zeros(3), C, 1.0)), tmp_path / "model.json"))
         assert doc["components"][0]["covariance"] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
     @pytest.mark.parametrize("case", ["nextafter", "signed_zero", "nan_bits"])
-    def test_asymmetric_covariance_rejected(self, case):
+    def test_asymmetric_covariance_rejected(self, tmp_path, case):
         rng = np.random.default_rng(29)
         A = rng.normal(size=(4, 4))
         C = regularize_covariance(A @ A.T)
@@ -522,7 +527,7 @@ class TestSerialization:
             C[1, 2], C[2, 1] = np.nan, -np.nan
         model = mixture((np.zeros(4), np.eye(4), 0.5, "ok"), (np.zeros(4), C, 0.5, "bad"))
         with pytest.raises(ValueError, match="component 'bad' is not symmetric"):
-            dumps_model(model)
+            save_model(model, tmp_path / "model.json")
 
     @pytest.mark.parametrize(
         "version, message",
@@ -562,9 +567,9 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             load_model(write_doc(tmp_path / "model.json", **changes))
 
-    def test_dumps_is_self_describing(self):
+    def test_saved_model_is_self_describing(self, tmp_path):
         model = mixture((np.zeros(2), np.eye(2), 1.0, "g"))
-        text = dumps_model(model)
+        text = saved_text(model, tmp_path / "model.json")
         assert '"kinseg-gmm"' in text
         assert text.endswith("\n")
 

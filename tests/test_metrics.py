@@ -4,7 +4,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kinseg.ingest import UNANNOTATED
 from kinseg.metrics import (
     SILHOUETTE_ELEMENTS,
     confusion_matrix,
@@ -168,6 +171,29 @@ class TestSilhouette:
         b = dists.min(axis=1)
         want = (b - a) / np.maximum(a, b)
         assert np.array_equal(silhouette_samples(X, labels), want)
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 1200),
+        dim=st.integers(1, 120),
+        share=st.floats(0.0, 1.0),
+    )
+    def test_unannotated_rows_are_left_out(self, seed, n, dim, share):
+        # the masked rows change which rows share a distance block, not the
+        # bits of any kept row's value
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, dim)) * rng.uniform(0.01, 100, dim)
+        labels = rng.choice(["a", "b", "c"], n).astype(object)
+        labels[rng.random(n) < share] = UNANNOTATED
+        kept = labels != UNANNOTATED
+        try:
+            want = silhouette_samples(X[kept], labels[kept])
+        except ValueError:
+            with pytest.raises(ValueError, match="at least 2 distinct clusters"):
+                silhouette_samples(X, labels)
+            return
+        assert silhouette_samples(X, labels).tobytes() == want.tobytes()
 
     def test_collapsed_clusters_score_one(self):
         X = np.array([[0.0, 0.0]] * 3 + [[5.0, 5.0]] * 3)
