@@ -20,7 +20,6 @@ failure.
 """
 
 import argparse
-import collections
 import contextlib
 import csv
 import dataclasses
@@ -41,6 +40,7 @@ from kinseg.ingest import (
     JIGSAWS_RATE_HZ,
     PSM_COLUMNS,
     UNANNOTATED,
+    code_labels,
     compress_labels,
     expand_labels,
     parse_kinematics,
@@ -321,16 +321,16 @@ def _load_mapping(config: RunConfig):
 
 def _check_run(
     config: RunConfig, dataset: dict[str, LoadedDemo], names: list[str]
-) -> None:
-    """What a run needs of the loaded data, checked in this order before any
-    of its work. A feature subset other than "all" needs the kinematic
-    pipeline's features (the dataset's channel names); the init
-    demonstrations must be loaded; every demonstration needs more rows than
-    the window; some demonstration must be left to fit; for weak init each
-    init demonstration needs a transcript with an annotated row among the
-    run's rows, each label at least 2 of the init rows and the init rows at
-    least two labels; and k-means init without --k needs an annotated frame in
-    some transcript, to count the labels."""
+) -> tuple[list[str], dict[str, slice], np.ndarray]:
+    """Check what a run needs of the loaded data, in this order, before any of
+    its work: kinematic features for a feature subset other than "all", loaded
+    init demonstrations, more rows than the window in each demonstration, one
+    left to fit; for weak init, a transcript and an annotated row in each init
+    demonstration, at least 2 init rows per label and two labels; for k-means
+    init without --k, an annotated frame to count the labels. Returns the
+    layout of the run's row matrix X: the ids in X's order (init demonstrations
+    first, then the rest in id order), each one's slice of X, and each row's
+    label at its anchor frame (UNANNOTATED without a transcript)."""
     if config.feature_subset != "all" and names != _preprocess.FULL_CHANNEL_NAMES:
         raise ConfigError(
             "feature subsets apply only to the kinematic pipeline "
@@ -347,28 +347,35 @@ def _check_run(
             )
     if len(dataset) == len(config.init_demos):
         raise ValueError("every demonstration is an init demonstration; nothing to fit")
-    stride, counts = config.subsample_factor, collections.Counter()
-    for demo_id in config.init_demos if config.init_method == "weak" else ():
-        truth, n_rows = dataset[demo_id].truth, len(dataset[demo_id].features)
-        if truth is None:
-            raise ValueError(f"init demonstration {demo_id!r} has no transcript")
-        # the labels at the rows' anchor frames, as labels_at_rows picks them
-        labels = truth[: (n_rows - config.window) * stride : stride]
-        if np.all(labels == UNANNOTATED):
-            raise ValueError(f"init demonstration {demo_id!r} has no annotated rows")
-        counts.update(labels[labels != UNANNOTATED].tolist())
-    for label, n_rows in sorted(counts.items()):
-        if n_rows < 2:
-            raise ValueError(f"label {label!r} has only {n_rows} row(s); need at least 2")
-    if config.init_method == "weak" and len(counts) < 2:
-        raise ValueError(
-            f"weak init needs at least two labels among the init rows, got {sorted(counts)}"
-        )
-    if config.init_method == "kmeans" and config.k is None and not any(
+    ids = [*config.init_demos, *(d for d in dataset if d not in config.init_demos)]
+    spans, truth_rows, start = {}, [], 0
+    for demo_id in ids:
+        truth, n_rows = dataset[demo_id].truth, len(dataset[demo_id].features) - config.window
+        spans[demo_id] = slice(start, start := start + n_rows)
+        truth_rows.append(np.full(n_rows, UNANNOTATED, dtype=object) if truth is None else
+                          _preprocess.labels_at_rows(truth, n_rows, config.subsample_factor))
+    truth_rows = np.concatenate(truth_rows)
+    if config.init_method == "weak":
+        for demo_id in config.init_demos:
+            if dataset[demo_id].truth is None:
+                raise ValueError(f"init demonstration {demo_id!r} has no transcript")
+            if np.all(truth_rows[spans[demo_id]] == UNANNOTATED):
+                raise ValueError(f"init demonstration {demo_id!r} has no annotated rows")
+        init_truth = truth_rows[: spans[ids[len(config.init_demos)]].start]
+        labels, codes = code_labels(init_truth[init_truth != UNANNOTATED])
+        for label, n_rows in zip(labels, np.bincount(codes).tolist()):
+            if n_rows < 2:
+                raise ValueError(f"label {label!r} has only {n_rows} row(s); need at least 2")
+        if len(labels) < 2:
+            raise ValueError(
+                f"weak init needs at least two labels among the init rows, got {labels}"
+            )
+    elif config.k is None and not any(
         np.any(item.truth != UNANNOTATED)
         for item in dataset.values() if item.truth is not None
     ):
         raise ConfigError("k-means init needs --k when no transcripts are available")
+    return ids, spans, truth_rows
 
 
 @dataclass
@@ -378,26 +385,28 @@ class RunResult:
     X: np.ndarray  # every demonstration's augmented rows, init demonstrations first
     spans: dict[str, slice]  # each demonstration's rows of X
     labels: np.ndarray  # the predicted label of each row of X
-    truth: dict[str, tuple[np.ndarray, np.ndarray]]  # frame, row labels of scored demos
+    truth_rows: np.ndarray  # the true label of each row of X, as _check_run makes it
+    truth: dict[str, np.ndarray]  # frame labels of each scored demo, in X's order
     report: dict | None = None  # score of every scored demo, as report.json holds it
 
     def score(self, ids: list[str]) -> dict:
         """One report over the frames and rows of the named demonstrations,
-        given in X's order; with none named, every metric is None. The
-        silhouettes run on X from the first one's rows to the last's; the
-        rows of any demonstration between them are labelled UNANNOTATED."""
+        all scored ones or one, in X's order; with none named, every metric
+        is None. The silhouettes run on X from the first one's rows to the
+        last's; any demonstration between them has no transcript, and its
+        rows' predicted labels are set to UNANNOTATED as their true ones are."""
         spans = [self.spans[d] for d in ids] or [slice(0, 0)]
         start, stop = spans[0].start, spans[-1].stop
-        pred_rows, truth_rows = np.full((2, stop - start), UNANNOTATED, dtype=object)
-        for demo_id, span in zip(ids, spans):
-            at = slice(span.start - start, span.stop - start)
-            pred_rows[at], truth_rows[at] = self.labels[span], self.truth[demo_id][1]
+        pred_rows = np.full(stop - start, UNANNOTATED, dtype=object)
+        for span in spans:
+            pred_rows[span.start - start : span.stop - start] = self.labels[span]
         empty = np.empty(0, dtype=object)
         return _metrics.evaluate(
             np.concatenate([empty, *(self.predictions[d] for d in ids)]),
-            np.concatenate([empty, *(self.truth[d][0] for d in ids)]),
+            np.concatenate([empty, *(self.truth[d] for d in ids)]),
             with_accuracy=self.model.has_labels(),
-            X=self.X[start:stop], pred_rows=pred_rows, truth_rows=truth_rows,
+            X=self.X[start:stop], pred_rows=pred_rows,
+            truth_rows=self.truth_rows[start:stop],
         )
 
 
@@ -405,31 +414,21 @@ def run_pipeline(
     config: RunConfig, dataset: dict[str, LoadedDemo], names: list[str]
 ) -> RunResult:
     """Fit on the non-init demonstrations and score the annotated ones. The
-    rows of every demonstration make one matrix X, the init demonstrations'
-    first: EM takes the rest, a view of X, and one prediction takes X."""
-    _check_run(config, dataset, names)
-    ids = [*config.init_demos, *(d for d in dataset if d not in config.init_demos)]
-    blocks, spans, row_truth, start = [], {}, {}, 0  # row labels of transcribed demos
-    for demo_id in ids:
-        values, truth = dataset[demo_id].features, dataset[demo_id].truth
-        if config.feature_subset != "all":
-            values = _preprocess.select_channels(values, config.feature_subset)
-        blocks.append(_preprocess.augment(values, config.window))
-        spans[demo_id] = slice(start, start := start + len(blocks[-1]))
-        if truth is not None:
-            row_truth[demo_id] = _preprocess.labels_at_rows(
-                truth, len(blocks[-1]), config.subsample_factor
-            )
-    X = np.concatenate(blocks)
-    del blocks  # X is the run's one copy of the rows
+    rows of every demonstration make one matrix X, laid out as _check_run
+    returns it: EM takes the rest, a view of X, and one prediction takes X."""
+    ids, spans, truth_rows = _check_run(config, dataset, names)
+    features, subset = (dataset[d].features for d in ids), config.feature_subset
+    if subset != "all":
+        features = (_preprocess.select_channels(f, subset) for f in features)
+    # the run's one copy of the rows
+    X = np.concatenate([_preprocess.augment(f, config.window) for f in features])
 
     fit_ids = ids[len(config.init_demos):]
     n_init = spans[fit_ids[0]].start
     fit_rows = X[n_init:]
     if config.init_method == "weak":
-        init_truth = np.concatenate([row_truth[d] for d in config.init_demos])
-        keep = init_truth != UNANNOTATED
-        init = _gmm.weak_init(X[:n_init][keep], init_truth[keep])
+        keep = truth_rows[:n_init] != UNANNOTATED
+        init = _gmm.weak_init(X[:n_init][keep], truth_rows[:n_init][keep])
     else:  # without --k, one component per distinct annotated label
         truths = [item.truth for item in dataset.values() if item.truth is not None]
         k = config.k or len(set().union(*truths) - {UNANNOTATED})
@@ -445,9 +444,9 @@ def run_pipeline(
         for demo_id, item in dataset.items()
     }
 
-    truth = {d: (dataset[d].truth, row_truth[d]) for d in fit_ids if d in row_truth}
+    truth = {d: dataset[d].truth for d in fit_ids if dataset[d].truth is not None}
     # The pooled report only: segment scores each demonstration itself.
-    result = RunResult(model, predictions, X, spans, labels, truth)
+    result = RunResult(model, predictions, X, spans, labels, truth_rows, truth)
     result.report = result.score(list(truth))
     return result
 

@@ -16,9 +16,9 @@ labels (a K-tuple of gesture names, or None for anonymous components),
 plus the per-iteration log-likelihoods of the EM run that produced it.
 
 One numeric kernel serves EM and the predictions, directly on those arrays;
-a prediction is the argmax of its log densities. All K covariances are
-factored with one batched Cholesky, C_k = L_k L_k^T, and the precision
-factors P_k = L_k^-T are concatenated into one D x (K*D) matrix, so the
+a prediction is the argmax of its log densities. Each covariance is
+factored, C_k = L_k L_k^T, and the precision factors P_k = L_k^-T (one
+batched inverse) are concatenated into one D x (K*D) matrix, so the
 Mahalanobis terms of a block of rows come from a single GEMM:
 ||x P_k - mu_k P_k||^2 (as in scikit-learn's GaussianMixture with
 precisions_cholesky_). The estimator takes all means as one product resp^T X.
@@ -33,12 +33,15 @@ releases the GIL inside BLAS calls and ufunc loops. kinseg/__init__.py pins
 BLAS to one thread, so the threads do not contend with BLAS's own. The
 E-step splits the rows into contiguous runs of whole blocks, each filling
 its rows of the N x K output; every row's log densities are computed by the
-same calls as without the split. The scatter splits the components into
-contiguous groups; a component's rows and its chunk length (set by D
-alone) are the same whichever group it falls in, so its sum is too. The
-batched Cholesky and inverse, and every sum over
-rows (resp^T X, the masses, the log-sum-exp), stay single calls on the
-calling thread. So every array has the same bytes for any worker count.
+same calls as without the split. It does not split the components: OpenBLAS
+can give a group's columns of the GEMM other bits as a narrower product (a
+5-row block at D=96 times 96 x 192 for two components, against 96 x 480 for
+five), so the model would depend on the worker count. The scatter splits
+the components into contiguous groups; a component's rows and its chunk
+length (set by D alone) are the same whichever group it falls in, so its
+sum is too. The Cholesky factors, the inverse, and every sum over rows
+(resp^T X, the masses, the log-sum-exp) are computed on the calling thread.
+So every array has the same bytes for any worker count.
 The calling thread allocates each part's work buffers and runs the first
 part itself: buffers allocated in the pool's threads would grow glibc's
 per-thread arenas and the peak RSS. Mixtures below SPLIT_FLOOR, and every
@@ -296,17 +299,14 @@ def _log_densities(data: np.ndarray, means, covariances, weights) -> np.ndarray:
     into contiguous runs, one per worker.
     """
     k, dim = means.shape
-    try:
-        chol = np.linalg.cholesky(covariances)
-    except np.linalg.LinAlgError:
-        for j, cov in enumerate(covariances):
-            try:
-                np.linalg.cholesky(cov)
-            except np.linalg.LinAlgError:
-                raise NumericalError(
-                    f"covariance of component {j} is not positive definite"
-                ) from None
-        raise
+    chol = np.empty_like(covariances)
+    for j, cov in enumerate(covariances):  # one at a time, to name one that fails
+        try:
+            chol[j] = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            raise NumericalError(
+                f"covariance of component {j} is not positive definite"
+            ) from None
     # The triangular inverse goes through numpy's LAPACK like every other
     # call here: scipy.linalg links a second BLAS, whose worker threads keep
     # spinning after each call and contend with numpy's GEMM threads (on two
@@ -464,24 +464,24 @@ _COMPONENT_KEYS = ("label", "weight", "mean", "covariance")  # of a model.json c
 def _model_json(model: GmmModel):
     """model.json version 2 as pieces of json.dumps(doc) + "\n", one per
     component, so a write holds one component's floats and text at a time
-    (5 MiB less at K=10, D=96). Each covariance is its row-major upper
-    triangle, so it must be bitwise symmetric (signed zeros, NaN), as fits are."""
-    covariances = np.asarray(model.covariances, dtype=float)
-    bits = covariances.view(np.uint64)
-    for k in np.flatnonzero((bits != np.swapaxes(bits, 1, 2)).any(axis=(1, 2))):
-        raise ValueError(f"the covariance of component {model.component_name(k)!r} "
-                         "is not symmetric")
+    (5 MiB less at K=10, D=96). Each covariance is its row-major upper triangle."""
     head = json.dumps({"format": "kinseg-gmm", "version": 2, "dimension": model.dimension})
     yield head[:-1] + ', "components": ['
     upper = np.triu_indices(model.dimension)
     for k, label in enumerate(model.labels):
         values = (label, float(model.weights[k]), model.means[k].tolist(),
-                  covariances[k][upper].tolist())
+                  model.covariances[k][upper].tolist())
         yield (", " if k else "") + json.dumps(dict(zip(_COMPONENT_KEYS, values)))
     yield '], "fit_trace": ' + json.dumps([float(v) for v in model.fit_trace]) + "}\n"
 
 
 def save_model(model: GmmModel, path) -> None:
+    """Write model.json. A covariance not bitwise symmetric (signed zeros, NaN)
+    raises ValueError before the file is opened, so a file at path is kept."""
+    bits = np.asarray(model.covariances, dtype=float).view(np.uint64)
+    for k in np.flatnonzero((bits != np.swapaxes(bits, 1, 2)).any(axis=(1, 2))):
+        raise ValueError(f"the covariance of component {model.component_name(k)!r} "
+                         "is not symmetric")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_model_json(model))
 

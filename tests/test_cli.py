@@ -1973,15 +1973,15 @@ _ERROR_LINE = re.compile(r"kinseg( \S+)?: (config error|data error|numerical fai
 
 @st.composite
 def generated_datasets(draw):
-    """(files, frames, annotated): 1-4 recordings of 5-200 frames, all CSV
+    """(files, frames, transcripts): 1-4 recordings of 5-200 frames, all CSV
     or all robot text, each with a transcript or none. A transcript cuts
     the frames into runs, one-frame runs included, each labelled or a gap.
     files maps relative paths to text, frames each id's frame count, and
-    annotated each transcribed id's annotated frame count."""
+    transcripts each transcribed id's segments."""
     robot = draw(st.booleans())
     width = 3 if robot else draw(st.integers(1, 3))  # of a random walk
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    files, frames, annotated = {}, {}, {}
+    files, frames, transcripts = {}, {}, {}
     for i in range(draw(st.integers(1, 4))):
         demo_id, T = f"g{i}", draw(st.integers(5, 200))
         frames[demo_id] = T
@@ -2009,8 +2009,8 @@ def generated_datasets(draw):
             if label is not None:
                 segments.append(Segment(start, end, label))
         files[f"transcripts/{demo_id}.txt"] = serialize_transcript(segments)
-        annotated[demo_id] = sum(s.end - s.start + 1 for s in segments)
-    return files, frames, annotated
+        transcripts[demo_id] = segments
+    return files, frames, transcripts
 
 
 @st.composite
@@ -2018,7 +2018,7 @@ def generated_argv(draw, ids):
     """A segment command's settings: window, subsample, init method, init
     demos (ids of the dataset, now and then one it lacks), k, and now and
     then a label mapping of renames, splits and context rules; returns
-    (argv, the init demos in the dataset, the rules text or None)."""
+    (argv, the init demos in the dataset, each label's rule target or None)."""
     init = draw(st.sampled_from(["weak", "kmeans"]))
     demos = draw(st.lists(
         st.sampled_from(ids), min_size=init == "weak",
@@ -2037,10 +2037,62 @@ def generated_argv(draw, ids):
     if init == "kmeans" and draw(st.booleans()):
         argv += ["--k", str(draw(st.integers(1, 3)))]
     rules = None
-    if draw(st.integers(0, 3)) == 1:
+    if draw(st.booleans()):
         targets = st.sampled_from(["X", "Y", "X | Y @ 0.5", ">"])
-        rules = "".join(f"{label} -> {draw(targets)}\n" for label in "ABC")
+        rules = {label: draw(targets) for label in "ABC"}
     return argv, [d for d in demos if d in ids], rules
+
+
+@st.composite
+def generated_sidecar(draw, rules, transcripts, ids):
+    """(text, unread): a sidecar for the rules, with boundaries for some
+    segments of the split rule and overrides for some of the context rule,
+    and now and then one entry that nothing reads (unread is then True): its
+    demonstration has no transcript, its segment index lies past the
+    transcript, or its segment's rule is not of its kind."""
+    doc = {"boundaries": {}, "overrides": {}}
+    unread = [(kind, d, 0) for d in ["absent", *ids] if d not in transcripts for kind in doc]
+    for demo_id, segments in transcripts.items():
+        unread += [(kind, demo_id, len(segments)) for kind in doc]
+        for idx, s in enumerate(segments):
+            split, context = "|" in rules[s.label], rules[s.label] == ">"
+            if split and s.end > s.start and draw(st.booleans()):
+                frame = draw(st.integers(s.start, s.end - 1))
+                doc["boundaries"].setdefault(demo_id, {})[str(idx)] = [frame]
+            if context and draw(st.booleans()):
+                label = draw(st.sampled_from("XYZ"))
+                doc["overrides"].setdefault(demo_id, {})[str(idx)] = label
+            unread += [("boundaries", demo_id, idx)] * (not split)
+            unread += [("overrides", demo_id, idx)] * (not context)
+    has_unread = draw(st.integers(0, 4)) == 2
+    if has_unread:
+        kind, demo_id, idx = draw(st.sampled_from(unread))
+        doc[kind].setdefault(demo_id, {})[str(idx)] = [1] if kind == "boundaries" else "Z"
+    return json.dumps(doc), has_unread
+
+
+@st.composite
+def corrupted(draw, files):
+    """Make one drawn file of files unreadable and return its relative path:
+    a recording gets a non-numeric cell, a transcript or the mapping a line
+    that is no segment or rule, and the sidecar loses its closing brace."""
+    kinds = ("rules.txt", "sidecar.json", "transcripts", "kinematics")
+    kind = draw(st.sampled_from([k for k in kinds if any(r.startswith(k) for r in files)]))
+    rel = draw(st.sampled_from(sorted(r for r in files if r.startswith(kind))))
+    lines = files[rel].splitlines(keepends=True)
+    if rel.startswith("kinematics/"):
+        sep = "," if rel.endswith(".csv") else " "
+        i = draw(st.integers(sep == ",", len(lines) - 1))  # a CSV's header is kept
+        cells = lines[i].rstrip("\n").split(sep)
+        cells[draw(st.integers(0, len(cells) - 1))] = "x"
+        lines[i] = sep.join(cells) + "\n"
+    elif rel == "sidecar.json":
+        lines = [files[rel][:-1]]
+    else:
+        i = draw(st.integers(0, len(lines)))
+        lines[i : i + 1] = ["x\n"]
+    files[rel] = "".join(lines)
+    return rel
 
 
 def run_main(argv):
@@ -2058,19 +2110,33 @@ def tree_bytes(root):
 
 
 class TestGeneratedDatasets:
-    """segment on drawn recordings, transcripts and settings: it exits 0 with
-    outputs that cover the data, or 1-3 with one error line; nothing
-    escapes main. The example count comes from the hypothesis profile."""
+    """segment on drawn recordings, transcripts, mappings, sidecars and
+    settings: it exits 0 with outputs that cover the data, or 1-3 with one
+    error line; nothing escapes main. A run on a corrupted file, or on a
+    sidecar entry that nothing reads, exits 2 naming that file. The example
+    count comes from the hypothesis profile."""
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
     def test_segment(self, data):
-        files, frames, annotated = data.draw(generated_datasets())
+        files, frames, transcripts = data.draw(generated_datasets())
         argv, init_demos, rules = data.draw(generated_argv(sorted(frames)))
+        unread = False
+        if rules is not None:
+            files["rules.txt"] = "".join(f"{a} -> {b}\n" for a, b in rules.items())
+            files["sidecar.json"], unread = data.draw(
+                generated_sidecar(rules, transcripts, sorted(frames))
+            )
+        broken = data.draw(corrupted(files)) if data.draw(st.integers(0, 2)) == 1 else None
+        # the file the run must fail on; weak init without ids fails first,
+        # as a config error, before any file is read
+        culprit = broken or ("sidecar.json" if unread else None)
+        if "--init-demos" not in argv and "kmeans" not in argv:
+            culprit = None
         with tempfile.TemporaryDirectory() as tmp:
             if rules is not None:
-                files["rules.txt"] = rules
-                argv += ["--mapping", os.path.join(tmp, "rules.txt")]
+                argv += ["--mapping", os.path.join(tmp, "rules.txt"),
+                         "--sidecar", os.path.join(tmp, "sidecar.json")]
             for rel, text in files.items():
                 os.makedirs(os.path.dirname(os.path.join(tmp, rel)), exist_ok=True)
                 with open(os.path.join(tmp, rel), "w") as fh:
@@ -2080,8 +2146,13 @@ class TestGeneratedDatasets:
             code, out, err = run_main(base + ["--output-dir", outs[0]])
             assert code in (0, 1, 2, 3)
             event(f"exit {code}")  # shown by --hypothesis-show-statistics
+            errors = [line for line in err.splitlines() if _ERROR_LINE.match(line)]
+            if culprit is not None:
+                event(f"fails on {culprit.split('/')[0]}")
+                # named by its file name, or as the command line gave it
+                name = os.path.basename(culprit) if "/" in culprit else os.path.join(tmp, culprit)
+                assert code == 2 and errors[0].startswith(f"kinseg: data error: {name}: "), err
             if code:
-                errors = [line for line in err.splitlines() if _ERROR_LINE.match(line)]
                 assert len(errors) == 1, err
                 return
             for demo_id, T in frames.items():
@@ -2091,8 +2162,10 @@ class TestGeneratedDatasets:
                 assert predicted[-1].end == T
             with open(os.path.join(outs[0], "report.json")) as fh:
                 report = json.load(fh)
-            scored = [d for d in annotated if d not in init_demos]
-            assert report["n_frames_evaluated"] == sum(annotated[d] for d in scored)
+            scored = [d for d in transcripts if d not in init_demos]
+            assert report["n_frames_evaluated"] == sum(
+                s.end - s.start + 1 for d in scored for s in transcripts[d]
+            )
             again = run_main(base + ["--output-dir", outs[1]])
             assert again == (0, out.replace(outs[0], outs[1]), err)
             assert tree_bytes(outs[1]) == tree_bytes(outs[0])

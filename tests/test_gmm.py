@@ -529,6 +529,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match="component 'bad' is not symmetric"):
             save_model(model, tmp_path / "model.json")
 
+    def test_rejected_save_keeps_the_file(self, tmp_path):
+        # the symmetry check runs before the file is opened: an existing
+        # model.json keeps its bytes, and none is created where none was
+        C = np.eye(2)
+        C[0, 1] = 1e-9
+        model = mixture((np.zeros(2), C, 1.0, "bad"))
+        kept, absent = tmp_path / "kept.json", tmp_path / "absent.json"
+        kept.write_bytes(b"previous model\n")
+        for path in (kept, absent):
+            with pytest.raises(ValueError, match="component 'bad' is not symmetric"):
+                save_model(model, path)
+        assert kept.read_bytes() == b"previous model\n"
+        assert not absent.exists()
+
     @pytest.mark.parametrize(
         "version, message",
         [(1, "version 1 is not read.*re-run `kinseg segment`"), (3, "version 3"),

@@ -240,6 +240,23 @@ class TestWorkerInvariance:
         seen = assert_same_for_all_workers(split, inits, gmm.SPLIT_FLOOR)
         assert seen == [3, 3]  # one scatter per init, 4 components
 
+    def test_uneven_groups_at_d96_with_short_last_block(self, split):
+        # Five components at D=96 split into groups of 2 and 3 on two
+        # workers, and of 1, 2 and 2 on three; the last of 8 row blocks holds
+        # 5 rows. An E-step that split the components would take a group's
+        # columns of its GEMM as a narrower product, which OpenBLAS can give
+        # other bits; the E-step splits the rows.
+        n, k, dim = 7 * ROW_BLOCK + 5, 5, 96
+        assert k * dim * dim >= gmm.SPLIT_FLOOR
+        init, X, _ = problem(n, k, dim, 170)
+
+        def kernels():
+            fitted = em_fit(X, init, tol=1e-300, max_iter=4)
+            return [log_densities(init, X)] + model_arrays(fitted)
+
+        seen = assert_same_for_all_workers(split, kernels, gmm.SPLIT_FLOOR)
+        assert set(seen) == {3} and len(seen) > 3  # every E-step and scatter, 3 parts
+
     def test_more_workers_than_cores_with_fast_switching(self, split):
         # Parts write disjoint slices of one output; a lost or doubled update
         # under frequent thread switches would change the bytes.
