@@ -20,7 +20,6 @@ failure.
 """
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import json
@@ -43,6 +42,7 @@ from kinseg.ingest import (
     code_labels,
     compress_labels,
     expand_labels,
+    named,
     parse_kinematics,
     parse_transcript,
     serialize_transcript,
@@ -131,7 +131,7 @@ def _coerce(name: str, value):
             raise ConfigError(f"config field {name!r}: expected a number, got {value!r}")
     if kind is tuple:
         if isinstance(value, str):
-            value = [tok for tok in value.split(",") if tok]
+            value = [tok for tok in map(str.strip, value.split(",")) if tok]
         if isinstance(value, list) and all(isinstance(v, str) for v in value):
             return tuple(value)
         raise ConfigError(
@@ -213,16 +213,6 @@ def _read(path: str):
     return open(path, encoding="utf-8-sig")
 
 
-@contextlib.contextmanager
-def _naming(source: str):
-    """Prefix the message of a ValueError raised inside with its source, the
-    file or demonstration it came from."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
-
-
 @dataclass
 class LoadedDemo:
     """What every run needs of a recording; the raw frames are not kept."""
@@ -263,8 +253,8 @@ def load_dataset(config: RunConfig) -> tuple[dict[str, LoadedDemo], list[str]]:
     for name in files:
         demo_id, ext = os.path.splitext(name)
         layout = "generic_csv" if ext == ".csv" else "jigsaws"
-        with _read(os.path.join(kin_dir, name)) as fh, _naming(name):
-            frames, channels = parse_kinematics(fh, layout)
+        with _read(os.path.join(kin_dir, name)) as fh:
+            frames, channels = named(name, parse_kinematics, fh, layout)
         features = None  # built below for a 38-channel recording
         if frames.shape[1] == PSM_COLUMNS:
             kinematic[name] = frames
@@ -273,8 +263,8 @@ def load_dataset(config: RunConfig) -> tuple[dict[str, LoadedDemo], list[str]]:
             features = np.ascontiguousarray(frames[::config.subsample_factor])
         tpath = os.path.join(config.data_dir, "transcripts", f"{demo_id}.txt")
         if os.path.isfile(tpath):
-            with _read(tpath) as fh, _naming(f"{demo_id}.txt"):
-                transcripts[demo_id] = parse_transcript(fh)
+            with _read(tpath) as fh:
+                transcripts[demo_id] = named(f"{demo_id}.txt", parse_transcript, fh)
         names = names or channels
         if channels != names:
             raise ValueError(
@@ -283,15 +273,15 @@ def load_dataset(config: RunConfig) -> tuple[dict[str, LoadedDemo], list[str]]:
             )
         dataset[demo_id] = LoadedDemo(features, len(frames), None)
     if sidecar is not None:
-        with _naming(config.sidecar):
-            _dictionary.check_sidecar(sidecar, transcripts, mapping)
+        named(config.sidecar, _dictionary.check_sidecar, sidecar, transcripts, mapping)
     for demo_id, transcript in transcripts.items():
-        with _naming(f"{demo_id}.txt"):
-            if mapping is not None:
-                transcript = _dictionary.apply_mapping(
-                    transcript, mapping, sidecar, demo_id=demo_id
-                )
-            dataset[demo_id].truth = expand_labels(transcript, dataset[demo_id].n_frames)
+        source, n_frames = f"{demo_id}.txt", dataset[demo_id].n_frames
+        if mapping is not None:
+            transcript = named(
+                source, _dictionary.apply_mapping, transcript, mapping, sidecar,
+                demo_id=demo_id,
+            )
+        dataset[demo_id].truth = named(source, expand_labels, transcript, n_frames)
     if kinematic:
         built = _preprocess.build_features(
             kinematic, fc_hz=config.fc_hz, fs_hz=config.sample_rate_hz,
@@ -310,12 +300,12 @@ def _load_mapping(config: RunConfig):
     if config.mapping == "builtin":
         mapping = _dictionary.default_mapping()
     else:
-        with _read(config.mapping) as fh, _naming(config.mapping):
-            mapping = _dictionary.parse_mapping(fh)
+        with _read(config.mapping) as fh:
+            mapping = named(config.mapping, _dictionary.parse_mapping, fh)
     sidecar = None
     if config.sidecar is not None:
-        with _read(config.sidecar) as fh, _naming(config.sidecar):
-            sidecar = _dictionary.parse_sidecar(fh)
+        with _read(config.sidecar) as fh:
+            sidecar = named(config.sidecar, _dictionary.parse_sidecar, fh)
     return mapping, sidecar
 
 
@@ -411,12 +401,12 @@ class RunResult:
 
 
 def run_pipeline(
-    config: RunConfig, dataset: dict[str, LoadedDemo], names: list[str]
+    config: RunConfig, dataset: dict[str, LoadedDemo], layout: tuple
 ) -> RunResult:
     """Fit on the non-init demonstrations and score the annotated ones. The
     rows of every demonstration make one matrix X, laid out as _check_run
-    returns it: EM takes the rest, a view of X, and one prediction takes X."""
-    ids, spans, truth_rows = _check_run(config, dataset, names)
+    returned it: EM takes the rest, a view of X, and one prediction takes X."""
+    ids, spans, truth_rows = layout
     features, subset = (dataset[d].features for d in ids), config.feature_subset
     if subset != "all":
         features = (_preprocess.select_channels(f, subset) for f in features)
@@ -512,9 +502,28 @@ def _write_segment_outputs(config, names, result: RunResult) -> None:
                 )
 
 
-def cmd_segment(config: RunConfig) -> int:
+def _load_runs(config: RunConfig, field: str, values: list):
+    """Before any run's work, validate each run's config (config with one value
+    of field), reject a run equal to an earlier one once its subset is resolved
+    to channels, load the data once and check each run on it, in value order.
+    Returns the data, its channel names, and each run's config and layout."""
+    configs = [dataclasses.replace(config, **{field: value}) for value in values]
+    for run_config in configs:  # a bad value fails before any file is read
+        _validate(run_config)
+    seen = {}
+    for value, run_config in zip(values, configs):
+        subset = tuple(_preprocess.resolve_subset(run_config.feature_subset))
+        run = dataclasses.replace(run_config, feature_subset=""), subset
+        if run in seen:
+            raise ConfigError(f"{field} values {seen[run]!r} and {value!r} name the same run")
+        seen[run] = value
     dataset, names = load_dataset(config)
-    result = run_pipeline(config, dataset, names)
+    return dataset, names, [(c, _check_run(c, dataset, names)) for c in configs]
+
+
+def cmd_segment(config: RunConfig) -> int:
+    dataset, names, [(config, layout)] = _load_runs(config, "window", [config.window])
+    result = run_pipeline(config, dataset, layout)
     _write_segment_outputs(config, names, result)
     print(f"segmented {len(dataset)} demonstration(s) into {config.output_dir}")
     _print_report_line(result.report)
@@ -537,17 +546,11 @@ def _sweep(config: RunConfig, field: str, values: list, csv_name: str) -> int:
     """One pipeline run and CSV row of metrics per value of a config field
     that leaves the base features unchanged (window or feature_subset)."""
     name = field.removeprefix("feature_")
-    configs = [dataclasses.replace(config, **{field: value}) for value in values]
-    for run_config in configs:  # a bad value fails before any work is done
-        _validate(run_config)
-    dataset, names = load_dataset(config)
-    # A value the loaded data cannot take fails before the first run.
-    for run_config in configs:
-        _check_run(run_config, dataset, names)
+    dataset, _, runs = _load_runs(config, field, values)
     rows = []
-    for value, run_config in zip(values, configs):
+    for value, (run_config, layout) in zip(values, runs):
         # Keep only the report: each run's matrices are freed before the next.
-        report = run_pipeline(run_config, dataset, names).report
+        report = run_pipeline(run_config, dataset, layout).report
         rows.append([str(value)] + _metric_row(report))
         print(f"{name}={value}: ", end="")
         _print_report_line(report)

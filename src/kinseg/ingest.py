@@ -21,6 +21,15 @@ UNANNOTATED = ""  # label of the frames no transcript segment covers
 _DELIMITERS = {"jigsaws": None, "generic_csv": ","}  # np.loadtxt's, by layout
 
 
+def named(source: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a ValueError's message prefixed by its
+    source, the file or recording at fault: "<source>: <message>"."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+
+
 class Segment(NamedTuple):
     start: int  # 1-based inclusive
     end: int  # 1-based inclusive

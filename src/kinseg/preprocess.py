@@ -12,6 +12,8 @@ downstream matrix.
 
 import numpy as np
 
+from kinseg.ingest import named
+
 FILTER_ORDER = 2
 
 _ARM_FEATURES = (
@@ -253,14 +255,6 @@ def _arm_features(arm: np.ndarray) -> np.ndarray:
     return np.hstack([arm[:, 0:3], quats, arm[:, 12:19]])
 
 
-def _named(name: str, fn, *args):
-    """fn(*args), with a ValueError's message prefixed by "<name>: "."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
-
-
 def _kinematic_channels(frames: np.ndarray) -> np.ndarray:
     """The 32 unfiltered feature channels of a 38-channel recording."""
     right, left = frames[:, :19], frames[:, 19:]
@@ -299,10 +293,10 @@ def build_features(
             raise ValueError(
                 f"{name}: expected the 38 patient-side channels, got {frames.shape[1]}"
             )
-        _named(name, _filter_edge, len(frames))
+        named(name, _filter_edge, len(frames))
     filtered = _lowpass_batch(
         [(len(frames), 32) for frames in recordings.values()],
-        (_named(name, _kinematic_channels, recordings.pop(name)) for name in names),
+        (named(name, _kinematic_channels, recordings.pop(name)) for name in names),
         fc_hz,
         fs_hz,
     )
@@ -311,7 +305,7 @@ def build_features(
         # finite input can still overflow the distances or the filter
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{name}: values contain non-finite entries")
-        features[name] = np.ascontiguousarray(_named(name, zscore, values)[::stride])
+        features[name] = np.ascontiguousarray(named(name, zscore, values)[::stride])
     return features
 
 

@@ -143,7 +143,7 @@ class TestSegmentCommand:
             init_demos=("synth00",),
         )
         dataset, names = cli.load_dataset(config)
-        result = cli.run_pipeline(config, dataset, names)
+        result = cli.run_pipeline(config, dataset, cli._check_run(config, dataset, names))
         cli._write_segment_outputs(config, names, result)
         changes = 0
         for demo_id in dataset:
@@ -477,8 +477,19 @@ class TestSweepValueValidation:
         [
             (["sweep-window", "--w-values", "1,-1"], "window must be >= 0"),
             (["ablate", "--subsets", "1,99"], "explicit feature indices must lie in 1..32"),
+            # a value that repeats a run is found once every value passes
+            # its own checks
+            (["sweep-window", "--w-values", "1,1,-1"], "window must be >= 0"),
+            (["sweep-window", "--w-values", "1,0,1"], "window values 1 and 1 name the same run"),
+            (["ablate", "--subsets", "8+29,1,29+8"],
+             "feature_subset values '8,29' and '29,8' name the same run"),
+            (["ablate", "--subsets", "1,1"], "feature_subset values '1' and '1' name the same run"),
+            (["ablate", "--subsets", "no-distance," + "+".join(map(str, range(1, 29)))],
+             "feature_subset values 'no-distance' and "
+             f"'{','.join(map(str, range(1, 29)))}' name the same run"),
         ],
-        ids=["w-values", "subsets"],
+        ids=["w-values", "subsets", "repeat-and-bad", "w-repeat", "subset-reordered",
+             "subset-repeat", "subset-named"],
     )
     def test_bad_value_fails_before_work(
         self, robot_dir, tmp_path, monkeypatch, capsys, argv, message
@@ -1286,7 +1297,7 @@ class TestWarnings:
         assert main([
             "sweep-window", "--data-dir", str(constant_data(tmp_path / "data")),
             "--output-dir", str(tmp_path / "out"),
-            "--subsample", "1", "--init-demos", "d0", "--w-values", "1,1",
+            "--subsample", "1", "--init-demos", "d0", "--w-values", "1,2",
         ]) == 0
         assert capsys.readouterr().err.count("have equal means and covariances") == 2
 
@@ -1322,7 +1333,7 @@ def test_per_demo_report_scores_each_demo_alone(synth_dir, tmp_path):
     ])
     config = cli.resolve_config(args)
     dataset, names = cli.load_dataset(config)
-    result = cli.run_pipeline(config, dataset, names)
+    result = cli.run_pipeline(config, dataset, cli._check_run(config, dataset, names))
     expected = {}
     for demo_id in sorted(dataset):
         truth = dataset[demo_id].truth
@@ -1354,7 +1365,7 @@ def test_pooled_report_leaves_out_a_fit_demo_without_transcript(tmp_path, init_d
     config = cli.RunConfig(data_dir=str(data), output_dir=str(out), window=1,
                            init_demos=(init_demo,))
     dataset, names = cli.load_dataset(config)
-    result = cli.run_pipeline(config, dataset, names)
+    result = cli.run_pipeline(config, dataset, cli._check_run(config, dataset, names))
     scored = [d for d in ("synth00", "synth01", "synth03") if d != init_demo]
     spans = [result.spans[d] for d in scored]
     truth = [dataset[d].truth for d in scored]
@@ -1449,6 +1460,37 @@ class TestErrorExits:
         assert "synth00" in err
         assert loads == []
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("form", ["flag", "config-string"])
+    def test_spaces_in_an_id_list(self, synth_dir, tmp_path, form):
+        # "synth00, synth01" names the ids that "synth00,synth01" names
+        def segment(out, init_demos, form):
+            argv = ["segment", "--data-dir", str(synth_dir), "--output-dir", str(out),
+                    "--window", "1"]
+            if form == "flag":
+                return main(argv + ["--init-demos", init_demos])
+            cfg = tmp_path / f"{out.name}.json"
+            cfg.write_text(json.dumps({"init_demos": init_demos}))
+            return main(argv + ["--config", str(cfg)])
+
+        plain, spaced = tmp_path / "plain", tmp_path / "spaced"
+        assert segment(plain, "synth00,synth01", "flag") == 0
+        assert segment(spaced, " synth00, synth01 ,", form) == 0
+        files = sorted(p.relative_to(plain) for p in plain.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(spaced) for p in spaced.rglob("*") if p.is_file())
+        for f in files:
+            assert (spaced / f).read_bytes() == (plain / f).read_bytes()
+
+    def test_config_list_keeps_its_ids(self, synth_dir, tmp_path, capsys):
+        # only a comma-separated string is split and stripped
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"init_demos": ["synth00", " synth01"]}))
+        code = main(["segment", "--data-dir", str(synth_dir), "--output-dir",
+                     str(tmp_path / "out"), "--config", str(cfg)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "kinseg: data error: init demonstration ' synth01' not in the dataset\n"
+        )
 
     @pytest.mark.parametrize("form", ["flag", "config"])
     @pytest.mark.parametrize(
@@ -1913,6 +1955,25 @@ class TestRunPreconditions:
         made = count_calls(cli._preprocess, "labels_at_rows")
         assert run_segment(synth_dir, tmp_path / "out") == 0
         assert len(made) == 3  # the init demonstration's and both scored ones
+
+    def test_sweep_checks_each_run_once(self, synth_dir, tmp_path, count_calls):
+        # the check before the first run lays out each run for its fit
+        made = count_calls(cli._preprocess, "labels_at_rows")
+        checked = count_calls(cli, "_check_run")
+        assert main([
+            "sweep-window", "--data-dir", str(synth_dir), "--output-dir", str(tmp_path / "out"),
+            "--init-demos", "synth00", "--w-values", "0,1,2",
+        ]) == 0
+        assert len(checked) == 3
+        assert len(made) == 3 * 3  # three runs, three transcribed demonstrations
+
+    def test_ablate_checks_each_subset_once(self, robot_dir, tmp_path, count_calls):
+        checked = count_calls(cli, "_check_run")
+        assert main([
+            "ablate", "--data-dir", str(robot_dir), "--output-dir", str(tmp_path / "out"),
+            "--init-demos", "run0", "--window", "1", "--subsets", "all,1,8+29",
+        ]) == 0
+        assert [args[0].feature_subset for args, _ in checked] == ["all", "1", "8,29"]
 
     @staticmethod
     def sweep_w_0_5(tmp_path, capsys, transcript, message):
