@@ -39,7 +39,6 @@ from kinseg.ingest import (
     JIGSAWS_RATE_HZ,
     PSM_COLUMNS,
     UNANNOTATED,
-    code_labels,
     compress_labels,
     expand_labels,
     named,
@@ -92,7 +91,7 @@ class RunConfig:
         "feature subset: all, no-pose, no-velocity, no-distance, or 1-based indices",
     )
     em_tol: float = _setting(1e-6, "--em-tol", float, "EM stopping tolerance")
-    em_max_iter: int = _setting(300, "--em-max-iter", int, "EM iteration cap", minimum=1)
+    em_max_iter: int = _setting(300, "--em-max-iter", int, "EM iteration cap", minimum=0)
     seed: int = _setting(0, "--seed", int, "random seed", minimum=0)
     init_method: str = _setting(
         "weak", "--init", str, "mixture initialization", choices=["weak", "kmeans"]
@@ -352,10 +351,7 @@ def _check_run(
             if np.all(truth_rows[spans[demo_id]] == UNANNOTATED):
                 raise ValueError(f"init demonstration {demo_id!r} has no annotated rows")
         init_truth = truth_rows[: spans[ids[len(config.init_demos)]].start]
-        labels, codes = code_labels(init_truth[init_truth != UNANNOTATED])
-        for label, n_rows in zip(labels, np.bincount(codes).tolist()):
-            if n_rows < 2:
-                raise ValueError(f"label {label!r} has only {n_rows} row(s); need at least 2")
+        labels, _, _ = _gmm.weak_labels(init_truth[init_truth != UNANNOTATED])
         if len(labels) < 2:
             raise ValueError(
                 f"weak init needs at least two labels among the init rows, got {labels}"
@@ -405,7 +401,8 @@ def run_pipeline(
 ) -> RunResult:
     """Fit on the non-init demonstrations and score the annotated ones. The
     rows of every demonstration make one matrix X, laid out as _check_run
-    returned it: EM takes the rest, a view of X, and one prediction takes X."""
+    returned it: EM takes the rest, a view of X, and labels it as it ends;
+    one prediction labels the init rows."""
     ids, spans, truth_rows = layout
     features, subset = (dataset[d].features for d in ids), config.feature_subset
     if subset != "all":
@@ -425,8 +422,8 @@ def run_pipeline(
         init = _gmm.kmeans_init(fit_rows, k, config.seed)
     model = _gmm.em_fit(fit_rows, init, tol=config.em_tol, max_iter=config.em_max_iter)
 
-    labels = _gmm.predict_labels(model, X)
-    _warn_if_degenerate(model, set(labels[n_init:]))
+    labels = np.concatenate([_gmm.predict_labels(model, X[:n_init]), model.fit.predicted])
+    _warn_if_degenerate(model, set(model.fit.predicted))
     predictions = {
         demo_id: _preprocess.rows_to_frames(
             labels[spans[demo_id]], config.subsample_factor, item.n_frames

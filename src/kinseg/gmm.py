@@ -13,7 +13,7 @@ clustered.
 A GmmModel is the mixture as stacked arrays, component k at index k of
 each: means (K x D), covariances (K x D x D), weights (K, summing to 1) and
 labels (a K-tuple of gesture names, or None for anonymous components),
-plus the per-iteration log-likelihoods of the EM run that produced it.
+plus the log-likelihood trace and the fit record (EmFit) of its EM run.
 
 One numeric kernel serves EM and the predictions, directly on those arrays;
 a prediction is the argmax of its log densities. Each covariance is
@@ -100,6 +100,14 @@ class NumericalError(RuntimeError):
 
 
 @dataclass
+class EmFit:
+    """How em_fit ended, and the fit rows' predict_labels under the model it returned."""
+
+    converged: bool  # stopped by tol, not at max_iter
+    predicted: np.ndarray
+
+
+@dataclass
 class GmmModel:
     """A Gaussian mixture as stacked arrays; component k sits at index k."""
 
@@ -108,6 +116,7 @@ class GmmModel:
     weights: np.ndarray  # K
     labels: tuple[str | None, ...]  # gesture name, or None when anonymous
     fit_trace: list[float] = field(default_factory=list)
+    fit: EmFit | None = None  # set by em_fit; not saved to model.json
 
     @property
     def n_components(self) -> int:
@@ -123,6 +132,11 @@ class GmmModel:
     def component_name(self, k: int) -> str:
         label = self.labels[k]
         return label if label is not None else f"cluster_{k}"
+
+    def argmax_names(self, logs: np.ndarray) -> np.ndarray:
+        """The name of each row's largest entry of logs (N x K), the first on a tie."""
+        names = [self.component_name(k) for k in range(self.n_components)]
+        return np.array(names, dtype=object)[np.argmax(logs, axis=1)]
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -156,22 +170,29 @@ def weak_init(X, labels: Sequence[str]) -> GmmModel:
     dim = data.shape[1]
     if len(labels) != data.shape[0]:
         raise ValueError("label count does not match row count")
-    names, codes = code_labels(labels)
+    names, codes, counts = weak_labels(labels, dim)
     if not len(names):
         raise ValueError("no labeled rows")
+    means, covariances = _estimate(data, np.eye(len(names))[codes], counts)
+    return GmmModel(means, covariances, counts / len(codes), tuple(names))
+
+
+def weak_labels(labels: Sequence[str], dim: int | None = None):
+    """code_labels of weak init's rows, and the row counts. Label by label, one
+    with under 2 rows raises ValueError; with dim, one with <= dim rows warns."""
+    names, codes = code_labels(labels)
     counts = np.bincount(codes)
     for name, n_rows in zip(names, counts.tolist()):
         if n_rows < 2:
             raise ValueError(f"label {name!r} has only {n_rows} row(s); need at least 2")
-        if n_rows <= dim:
+        if dim is not None and n_rows <= dim:
             warnings.warn(
                 f"label {name!r} has {n_rows} row(s) at dimension {dim}; "
                 "its covariance is singular up to the ridge",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-    means, covariances = _estimate(data, np.eye(len(names))[codes], counts)
-    return GmmModel(means, covariances, counts / len(codes), tuple(names))
+    return names, codes, counts
 
 
 def kmeans_init(X, k: int, seed: int) -> GmmModel:
@@ -325,7 +346,9 @@ def _log_densities(data: np.ndarray, means, covariances, weights) -> np.ndarray:
     def part(lo, hi, y):
         for start in range(lo, hi, ROW_BLOCK):
             stop = min(start + ROW_BLOCK, hi)
-            block = np.matmul(data[start:stop], pcat, out=y[: stop - start])
+            # numpy would take one row through GEMV, whose bits differ from GEMM's
+            rows = data[start:stop] if stop - start > 1 else data[[start, start]]
+            block = np.matmul(rows, pcat, out=y[: len(rows)])[: stop - start]
             block -= offsets
             block = block.reshape(stop - start, k, dim)
             q = np.einsum("bkd,bkd->bk", block, block, out=out[start:stop])
@@ -394,12 +417,13 @@ def em_fit(X, init: GmmModel, tol: float, max_iter: int) -> GmmModel:
     drops below tol or max_iter iterations are reached.
 
     Component order and labels are carried over from the initial model
-    unchanged; the per-iteration log-likelihood lands in fit_trace. A
+    unchanged; fit_trace holds the log-likelihood before each M-step. A
     component whose responsibility mass underflows is frozen for that
-    iteration rather than divided by ~0.
+    iteration rather than divided by ~0. EM ends on an E-step under the
+    returned model (at max_iter an untraced one), whose argmax is fit.predicted.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if tol <= 0 or max_iter < 0:
+        raise ValueError(f"need tol > 0 and max_iter >= 0, got {tol} and {max_iter}")
     data = _as_matrix(X)
     dim = data.shape[1]
     if dim != init.dimension:
@@ -411,9 +435,11 @@ def em_fit(X, init: GmmModel, tol: float, max_iter: int) -> GmmModel:
     weights = np.array(init.weights, dtype=float)
     fit_trace: list[float] = []
     mass_floor = 10.0 * dim * np.finfo(float).eps
-    prev_ll = None
-    for iteration in range(max_iter):
+    prev_ll, converged = None, False
+    for iteration in range(max_iter + 1):
         logs = _log_densities(data, means, covariances, weights)
+        if iteration == max_iter:
+            break
         norm = _logsumexp_rows(logs)
         ll = float(np.sum(norm))
         if not np.isfinite(ll):
@@ -422,6 +448,7 @@ def em_fit(X, init: GmmModel, tol: float, max_iter: int) -> GmmModel:
             )
         fit_trace.append(ll)
         if prev_ll is not None and abs(ll - prev_ll) <= tol * max(abs(prev_ll), 1.0):
+            converged = True
             break
         prev_ll = ll
 
@@ -431,24 +458,20 @@ def em_fit(X, init: GmmModel, tol: float, max_iter: int) -> GmmModel:
         means[live], covariances[live] = _estimate(data, resp[:, live], mass[live])
         floored = np.maximum(mass, mass_floor)
         weights = floored / floored.sum()
-    return GmmModel(means, covariances, weights, init.labels, fit_trace)
+    fit = EmFit(converged, init.argmax_names(logs))
+    return GmmModel(means, covariances, weights, init.labels, fit_trace, fit)
 
 
 def predict_labels(model: GmmModel, X) -> np.ndarray:
     """Most likely component name per row, as an object array: the argmax
-    of the rows' log densities, so no posteriors are formed.
-
-    Ties go to the lowest component index. Components without a label get
-    the synthetic name "cluster_<index>".
-    """
+    of the rows' log densities (argmax_names), so no posteriors are formed."""
     data = _as_matrix(X)
     if data.shape[1] != model.dimension:
         raise ValueError(
             f"data dimension {data.shape[1]} does not match model {model.dimension}"
         )
-    logs = _log_densities(data, model.means, model.covariances, model.weights)
-    names = [model.component_name(k) for k in range(model.n_components)]
-    return np.array(names, dtype=object)[np.argmax(logs, axis=1)]
+    return model.argmax_names(_log_densities(data, model.means, model.covariances,
+                                             model.weights))
 
 
 def transition_points(labels: Sequence[str]) -> np.ndarray:

@@ -21,8 +21,16 @@ from scipy.spatial.transform import Rotation
 
 from kinseg import cli, metrics
 from kinseg.cli import main
-from kinseg.gmm import GmmModel, NumericalError, load_model, save_model
+from kinseg.gmm import (
+    GmmModel,
+    NumericalError,
+    load_model,
+    predict_labels,
+    save_model,
+    weak_init,
+)
 from kinseg.ingest import (
+    UNANNOTATED,
     Segment,
     parse_kinematics,
     parse_transcript,
@@ -202,10 +210,12 @@ class TestSegmentCommand:
         fit_rows = seen["em_fit"][0]
         assert seen["kmeans_init"][0] is fit_rows
         assert fit_rows.shape == (3 * (360 // 3 - 1), 8)  # every demo, subsampled
-        # the fit rows are a view of the run's one matrix, which predict takes
+        # the fit rows are a view of the run's one matrix; predict takes its
+        # init rows, none under k-means init without --init-demos
         (result,) = results
         assert np.shares_memory(fit_rows, result.X)
-        assert seen["predict_labels"][1] is result.X
+        init_rows = seen["predict_labels"][1]
+        assert init_rows.base is result.X and init_rows.shape == (0, 8)
 
     def test_deterministic_reruns(self, synth_dir, weak_run, tmp_path):
         out = tmp_path / "rerun"
@@ -358,7 +368,44 @@ class TestSweepAndAblate:
         assert run_segment(synth_dir, tmp_path / "seg") == 0
         assert len(calls) == 1
         (_, rows), _ = calls[0]
-        assert rows.shape == (3 * (360 // 3 - 1), 8)  # every demo, init demo included
+        assert rows.shape == (360 // 3 - 1, 8)  # the init demo's rows: EM labels the rest
+
+    @pytest.mark.parametrize("extra", [["--em-max-iter", "3"], []], ids=["capped", "converged"])
+    def test_e_step_rows_per_run(self, synth_dir, tmp_path, count_calls, extra):
+        # EM computes its last E-step once, one more at the cap, and labels
+        # the fit rows with it; one call takes the init rows.
+        import kinseg.gmm as gmm_mod
+
+        calls = count_calls(gmm_mod, "_log_densities")
+        assert run_segment(synth_dir, tmp_path / "seg", extra) == 0
+        iters = len(load_model(tmp_path / "seg" / "model.json").fit_trace)
+        if extra:
+            assert iters == 3
+            e_steps = iters + 1
+        else:
+            assert iters < cli.RunConfig.em_max_iter
+            e_steps = iters
+        n_init = 360 // 3 - 1
+        assert [len(rows) for (rows, *_), _ in calls] == [2 * n_init] * e_steps + [n_init]
+
+    def test_em_max_iter_0_predicts_with_the_weak_init(self, synth_dir, tmp_path, monkeypatch):
+        results = []
+
+        def run_pipeline(*args, _real=cli.run_pipeline):
+            results.append(_real(*args))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+        out = tmp_path / "seg"
+        assert run_segment(synth_dir, out, ["--em-max-iter", "0"]) == 0
+        (result,) = results
+        n_init = result.spans["synth00"].stop
+        keep = result.truth_rows[:n_init] != UNANNOTATED
+        init = weak_init(result.X[:n_init][keep], result.truth_rows[:n_init][keep])
+        assert np.array_equal(result.labels, predict_labels(init, result.X))
+        assert not result.model.fit.converged
+        assert (out / "model.json").read_text().endswith(', "fit_trace": []}\n')
+        assert np.array_equal(load_model(out / "model.json").means, init.means)
 
     def test_sweep_predicts_once_per_run(self, synth_dir, tmp_path, count_calls):
         import kinseg.gmm as gmm_mod
@@ -373,7 +420,8 @@ class TestSweepAndAblate:
             "--w-values", "0,1,2",
         ]
         assert main(argv) == 0
-        assert len(calls) == 3
+        # one call per run, on the init demo's rows: 120 rows less the window
+        assert [rows.shape for (_, rows), _ in calls] == [(120, 4), (119, 8), (118, 12)]
 
     def test_subset_transitions_header(self, robot_dir, tmp_path):
         out = tmp_path / "seg"
@@ -1084,7 +1132,7 @@ _CONFIG_VALUES = {
     "window": ("--window", st.integers(0, 8)),
     "feature_subset": ("--subset", st.sampled_from(["all", "no-pose", "1,8", "29"])),
     "em_tol": ("--em-tol", st.floats(1e-12, 0.1)),
-    "em_max_iter": ("--em-max-iter", st.integers(1, 1000)),
+    "em_max_iter": ("--em-max-iter", st.integers(0, 1000)),
     "seed": ("--seed", st.integers(0, 2**31 - 1)),
     "init_method": ("--init", st.sampled_from(["weak", "kmeans"])),
     "init_demos": ("--init-demos", st.lists(
@@ -1170,7 +1218,7 @@ class TestRanges:
     def test_declared_ranges(self):
         assert {f.name: f.metadata["minimum"] for f in _RANGED} == {
             "sample_rate_hz": None, "fc_hz": None, "subsample_factor": 1,
-            "window": 0, "em_tol": None, "em_max_iter": 1, "seed": 0, "k": 1,
+            "window": 0, "em_tol": None, "em_max_iter": 0, "seed": 0, "k": 1,
         }
 
     @settings(max_examples=120, deadline=None)

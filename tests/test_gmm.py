@@ -373,6 +373,34 @@ class TestEmFit:
         assert a.fit_trace == b.fit_trace
         assert np.array_equal(a.covariances, b.covariances)
 
+    @pytest.mark.parametrize("init_method", ["weak", "kmeans"])
+    @pytest.mark.parametrize("max_iter, converged", [(0, False), (3, False), (300, True)])
+    def test_fit_record_is_the_prediction(self, init_method, max_iter, converged):
+        # EM ends on an E-step under the model it returns: the one tol stopped
+        # at, or one more at max_iter, which fit_trace does not hold.
+        rng = np.random.default_rng(24)
+        X = np.vstack([rng.normal(-2, 1, (300, 2)), rng.normal(2, 1.5, (300, 2))])
+        if init_method == "weak":
+            init = weak_init(X[::10], ["neg"] * 30 + ["pos"] * 30)
+        else:
+            init = kmeans_init(X, 2, seed=3)
+        model = em_fit(X, init, tol=1e-9, max_iter=max_iter)
+        assert model.fit.converged is converged
+        if converged:
+            assert 2 <= len(model.fit_trace) < max_iter
+        else:
+            assert len(model.fit_trace) == max_iter
+        assert model.fit.predicted.dtype == object
+        assert np.array_equal(model.fit.predicted, predict_labels(model, X))
+        if max_iter == 0:  # the init itself labels the rows
+            assert np.array_equal(model.means, init.means)
+            assert np.array_equal(model.fit.predicted, predict_labels(init, X))
+
+    def test_negative_max_iter(self):
+        init = random_model(np.random.default_rng(25), 2, 2)
+        with pytest.raises(ValueError, match="max_iter >= 0"):
+            em_fit(np.ones((10, 2)), init, tol=1e-6, max_iter=-1)
+
 
 class TestPredictLabels:
     def test_nearest_component_wins(self):

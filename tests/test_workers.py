@@ -72,7 +72,9 @@ def log_densities(model, X):
 
 
 def model_arrays(model):
-    return [model.means, model.covariances, model.weights, np.array(model.fit_trace)]
+    """The fitted arrays, and the fit rows' labels when em_fit made the model."""
+    arrays = [model.means, model.covariances, model.weights, np.array(model.fit_trace)]
+    return arrays + ([model.fit.predicted.astype(str)] if model.fit else [])
 
 
 def assert_same_for_all_workers(split, compute, floor=0):
@@ -280,6 +282,25 @@ class TestWorkerInvariance:
         log_densities(model, X)
         gmm._scatter(X, resp, model.means)
         assert seen == [1, 1]
+
+
+class TestRowIndependence:
+    """A row's log densities have the same bits in every call that computes
+    them, so EM's last E-step on the fit rows is their prediction. Every block
+    of a call is a GEMM of two or more rows, a one-row block included: numpy
+    would take a lone row through its vector-matrix path, with other bits."""
+
+    @pytest.mark.parametrize("dim, parts", [(96, 2), (3, 1)])
+    def test_prefix_and_suffix_calls(self, split, dim, parts):
+        seen = split(2, gmm.SPLIT_FLOOR)
+        n_rows = 4 * ROW_BLOCK + 1  # the whole call ends on a one-row block
+        model, X, _ = problem(n_rows, 10, dim, 180 + dim)
+        full = log_densities(model, X)
+        assert seen == [parts]  # D=96 splits, D=3 runs on the calling thread
+        for n in (1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1,
+                  n_rows - ROW_BLOCK - 1, n_rows - 1):
+            assert full[n:].tobytes() == log_densities(model, X[n:]).tobytes(), n
+            assert full[:n].tobytes() == log_densities(model, X[:n]).tobytes(), n
 
 
 # ------------------------------------------------------------ the pin
