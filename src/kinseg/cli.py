@@ -308,19 +308,22 @@ def _load_mapping(config: RunConfig):
     return mapping, sidecar
 
 
-def _check_run(
-    config: RunConfig, dataset: dict[str, LoadedDemo], names: list[str]
-) -> tuple[list[str], dict[str, slice], np.ndarray]:
+def _check_run(config: RunConfig, dataset: dict[str, LoadedDemo], names: list[str]):
     """Check what a run needs of the loaded data, in this order, before any of
-    its work: kinematic features for a feature subset other than "all", loaded
-    init demonstrations, more rows than the window in each demonstration, one
-    left to fit; for weak init, a transcript and an annotated row in each init
-    demonstration, at least 2 init rows per label and two labels; for k-means
-    init without --k, an annotated frame to count the labels. Returns the
-    layout of the run's row matrix X: the ids in X's order (init demonstrations
-    first, then the rest in id order), each one's slice of X, and each row's
-    label at its anchor frame (UNANNOTATED without a transcript)."""
-    if config.feature_subset != "all" and names != _preprocess.FULL_CHANNEL_NAMES:
+    its work: kinematic features for a feature subset that drops a channel,
+    loaded init demonstrations, more rows than the window in each
+    demonstration, one left to fit; for weak init, a transcript and an
+    annotated row in each init demonstration, at least 2 init rows per label
+    and two labels; for k-means init, --k or an annotated frame to count the
+    labels, and no more components than fit rows. Returns the layout of the
+    run's row matrix X: the ids in X's order (init demonstrations first, then
+    the rest in id order), each one's slice of X, each row's label at its
+    anchor frame (UNANNOTATED without a transcript), the component count, and
+    the kept feature channels (None when the subset keeps every one)."""
+    channels = _preprocess.resolve_subset(config.feature_subset)
+    if len(channels) == len(_preprocess.FULL_CHANNEL_NAMES):
+        channels = None
+    elif names != _preprocess.FULL_CHANNEL_NAMES:
         raise ConfigError(
             "feature subsets apply only to the kinematic pipeline "
             f"(demonstration {next(iter(dataset))!r} is processed raw)"
@@ -344,24 +347,29 @@ def _check_run(
         truth_rows.append(np.full(n_rows, UNANNOTATED, dtype=object) if truth is None else
                           _preprocess.labels_at_rows(truth, n_rows, config.subsample_factor))
     truth_rows = np.concatenate(truth_rows)
+    n_init = spans[ids[len(config.init_demos)]].start
     if config.init_method == "weak":
         for demo_id in config.init_demos:
             if dataset[demo_id].truth is None:
                 raise ValueError(f"init demonstration {demo_id!r} has no transcript")
             if np.all(truth_rows[spans[demo_id]] == UNANNOTATED):
                 raise ValueError(f"init demonstration {demo_id!r} has no annotated rows")
-        init_truth = truth_rows[: spans[ids[len(config.init_demos)]].start]
+        init_truth = truth_rows[:n_init]
         labels, _, _ = _gmm.weak_labels(init_truth[init_truth != UNANNOTATED])
         if len(labels) < 2:
             raise ValueError(
                 f"weak init needs at least two labels among the init rows, got {labels}"
             )
-    elif config.k is None and not any(
-        np.any(item.truth != UNANNOTATED)
-        for item in dataset.values() if item.truth is not None
-    ):
-        raise ConfigError("k-means init needs --k when no transcripts are available")
-    return ids, spans, truth_rows
+        k = len(labels)
+    else:  # without --k, one component per distinct annotated label
+        truths = [item.truth for item in dataset.values() if item.truth is not None]
+        k = config.k or len(set().union(*truths) - {UNANNOTATED})
+        if not k:
+            raise ConfigError("k-means init needs --k when no transcripts are available")
+        n_fit = len(truth_rows) - n_init
+        if k > n_fit:
+            raise ValueError(f"k-means init needs at least k={k} fit rows, got {n_fit}")
+    return ids, spans, truth_rows, k, channels
 
 
 @dataclass
@@ -373,6 +381,7 @@ class RunResult:
     labels: np.ndarray  # the predicted label of each row of X
     truth_rows: np.ndarray  # the true label of each row of X, as _check_run makes it
     truth: dict[str, np.ndarray]  # frame labels of each scored demo, in X's order
+    channels: list[int] | None  # X's feature channels; None: every one
     report: dict | None = None  # score of every scored demo, as report.json holds it
 
     def score(self, ids: list[str]) -> dict:
@@ -403,10 +412,10 @@ def run_pipeline(
     rows of every demonstration make one matrix X, laid out as _check_run
     returned it: EM takes the rest, a view of X, and labels it as it ends;
     one prediction labels the init rows."""
-    ids, spans, truth_rows = layout
-    features, subset = (dataset[d].features for d in ids), config.feature_subset
-    if subset != "all":
-        features = (_preprocess.select_channels(f, subset) for f in features)
+    ids, spans, truth_rows, k, channels = layout
+    features = (dataset[d].features for d in ids)
+    if channels is not None:
+        features = (_preprocess.select_channels(f, config.feature_subset) for f in features)
     # the run's one copy of the rows
     X = np.concatenate([_preprocess.augment(f, config.window) for f in features])
 
@@ -416,9 +425,7 @@ def run_pipeline(
     if config.init_method == "weak":
         keep = truth_rows[:n_init] != UNANNOTATED
         init = _gmm.weak_init(X[:n_init][keep], truth_rows[:n_init][keep])
-    else:  # without --k, one component per distinct annotated label
-        truths = [item.truth for item in dataset.values() if item.truth is not None]
-        k = config.k or len(set().union(*truths) - {UNANNOTATED})
+    else:
         init = _gmm.kmeans_init(fit_rows, k, config.seed)
     model = _gmm.em_fit(fit_rows, init, tol=config.em_tol, max_iter=config.em_max_iter)
 
@@ -433,7 +440,7 @@ def run_pipeline(
 
     truth = {d: dataset[d].truth for d in fit_ids if dataset[d].truth is not None}
     # The pooled report only: segment scores each demonstration itself.
-    result = RunResult(model, predictions, X, spans, labels, truth_rows, truth)
+    result = RunResult(model, predictions, X, spans, labels, truth_rows, truth, channels)
     result.report = result.score(list(truth))
     return result
 
@@ -481,8 +488,8 @@ def _write_segment_outputs(config, names, result: RunResult) -> None:
         with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc, indent=2) + "\n")
 
-    if config.feature_subset != "all":
-        names = [names[i] for i in _preprocess.resolve_subset(config.feature_subset)]
+    if result.channels is not None:
+        names = [names[i] for i in result.channels]
     header = ["row_index", "from_label", "to_label"]
     header += _preprocess.augmented_names(names, config.window)
     for demo_id, span in sorted(result.spans.items()):

@@ -481,9 +481,6 @@ def transition_points(labels: Sequence[str]) -> np.ndarray:
     return np.flatnonzero(labels[1:] != labels[:-1])
 
 
-_COMPONENT_KEYS = ("label", "weight", "mean", "covariance")  # of a model.json component
-
-
 def _model_json(model: GmmModel):
     """model.json version 2 as pieces of json.dumps(doc) + "\n", one per
     component, so a write holds one component's floats and text at a time
@@ -492,9 +489,10 @@ def _model_json(model: GmmModel):
     yield head[:-1] + ', "components": ['
     upper = np.triu_indices(model.dimension)
     for k, label in enumerate(model.labels):
-        values = (label, float(model.weights[k]), model.means[k].tolist(),
-                  model.covariances[k][upper].tolist())
-        yield (", " if k else "") + json.dumps(dict(zip(_COMPONENT_KEYS, values)))
+        component = {"label": label, "weight": float(model.weights[k]),
+                     "mean": model.means[k].tolist(),
+                     "covariance": model.covariances[k][upper].tolist()}
+        yield (", " if k else "") + json.dumps(component)
     yield '], "fit_trace": ' + json.dumps([float(v) for v in model.fit_trace]) + "}\n"
 
 
@@ -508,45 +506,3 @@ def save_model(model: GmmModel, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_model_json(model))
 
-
-def _numbers(values, shape: tuple, what: str) -> np.ndarray:
-    """values as a float array of the given shape (None: any length), or a
-    ValueError naming what they are."""
-    try:
-        array = np.array(values)
-    except ValueError:  # ragged nesting
-        array = np.array(None)
-    if array.dtype.kind not in "fi" or array.shape != (shape or (array.size,)):
-        raise ValueError(f"model.json: {what} must be {shape or 'a list of'} numbers")
-    return array.astype(float)
-
-
-def load_model(path) -> GmmModel:
-    """The mixture that save_model wrote to path, every array bit for bit (a
-    NaN comes back as the NaN json reads). Only version 2 is read."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("format") != "kinseg-gmm":
-        raise ValueError("model.json: not a kinseg-gmm model")
-    if doc.get("version") != 2:
-        raise ValueError(f"model.json: version {doc.get('version')!r} is not read, only 2; "
-                         "re-run `kinseg segment` to write it")
-    dim, parts = doc.get("dimension"), doc.get("components")
-    if type(dim) is not int or dim < 1:
-        raise ValueError(f"model.json: dimension must be a positive integer, got {dim!r}")
-    if not isinstance(parts, list) or not parts or not all(
-        isinstance(c, dict) and c.keys() == set(_COMPONENT_KEYS)
-        and isinstance(c["label"], (str, type(None))) for c in parts
-    ):
-        raise ValueError(f"model.json: components need keys {_COMPONENT_KEYS}, label str/null")
-    k, size = len(parts), dim * (dim + 1) // 2  # size is checked before any D x D array
-    triangles = _numbers([c["covariance"] for c in parts], (k, size), "covariance")
-    upper, covariances = np.triu_indices(dim), np.empty((k, dim, dim))
-    covariances[:, upper[0], upper[1]] = covariances[:, upper[1], upper[0]] = triangles
-    return GmmModel(
-        means=_numbers([c["mean"] for c in parts], (k, dim), "mean"),
-        covariances=covariances,
-        weights=_numbers([c["weight"] for c in parts], (k,), "weight"),
-        labels=tuple(c["label"] for c in parts),
-        fit_trace=_numbers(doc.get("fit_trace"), None, "fit_trace").tolist(),
-    )

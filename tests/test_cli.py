@@ -24,7 +24,6 @@ from kinseg.cli import main
 from kinseg.gmm import (
     GmmModel,
     NumericalError,
-    load_model,
     predict_labels,
     save_model,
     weak_init,
@@ -37,6 +36,7 @@ from kinseg.ingest import (
     serialize_transcript,
 )
 from kinseg.preprocess import labels_at_rows
+from modeljson import read_model
 from synth import serialize_kinematics, write_dataset
 from test_preprocess import lowpass_filter
 
@@ -75,7 +75,7 @@ def run_segment(data_dir, out_dir, extra=()):
 
 def model_labels(out_dir):
     """The component labels that model.json holds."""
-    return list(load_model(out_dir / "model.json").labels)
+    return list(read_model(out_dir / "model.json").labels)
 
 
 @pytest.fixture(scope="session")
@@ -125,7 +125,7 @@ class TestSegmentCommand:
         assert set(labels) == {"R0", "R1", "R2"}
 
     def test_model_json_round_trips(self, weak_run, tmp_path):
-        save_model(load_model(weak_run / "model.json"), tmp_path / "model.json")
+        save_model(read_model(weak_run / "model.json"), tmp_path / "model.json")
         assert (tmp_path / "model.json").read_bytes() == (weak_run / "model.json").read_bytes()
 
     def test_raw_features_are_every_stride_th_frame(self, synth_dir):
@@ -378,7 +378,7 @@ class TestSweepAndAblate:
 
         calls = count_calls(gmm_mod, "_log_densities")
         assert run_segment(synth_dir, tmp_path / "seg", extra) == 0
-        iters = len(load_model(tmp_path / "seg" / "model.json").fit_trace)
+        iters = len(read_model(tmp_path / "seg" / "model.json").fit_trace)
         if extra:
             assert iters == 3
             e_steps = iters + 1
@@ -405,7 +405,7 @@ class TestSweepAndAblate:
         assert np.array_equal(result.labels, predict_labels(init, result.X))
         assert not result.model.fit.converged
         assert (out / "model.json").read_text().endswith(', "fit_trace": []}\n')
-        assert np.array_equal(load_model(out / "model.json").means, init.means)
+        assert np.array_equal(read_model(out / "model.json").means, init.means)
 
     def test_sweep_predicts_once_per_run(self, synth_dir, tmp_path, count_calls):
         import kinseg.gmm as gmm_mod
@@ -515,6 +515,20 @@ class TestSweepAndAblate:
         assert runs == []
         assert "accuracy=" not in captured.out
         assert not (out / "ablate.csv").exists()
+
+    @pytest.mark.parametrize("spelling", ["flag", "config", "indices"])
+    def test_every_channel_subset_on_raw_data(self, synth_dir, tmp_path, spelling):
+        # a subset that resolves to every channel runs as "all" does,
+        # whatever its spaces, also on recordings that are used raw
+        assert run_segment(synth_dir, tmp_path / "all", ["--subset", "all"]) == 0
+        if spelling == "config":
+            (tmp_path / "run.json").write_text(json.dumps({"feature_subset": "all "}))
+            extra = ["--config", str(tmp_path / "run.json")]
+        else:
+            extra = ["--subset", " all" if spelling == "flag" else
+                     ",".join(map(str, range(1, 33)))]
+        assert run_segment(synth_dir, tmp_path / "other", extra) == 0
+        assert tree_bytes(tmp_path / "other") == tree_bytes(tmp_path / "all")
 
 
 class TestSweepValueValidation:
@@ -2056,6 +2070,49 @@ class TestRunPreconditions:
         # R1 anchors 6 rows at W=0 and one, frame 1783, at W=5
         self.sweep_w_0_5(tmp_path, capsys, "1 600 R0\n1783 1800 R1\n",
                          "label 'R1' has only 1 row(s); need at least 2")
+
+    def test_sweep_fails_on_more_kmeans_components_than_fit_rows(self, tmp_path, capsys):
+        # 3 x 1800 frames leave 1800 fit rows at W=0 and 3 x 10 at W=590
+        data, out = tmp_path / "data", tmp_path / "sweep"
+        write_dataset(data, n_demos=3, seed=1)
+        code = main([
+            "sweep-window", "--data-dir", str(data), "--output-dir", str(out),
+            "--init", "kmeans", "--k", "100", "--w-values", "0,590",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "kinseg: data error: k-means init needs at least k=100 fit rows, got 30\n"
+        )
+        assert not (out / "sweep_window.csv").exists()
+
+    def test_more_kmeans_components_than_fit_rows_fails_before_the_run(
+        self, tmp_path, capsys, count_calls
+    ):
+        data = tmp_path / "data"
+        write_dataset(data, n_demos=3, seed=1)
+        runs = count_calls(cli, "run_pipeline")
+        code = main([
+            "segment", "--data-dir", str(data), "--output-dir", str(tmp_path / "out"),
+            "--init", "kmeans", "--k", "2000", "--window", "0",
+        ])
+        assert code == 2
+        assert runs == []
+        assert capsys.readouterr().err == (
+            "kinseg: data error: k-means init needs at least k=2000 fit rows, got 1800\n"
+        )
+
+    def test_kmeans_component_count(self, synth_dir):
+        # --k, or the label count; synth01 and synth02 leave 2 x 119 fit rows
+        config = cli.RunConfig(data_dir=str(synth_dir), output_dir="out", window=1,
+                               init_method="kmeans", init_demos=("synth00",))
+        dataset, names = cli.load_dataset(config)
+        assert cli._check_run(config, dataset, names)[3] == 3
+        config = dataclasses.replace(config, k=238)
+        assert cli._check_run(config, dataset, names)[3] == 238
+        with pytest.raises(ValueError, match="at least k=239 fit rows, got 238"):
+            cli._check_run(dataclasses.replace(config, k=239), dataset, names)
 
     def test_weak_init_with_one_label(self, tmp_path, capsys):
         # one distinct init label would fit a one-component mixture and put
