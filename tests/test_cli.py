@@ -530,6 +530,65 @@ class TestSweepAndAblate:
         assert run_segment(synth_dir, tmp_path / "other", extra) == 0
         assert tree_bytes(tmp_path / "other") == tree_bytes(tmp_path / "all")
 
+    @pytest.mark.parametrize(
+        "subset",
+        ["all\n", "\tall", ",".join(map(str, range(32, 0, -1))),
+         "1," + ",".join(map(str, range(1, 33))), " , ".join(map(str, range(1, 33)))],
+        ids=["newline", "tab", "reversed", "repeated", "spaced"],
+    )
+    def test_every_channel_subset_keeps_every_channel(self, synth_dir, subset):
+        # the run check decides "every channel" from the resolved subset:
+        # on raw recordings it neither raises nor names channels to keep
+        config = cli.RunConfig(data_dir=str(synth_dir), output_dir="out", window=1,
+                               init_demos=("synth00",), feature_subset=subset)
+        dataset, names = cli.load_dataset(config)
+        assert names != cli._preprocess.FULL_CHANNEL_NAMES
+        assert cli._check_run(config, dataset, names)[4] is None
+
+    @pytest.mark.parametrize("subset", [" no-pose", ",".join(map(str, range(1, 32)))],
+                             ids=["named", "31-indices"])
+    def test_subset_that_drops_a_channel_on_raw_data(self, synth_dir, subset):
+        config = cli.RunConfig(data_dir=str(synth_dir), output_dir="out", window=1,
+                               init_demos=("synth00",), feature_subset=subset)
+        dataset, names = cli.load_dataset(config)
+        with pytest.raises(cli.ConfigError, match="apply only to the kinematic pipeline"):
+            cli._check_run(config, dataset, names)
+
+    def test_sweep_with_a_spaced_all_subset(self, synth_dir, tmp_path, capsys):
+        outputs = []
+        for subset in ("all", " all"):
+            out = tmp_path / repr(subset)
+            assert main([
+                "sweep-window", "--data-dir", str(synth_dir), "--output-dir", str(out),
+                "--init-demos", "synth00", "--w-values", "0,1", "--subset", subset,
+            ]) == 0
+            outputs.append((capsys.readouterr().out.replace(str(out), "OUT"),
+                            (out / "sweep_window.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_kinematic_run_on_every_channel_by_index(self, robot_dir, tmp_path):
+        # channels named in any order run as "all": the same X, and the
+        # transitions name the channels in their recorded order
+        common = ["--data-dir", str(robot_dir), "--init-demos", "run0",
+                  "--window", "1", "--seed", "3"]
+        for subset in ("all", ",".join(map(str, range(32, 0, -1)))):
+            assert main(["segment", "--output-dir", str(tmp_path / subset[:3]),
+                         "--subset", subset] + common) == 0
+        assert tree_bytes(tmp_path / "32,") == tree_bytes(tmp_path / "all")
+
+    def test_ablate_csv_keeps_the_subset_as_written(self, robot_dir, tmp_path):
+        common = ["--data-dir", str(robot_dir), "--init-demos", "run0",
+                  "--window", "1", "--seed", "3"]
+        rows = []
+        for subsets in ("all", "+".join(map(str, range(1, 33)))):
+            out = tmp_path / subsets[:3]
+            assert main(["ablate", "--output-dir", str(out), "--subsets", subsets]
+                        + common) == 0
+            with open(out / "ablate.csv", newline="") as fh:
+                rows.append(list(csv.reader(fh))[1])
+        assert [rows[0][0], rows[1][0]] == ["all", ",".join(map(str, range(1, 33)))]
+        assert rows[0][1:] == rows[1][1:]
+
 
 class TestSweepValueValidation:
     """A bad sweep value is a config error, found before any run starts."""
@@ -2113,6 +2172,47 @@ class TestRunPreconditions:
         assert cli._check_run(config, dataset, names)[3] == 238
         with pytest.raises(ValueError, match="at least k=239 fit rows, got 238"):
             cli._check_run(dataclasses.replace(config, k=239), dataset, names)
+
+    def test_kmeans_label_count_above_the_fit_rows(self, synth_dir, tmp_path, capsys):
+        # without --k the count is the three annotated labels; W=119 leaves
+        # one row in each of synth01 and synth02
+        code = run_segment(synth_dir, tmp_path / "out", ["--init", "kmeans", "--window", "119"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "kinseg: data error: k-means init needs at least k=3 fit rows, got 2\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_window_check_comes_before_the_kmeans_row_check(self, synth_dir, tmp_path, capsys):
+        code = run_segment(synth_dir, tmp_path / "out",
+                           ["--init", "kmeans", "--k", "5000", "--window", "120"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "kinseg: data error: synth00: need more than 120 rows, got 120\n"
+        )
+
+    @pytest.mark.parametrize("command", [
+        ["segment", "--window", "1"],
+        ["sweep-window", "--w-values", "0,1"],
+        ["ablate", "--window", "1", "--subsets", "all"],
+    ], ids=["segment", "sweep-window", "ablate"])
+    def test_every_command_checks_the_kmeans_rows(
+        self, synth_dir, tmp_path, capsys, count_calls, command
+    ):
+        # 3 x 119 fit rows at W=1 and 3 x 120 at W=0
+        runs = count_calls(cli, "run_pipeline")
+        code = main([*command, "--data-dir", str(synth_dir),
+                     "--output-dir", str(tmp_path / "out"), "--init", "kmeans", "--k", "358"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert runs == []
+        assert captured.out == ""
+        assert captured.err == (
+            "kinseg: data error: k-means init needs at least k=358 fit rows, got 357\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_weak_init_with_one_label(self, tmp_path, capsys):
         # one distinct init label would fit a one-component mixture and put
