@@ -149,7 +149,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         try:
             with _read(args.config) as fh:
                 doc = json.load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}")
@@ -182,10 +182,11 @@ def _check_ranges(config: RunConfig) -> None:
             raise ConfigError(f"{f.name} must be >= {minimum}")
 
 
-def _validate(config: RunConfig) -> None:
+def _validate(config: RunConfig) -> list[int] | None:
     """Raise a ConfigError for the first rule the config breaks: the two
     directories, the init method and its demos, repeated ids, each
-    setting's declared range, the Nyquist limit and the feature subset."""
+    setting's declared range, the Nyquist limit and the feature subset.
+    Returns the channels the subset keeps (None: every one), resolved here only."""
     if not config.data_dir:
         raise ConfigError("a data directory is required (--data-dir)")
     if not config.output_dir:
@@ -202,9 +203,10 @@ def _validate(config: RunConfig) -> None:
             f"fc_hz must lie below the Nyquist frequency {config.sample_rate_hz / 2} Hz"
         )
     try:
-        _preprocess.resolve_subset(config.feature_subset)
+        channels = _preprocess.resolve_subset(config.feature_subset)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    return None if len(channels) == len(_preprocess.FULL_CHANNEL_NAMES) else channels
 
 
 def _read(path: str):
@@ -308,9 +310,11 @@ def _load_mapping(config: RunConfig):
     return mapping, sidecar
 
 
-def _check_run(config: RunConfig, dataset: dict[str, LoadedDemo], names: list[str]):
+def _check_run(config: RunConfig, dataset: dict[str, LoadedDemo], names: list[str],
+               channels: list[int] | None):
     """Check what a run needs of the loaded data, in this order, before any of
-    its work: kinematic features for a feature subset that drops a channel,
+    its work: kinematic features when the run keeps only some channels (the
+    subset's channels, resolved once per run where _validate checked it),
     loaded init demonstrations, more rows than the window in each
     demonstration, one left to fit; for weak init, a transcript and an
     annotated row in each init demonstration, at least 2 init rows per label
@@ -319,11 +323,8 @@ def _check_run(config: RunConfig, dataset: dict[str, LoadedDemo], names: list[st
     run's row matrix X: the ids in X's order (init demonstrations first, then
     the rest in id order), each one's slice of X, each row's label at its
     anchor frame (UNANNOTATED without a transcript), the component count, and
-    the kept feature channels (None when the subset keeps every one)."""
-    channels = _preprocess.resolve_subset(config.feature_subset)
-    if len(channels) == len(_preprocess.FULL_CHANNEL_NAMES):
-        channels = None
-    elif names != _preprocess.FULL_CHANNEL_NAMES:
+    the kept channels."""
+    if channels is not None and names != _preprocess.FULL_CHANNEL_NAMES:
         raise ConfigError(
             "feature subsets apply only to the kinematic pipeline "
             f"(demonstration {next(iter(dataset))!r} is processed raw)"
@@ -415,7 +416,7 @@ def run_pipeline(
     ids, spans, truth_rows, k, channels = layout
     features = (dataset[d].features for d in ids)
     if channels is not None:
-        features = (_preprocess.select_channels(f, config.feature_subset) for f in features)
+        features = (f[:, channels] for f in features)
     # the run's one copy of the rows
     X = np.concatenate([_preprocess.augment(f, config.window) for f in features])
 
@@ -508,21 +509,28 @@ def _write_segment_outputs(config, names, result: RunResult) -> None:
 
 def _load_runs(config: RunConfig, field: str, values: list):
     """Before any run's work, validate each run's config (config with one value
-    of field), reject a run equal to an earlier one once its subset is resolved
-    to channels, load the data once and check each run on it, in value order.
-    Returns the data, its channel names, and each run's config and layout."""
+    of field), reject a run equal to an earlier one in its kept channels,
+    check that the output directory can be made, then load the data once and
+    check each run on it, in value order. Returns the data, its channel
+    names, and each run's config and layout."""
     configs = [dataclasses.replace(config, **{field: value}) for value in values]
-    for run_config in configs:  # a bad value fails before any file is read
-        _validate(run_config)
+    kept = [_validate(c) for c in configs]  # a bad value fails before any file is read
     seen = {}
-    for value, run_config in zip(values, configs):
-        subset = tuple(_preprocess.resolve_subset(run_config.feature_subset))
-        run = dataclasses.replace(run_config, feature_subset=""), subset
+    for value, run_config, channels in zip(values, configs, kept):
+        run = dataclasses.replace(run_config, feature_subset=""), channels and tuple(channels)
         if run in seen:
             raise ConfigError(f"{field} values {seen[run]!r} and {value!r} name the same run")
         seen[run] = value
+    # the output directory is made as results are written; check its nearest existing path
+    existing = config.output_dir
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing) or os.curdir
+    if not os.path.isdir(existing):
+        raise ConfigError(f"cannot make the output directory {config.output_dir}: "
+                          f"{existing} is not a directory")
     dataset, names = load_dataset(config)
-    return dataset, names, [(c, _check_run(c, dataset, names)) for c in configs]
+    runs = [(c, _check_run(c, dataset, names, ch)) for c, ch in zip(configs, kept)]
+    return dataset, names, runs
 
 
 def cmd_segment(config: RunConfig) -> int:

@@ -278,8 +278,7 @@ def build_features(
     Order: quaternion conversion and distance channels (from unnormalized
     positions), per recording; one low-pass filter pass over every
     recording's columns at once; then per recording the finiteness check,
-    z-score and subsample. Filter and z-score work per channel;
-    select_channels then keeps a feature subset.
+    z-score and subsample. Filter and z-score work per channel.
 
     The recordings dict is emptied: each recording's frames are dropped once
     its channels are in the filter buffer, so the features are not
@@ -307,15 +306,6 @@ def build_features(
             raise ValueError(f"{name}: values contain non-finite entries")
         features[name] = np.ascontiguousarray(named(name, zscore, values)[::stride])
     return features
-
-
-def select_channels(values: np.ndarray, subset: str) -> np.ndarray:
-    """Keep the columns of a feature subset (see resolve_subset) of the
-    32-channel kinematic features."""
-    if values.shape[1] != 32:
-        raise ValueError(f"subsets need the 32 kinematic channels, got {values.shape[1]}")
-    kept = resolve_subset(subset)
-    return values if len(kept) == 32 else values[:, kept]
 
 
 def augment(values: np.ndarray, window: int) -> np.ndarray:

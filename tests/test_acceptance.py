@@ -264,9 +264,9 @@ def test_feature_shapes():
     full = preprocess.build_features(
         {"demo.txt": _robot_frames()}, fc_hz=1.5, fs_hz=30.0, stride=3
     )["demo.txt"]
-    no_pose = preprocess.select_channels(full, "no-pose")
-    no_vel = preprocess.select_channels(full, "no-velocity")
-    no_dist = preprocess.select_channels(full, "no-distance")
+    no_pose = full[:, preprocess.resolve_subset("no-pose")]
+    no_vel = full[:, preprocess.resolve_subset("no-velocity")]
+    no_dist = full[:, preprocess.resolve_subset("no-distance")]
     augmented = preprocess.augment(full, 2)
     shapes = (
         full.shape[1],

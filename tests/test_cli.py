@@ -151,7 +151,9 @@ class TestSegmentCommand:
             init_demos=("synth00",),
         )
         dataset, names = cli.load_dataset(config)
-        result = cli.run_pipeline(config, dataset, cli._check_run(config, dataset, names))
+        result = cli.run_pipeline(
+            config, dataset, cli._check_run(config, dataset, names, cli._validate(config))
+        )
         cli._write_segment_outputs(config, names, result)
         changes = 0
         for demo_id in dataset:
@@ -543,7 +545,7 @@ class TestSweepAndAblate:
                                init_demos=("synth00",), feature_subset=subset)
         dataset, names = cli.load_dataset(config)
         assert names != cli._preprocess.FULL_CHANNEL_NAMES
-        assert cli._check_run(config, dataset, names)[4] is None
+        assert cli._check_run(config, dataset, names, cli._validate(config))[4] is None
 
     @pytest.mark.parametrize("subset", [" no-pose", ",".join(map(str, range(1, 32)))],
                              ids=["named", "31-indices"])
@@ -552,7 +554,7 @@ class TestSweepAndAblate:
                                init_demos=("synth00",), feature_subset=subset)
         dataset, names = cli.load_dataset(config)
         with pytest.raises(cli.ConfigError, match="apply only to the kinematic pipeline"):
-            cli._check_run(config, dataset, names)
+            cli._check_run(config, dataset, names, cli._validate(config))
 
     def test_sweep_with_a_spaced_all_subset(self, synth_dir, tmp_path, capsys):
         outputs = []
@@ -588,6 +590,20 @@ class TestSweepAndAblate:
                 rows.append(list(csv.reader(fh))[1])
         assert [rows[0][0], rows[1][0]] == ["all", ",".join(map(str, range(1, 33)))]
         assert rows[0][1:] == rows[1][1:]
+
+    @pytest.mark.parametrize("command, calls", [
+        (["segment", "--subset", "1"], 2),
+        (["ablate", "--subsets", "1,8,29"], 4),
+    ], ids=["segment", "ablate"])
+    def test_subset_resolved_once_per_run(self, tmp_path, count_calls, command, calls):
+        # once for the command's own config, then once per run where _load_runs
+        # checks its config; not again by the run check or per demonstration
+        # (8 and 22 calls when each of the four did)
+        data = write_jigsaws(tmp_path / "data", 7, 4, 900)
+        resolved = count_calls(cli._preprocess, "resolve_subset")
+        assert main([*command, "--data-dir", str(data), "--output-dir", str(tmp_path / "out"),
+                     "--init-demos", "d00", "--window", "1", "--mapping", "builtin"]) == 0
+        assert len(resolved) == calls
 
 
 class TestSweepValueValidation:
@@ -1145,6 +1161,20 @@ class TestConfigFile:
         assert code == 1
         assert "wnidow" in capsys.readouterr().err
 
+    def test_file_that_is_not_utf8(self, synth_dir, tmp_path, count_calls, capsys):
+        # its decode error, a ValueError, used to exit 2 as a data error
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(b'{"window": 1, "x": "\xff"}')
+        loads = count_calls(cli, "load_dataset")
+        code = run_segment(synth_dir, tmp_path / "out", ["--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "kinseg: config error: cannot read config file: 'utf-8' codec can't decode "
+            "byte 0xff in position 20"
+        )
+        assert loads == []
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "doc",
         [
@@ -1454,7 +1484,9 @@ def test_per_demo_report_scores_each_demo_alone(synth_dir, tmp_path):
     ])
     config = cli.resolve_config(args)
     dataset, names = cli.load_dataset(config)
-    result = cli.run_pipeline(config, dataset, cli._check_run(config, dataset, names))
+    result = cli.run_pipeline(
+        config, dataset, cli._check_run(config, dataset, names, cli._validate(config))
+    )
     expected = {}
     for demo_id in sorted(dataset):
         truth = dataset[demo_id].truth
@@ -1486,7 +1518,9 @@ def test_pooled_report_leaves_out_a_fit_demo_without_transcript(tmp_path, init_d
     config = cli.RunConfig(data_dir=str(data), output_dir=str(out), window=1,
                            init_demos=(init_demo,))
     dataset, names = cli.load_dataset(config)
-    result = cli.run_pipeline(config, dataset, cli._check_run(config, dataset, names))
+    result = cli.run_pipeline(
+        config, dataset, cli._check_run(config, dataset, names, cli._validate(config))
+    )
     scored = [d for d in ("synth00", "synth01", "synth03") if d != init_demo]
     spans = [result.spans[d] for d in scored]
     truth = [dataset[d].truth for d in scored]
@@ -1523,6 +1557,48 @@ class TestErrorExits:
         code = run_segment(tmp_path / "data", tmp_path / "out")
         assert code == 2
         assert "bad.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, out", [
+        (["segment"], "afile"),
+        (["ablate", "--subsets", "1,8"], "afile"),
+        (["sweep-window", "--w-values", "1,2"], "afile/sub"),
+    ], ids=["segment", "ablate", "sweep-window"])
+    def test_output_dir_that_cannot_be_one(
+        self, robot_dir, tmp_path, monkeypatch, count_calls, capsys, command, out
+    ):
+        # it used to fail as a data error once every run was done
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").touch()
+        loads = count_calls(cli, "load_dataset")
+        code = main([*command, "--data-dir", str(robot_dir), "--output-dir", out,
+                     "--init-demos", "run0", "--window", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"kinseg: config error: cannot make the output directory {out}: "
+            "afile is not a directory\n"
+        )
+        assert loads == []
+        assert list(tmp_path.iterdir()) == [tmp_path / "afile"]
+        assert (tmp_path / "afile").read_bytes() == b""
+
+    def test_output_dir_checked_after_the_repeated_run(
+        self, robot_dir, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").touch()
+        code = main(["ablate", "--data-dir", str(robot_dir), "--output-dir", "afile",
+                     "--init-demos", "run0", "--subsets", "8+29,29+8"])
+        assert code == 1
+        assert "name the same run" in capsys.readouterr().err
+
+    def test_output_dir_made_with_its_parents(self, robot_dir, tmp_path, monkeypatch):
+        # relative, and none of it exists yet: the nearest existing path is "."
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep-window", "--data-dir", str(robot_dir), "--output-dir", "new/out",
+                     "--init-demos", "run0", "--w-values", "0"]) == 0
+        assert (tmp_path / "new" / "out" / "sweep_window.csv").is_file()
 
     def test_unknown_flag(self, synth_dir, tmp_path, capsys):
         code = run_segment(synth_dir, tmp_path / "out", ["--frobnicate"])
@@ -2167,11 +2243,12 @@ class TestRunPreconditions:
         config = cli.RunConfig(data_dir=str(synth_dir), output_dir="out", window=1,
                                init_method="kmeans", init_demos=("synth00",))
         dataset, names = cli.load_dataset(config)
-        assert cli._check_run(config, dataset, names)[3] == 3
+        assert cli._check_run(config, dataset, names, cli._validate(config))[3] == 3
         config = dataclasses.replace(config, k=238)
-        assert cli._check_run(config, dataset, names)[3] == 238
+        assert cli._check_run(config, dataset, names, cli._validate(config))[3] == 238
         with pytest.raises(ValueError, match="at least k=239 fit rows, got 238"):
-            cli._check_run(dataclasses.replace(config, k=239), dataset, names)
+            cli._check_run(dataclasses.replace(config, k=239), dataset, names,
+                           cli._validate(config))
 
     def test_kmeans_label_count_above_the_fit_rows(self, synth_dir, tmp_path, capsys):
         # without --k the count is the three annotated labels; W=119 leaves

@@ -16,7 +16,6 @@ from kinseg.preprocess import (
     resolve_subset,
     rotmat_to_quat,
     rows_to_frames,
-    select_channels,
     zscore,
 )
 
@@ -544,9 +543,9 @@ class TestBuildFeatures:
 
     def test_subset_shapes(self):
         base = build_one(make_robot_frames(), **FEATURES)
-        assert select_channels(base, "no-pose").shape[1] == 18
-        assert select_channels(base, "no-velocity").shape[1] == 20
-        assert select_channels(base, "no-distance").shape[1] == 28
+        assert base[:, resolve_subset("no-pose")].shape[1] == 18
+        assert base[:, resolve_subset("no-velocity")].shape[1] == 20
+        assert base[:, resolve_subset("no-distance")].shape[1] == 28
 
     def test_wrong_channel_count(self):
         with pytest.raises(ValueError, match="38"):
@@ -619,25 +618,23 @@ class TestSelectChannels:
     def test_columns_follow_indices(self):
         # every kept column is the base column of its index, in base order
         base = build_one(make_robot_frames(), **FEATURES)
-        for subset in ("no-pose", "no-velocity", "no-distance", "1,8,29", "all"):
-            got = select_channels(base, subset)
+        for subset, dropped in [  # 1-based channel indices
+            ("no-pose", [*range(1, 8), *range(15, 22)]),
+            ("no-velocity", [*range(8, 14), *range(22, 28)]),
+            ("no-distance", [29, 30, 31, 32]),
+            ("1,8,29", sorted(set(range(1, 33)) - {1, 8, 29})),
+            ("all", []),
+        ]:
             columns = resolve_subset(subset)
             assert columns == sorted(columns)
-            assert np.array_equal(got, base[:, columns])
-
-    def test_all_returns_input(self):
-        base = build_one(make_robot_frames(), **FEATURES)
-        assert select_channels(base, "all") is base
+            got = base[:, columns]
+            assert np.array_equal(got, np.delete(base, [i - 1 for i in dropped], axis=1))
 
     def test_names_follow_indices(self):
         base = build_one(make_robot_frames(), **FEATURES)
-        assert np.array_equal(select_channels(base, "32,1"), base[:, [0, 31]])
+        assert np.array_equal(base[:, resolve_subset("32,1")], base[:, [0, 31]])
         names = [FULL_CHANNEL_NAMES[i] for i in resolve_subset("32,1")]
         assert names == ["right_pos_x", "dist"]
-
-    def test_needs_32_channels(self):
-        with pytest.raises(ValueError, match="32"):
-            select_channels(make_fm(p=4), "1,2")
 
 
 class TestAugment:
