@@ -143,7 +143,8 @@ def _coerce(name: str, value):
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file, and explicit flags (in rising priority)."""
+    """Merge defaults, config file, and explicit flags (in rising priority);
+    _load_runs validates the config of each run, not this one."""
     merged = {}
     if getattr(args, "config", None):
         try:
@@ -164,9 +165,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = _coerce(name, value)
-    config = RunConfig(**merged)
-    _validate(config)
-    return config
+    return RunConfig(**merged)
 
 
 def _check_ranges(config: RunConfig) -> None:
@@ -185,8 +184,9 @@ def _check_ranges(config: RunConfig) -> None:
 def _validate(config: RunConfig) -> list[int] | None:
     """Raise a ConfigError for the first rule the config breaks: the two
     directories, the init method and its demos, repeated ids, each
-    setting's declared range, the Nyquist limit and the feature subset.
-    Returns the channels the subset keeps (None: every one), resolved here only."""
+    setting's declared range, the Nyquist limit, the feature subset, and a
+    sidecar only with a mapping. Returns the channels the subset keeps
+    (None: every one), resolved here only."""
     if not config.data_dir:
         raise ConfigError("a data directory is required (--data-dir)")
     if not config.output_dir:
@@ -206,6 +206,8 @@ def _validate(config: RunConfig) -> list[int] | None:
         channels = _preprocess.resolve_subset(config.feature_subset)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    if config.sidecar is not None and config.mapping is None:
+        raise ConfigError("--sidecar needs --mapping: a sidecar refines its rules")
     return None if len(channels) == len(_preprocess.FULL_CHANNEL_NAMES) else channels
 
 
@@ -295,8 +297,6 @@ def load_dataset(config: RunConfig) -> tuple[dict[str, LoadedDemo], list[str]]:
 
 def _load_mapping(config: RunConfig):
     if config.mapping is None:
-        if config.sidecar is not None:
-            raise ConfigError("--sidecar needs --mapping: a sidecar refines its rules")
         return None, None
     if config.mapping == "builtin":
         mapping = _dictionary.default_mapping()
@@ -509,10 +509,11 @@ def _write_segment_outputs(config, names, result: RunResult) -> None:
 
 def _load_runs(config: RunConfig, field: str, values: list):
     """Before any run's work, validate each run's config (config with one value
-    of field), reject a run equal to an earlier one in its kept channels,
-    check that the output directory can be made, then load the data once and
-    check each run on it, in value order. Returns the data, its channel
-    names, and each run's config and layout."""
+    of field; config's own value of field is never run, so not judged),
+    reject a run equal to an earlier one in its kept channels, check that the
+    output directory can be made, then load the data once and check each run
+    on it, in value order. Returns the data, its channel names, and each
+    run's config and layout."""
     configs = [dataclasses.replace(config, **{field: value}) for value in values]
     kept = [_validate(c) for c in configs]  # a bad value fails before any file is read
     seen = {}

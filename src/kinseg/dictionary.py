@@ -79,6 +79,9 @@ def parse_mapping(text: str | TextIO) -> dict[str, MappingRule]:
         targets = tuple(tok.strip() for tok in rhs.split("|"))
         if any(not t for t in targets):
             raise ValueError(f"mapping line {lineno}: empty target name")
+        for label in (source, *targets):  # a transcript line holds one word
+            if len(label.split()) > 1:
+                raise ValueError(f"mapping line {lineno}: label {label!r} is not one word")
         if ">" in targets:
             if targets != (">",) or fractions:
                 raise ValueError(f"mapping line {lineno}: '>' must stand alone")
@@ -105,7 +108,7 @@ def parse_sidecar(text: str | TextIO) -> dict[str, dict]:
     for key, expected, valid in (
         ("boundaries", "a list of integer frames",
          lambda v: isinstance(v, list) and all(type(f) is int for f in v)),
-        ("overrides", "a non-empty label", lambda v: isinstance(v, str) and v != ""),
+        ("overrides", "a one-word label", lambda v: isinstance(v, str) and [v] == v.split()),
     ):
         per_demo = doc.get(key, {})
         if not isinstance(per_demo, dict):

@@ -158,7 +158,7 @@ def regularize_covariance(cov: np.ndarray) -> np.ndarray:
 
 def weak_init(X, labels: Sequence[str]) -> GmmModel:
     """Initial mixture from annotated rows, one label per row (the labeled
-    rows of every init demonstration, stacked).
+    rows of every init demonstration, stacked; at least one).
 
     One component per distinct label; mean, covariance and weight are the
     empirical statistics of that label's rows. A label with no more rows
@@ -171,8 +171,6 @@ def weak_init(X, labels: Sequence[str]) -> GmmModel:
     if len(labels) != data.shape[0]:
         raise ValueError("label count does not match row count")
     names, codes, counts = weak_labels(labels, dim)
-    if not len(names):
-        raise ValueError("no labeled rows")
     means, covariances = _estimate(data, np.eye(len(names))[codes], counts)
     return GmmModel(means, covariances, counts / len(codes), tuple(names))
 
@@ -200,14 +198,10 @@ def kmeans_init(X, k: int, seed: int) -> GmmModel:
 
     Cluster identities are unknown, so component labels stay unset. An
     empty cluster is re-seeded deterministically with the point currently
-    farthest from its assigned centroid.
+    farthest from its assigned centroid. Needs 1 <= k <= the rows of X.
     """
     data = _as_matrix(X)
     n = data.shape[0]
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n < k:
-        raise ValueError(f"need at least {k} rows, got {n}")
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_seeds(data, k, rng)
 
@@ -414,7 +408,7 @@ def _logsumexp_rows(logs: np.ndarray) -> np.ndarray:
 
 def em_fit(X, init: GmmModel, tol: float, max_iter: int) -> GmmModel:
     """Refine a mixture by EM until the relative log-likelihood change
-    drops below tol or max_iter iterations are reached.
+    drops below tol (> 0) or max_iter (>= 0) iterations are reached.
 
     Component order and labels are carried over from the initial model
     unchanged; fit_trace holds the log-likelihood before each M-step. A
@@ -422,8 +416,6 @@ def em_fit(X, init: GmmModel, tol: float, max_iter: int) -> GmmModel:
     iteration rather than divided by ~0. EM ends on an E-step under the
     returned model (at max_iter an untraced one), whose argmax is fit.predicted.
     """
-    if tol <= 0 or max_iter < 0:
-        raise ValueError(f"need tol > 0 and max_iter >= 0, got {tol} and {max_iter}")
     data = _as_matrix(X)
     dim = data.shape[1]
     if dim != init.dimension:

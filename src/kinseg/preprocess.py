@@ -95,7 +95,7 @@ def _lowpass_batch(shapes, signals, fc_hz: float, fs_hz: float) -> list[np.ndarr
     Butterworth section applied forward, then backward, in one recurrence
     over all their columns. `signals` yields arrays of the given shapes, in
     order, and is read once, as each is copied into the buffer; the results
-    are views of that one buffer.
+    are views of that one buffer. fc_hz must lie in (0, fs_hz / 2).
 
     The section is designed by bilinear transform with prewarping; the net
     magnitude response is the square of the single-pass response. Edges are
@@ -113,10 +113,6 @@ def _lowpass_batch(shapes, signals, fc_hz: float, fs_hz: float) -> list[np.ndarr
     also starts at the signal's own end, from its own initial state.
     """
     edges = [_filter_edge(n) for n, _ in shapes]
-    if not 0 < fc_hz < fs_hz / 2:
-        raise ValueError(
-            f"cutoff {fc_hz} Hz must lie in (0, Nyquist={fs_hz / 2} Hz)"
-        )
     b, a = _butter(fc_hz, fs_hz)
     # Steady state of the step response: zi = A zi + B (scipy's lfilter_zi).
     companion = np.array([-a[1:], [1.0, 0.0]])
@@ -273,7 +269,7 @@ def build_features(
     """Run the fixed preprocessing pipeline on 38-channel recordings sampled
     at fs_hz, keyed by name; returns, under the same names, the 32 feature
     columns of every stride-th frame. A ValueError names the recording at
-    fault ("<name>: ..."), and every recording's shape is checked first.
+    fault ("<name>: ..."), and every recording's length is checked first.
 
     Order: quaternion conversion and distance channels (from unnormalized
     positions), per recording; one low-pass filter pass over every
@@ -288,10 +284,6 @@ def build_features(
     """
     names = list(recordings)
     for name, frames in recordings.items():
-        if frames.shape[1] != 38:
-            raise ValueError(
-                f"{name}: expected the 38 patient-side channels, got {frames.shape[1]}"
-            )
         named(name, _filter_edge, len(frames))
     filtered = _lowpass_batch(
         [(len(frames), 32) for frames in recordings.values()],
@@ -312,13 +304,10 @@ def augment(values: np.ndarray, window: int) -> np.ndarray:
     """Stack W+1 consecutive rows: row t = [x(t), ..., x(t+W)].
 
     The label of augmented row t is the label of row t, so the stride
-    carries over. augmented_names gives the column names.
+    carries over. augmented_names gives the column names. Needs window >= 0
+    and more than window rows.
     """
-    if window < 0:
-        raise ValueError("window must be >= 0")
     T = len(values)
-    if T <= window:
-        raise ValueError(f"need more than {window} rows, got {T}")
     return np.hstack([values[w : T - window + w] for w in range(window + 1)])
 
 

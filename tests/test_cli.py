@@ -592,18 +592,51 @@ class TestSweepAndAblate:
         assert rows[0][1:] == rows[1][1:]
 
     @pytest.mark.parametrize("command, calls", [
-        (["segment", "--subset", "1"], 2),
-        (["ablate", "--subsets", "1,8,29"], 4),
+        (["segment", "--subset", "1"], 1),
+        (["ablate", "--subsets", "1,8,29"], 3),
     ], ids=["segment", "ablate"])
     def test_subset_resolved_once_per_run(self, tmp_path, count_calls, command, calls):
-        # once for the command's own config, then once per run where _load_runs
-        # checks its config; not again by the run check or per demonstration
-        # (8 and 22 calls when each of the four did)
+        # once per run, where _load_runs checks its config; not for the
+        # command's own config, nor by the run check or per demonstration (2
+        # and 4 calls when the command's config was checked too, 8 and 22
+        # when each of the four checked it)
         data = write_jigsaws(tmp_path / "data", 7, 4, 900)
         resolved = count_calls(cli._preprocess, "resolve_subset")
         assert main([*command, "--data-dir", str(data), "--output-dir", str(tmp_path / "out"),
                      "--init-demos", "d00", "--window", "1", "--mapping", "builtin"]) == 0
         assert len(resolved) == calls
+
+    @pytest.mark.parametrize("command, calls", [
+        (["segment"], 1), (["sweep-window", "--w-values", "0,1,2"], 3),
+    ], ids=["segment", "sweep-window"])
+    def test_config_validated_once_per_run(self, synth_dir, tmp_path, count_calls,
+                                           command, calls):
+        # only _load_runs checks a config, once per run
+        validated = count_calls(cli, "_validate")
+        assert main([*command, "--data-dir", str(synth_dir), "--output-dir",
+                     str(tmp_path / "out"), "--init-demos", "synth00"]) == 0
+        assert len(validated) == calls
+
+    @pytest.mark.parametrize("argv, field, value, csv_name", [
+        (["ablate", "--subsets", "all"], "feature_subset", "bogus", "ablate.csv"),
+        (["sweep-window", "--w-values", "0,1"], "window", -1, "sweep_window.csv"),
+    ], ids=["ablate", "sweep-window"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_swept_base_value_is_not_judged(self, synth_dir, tmp_path, capsys,
+                                            argv, field, value, csv_name, source):
+        # the value a sweep overrides is never run, so it is not checked
+        if source == "flag":
+            base = [_CONFIG_VALUES[field][0], str(value)]
+        else:
+            (tmp_path / "run.json").write_text(json.dumps({field: value}))
+            base = ["--config", str(tmp_path / "run.json")]
+        outputs = []
+        for name, extra in (("base", base), ("plain", [])):
+            out = tmp_path / name
+            assert main([*argv, *extra, "--data-dir", str(synth_dir), "--output-dir",
+                         str(out), "--init-demos", "synth00"]) == 0
+            outputs.append((out / csv_name).read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestSweepValueValidation:
@@ -1004,6 +1037,29 @@ class TestMappingFlag:
         report = json.loads((out / "report.json").read_text())
         assert set(report["confusion"]["labels"]) <= {"L1", "L2", "L3"}
 
+    def test_target_of_two_words(self, synth_dir, tmp_path, capsys):
+        # a target of two words would write prediction lines such as
+        # "7 12 A x", which parse_transcript cannot read back
+        rules = tmp_path / "rules.txt"
+        rules.write_text("R0 -> A\nR1 -> A x\nR2 -> B\n")
+        out = tmp_path / "out"
+        assert run_segment(synth_dir, out, ["--mapping", str(rules)]) == 2
+        assert (f"kinseg: data error: {rules}: mapping line 2: label 'A x' is not one word"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_override_of_two_words(self, synth_dir, tmp_path, capsys):
+        sidecar = tmp_path / "sidecar.json"
+        sidecar.write_text(json.dumps({"overrides": {"synth00": {"2": "B x"}}}))
+        extra = ["--mapping", str(write_split_rules(tmp_path)), "--sidecar", str(sidecar)]
+        out = tmp_path / "out"
+        assert run_segment(synth_dir, out, extra) == 2
+        assert (
+            f"kinseg: data error: {sidecar}: sidecar 'overrides' of 'synth00': expected a "
+            "0-based segment index keying a one-word label, got '2': 'B x'"
+        ) in capsys.readouterr().err
+        assert not out.exists()
+
 
 def write_jigsaws(data, seed, n_demos, n_frames):
     """perfbench/jigsaws_data.py's JIGSAWS-shaped dataset, written to data."""
@@ -1291,11 +1347,14 @@ class TestConfigPrecedence:
             merged = cli.RunConfig(**expected)
             if not merged.data_dir or not merged.output_dir or (
                 merged.init_method == "weak" and not merged.init_demos
-            ) or merged.fc_hz >= merged.sample_rate_hz / 2:
+            ) or merged.fc_hz >= merged.sample_rate_hz / 2 or (
+                merged.sidecar is not None and merged.mapping is None
+            ):
                 with pytest.raises(cli.ConfigError):
-                    cli.resolve_config(args)
+                    cli._validate(cli.resolve_config(args))
                 return
             config = cli.resolve_config(args)
+            cli._validate(config)
         assert config == merged
         for f in dataclasses.fields(config):  # the same types, not just equal
             assert type(getattr(config, f.name)) is type(getattr(merged, f.name))
@@ -1368,7 +1427,9 @@ class TestRanges:
             "segment", "--data-dir", "d", "--output-dir", "o", "--init-demos", "d00",
             f"{f.metadata['flag']}={minimum}",
         ])
-        assert getattr(cli.resolve_config(args), f.name) == minimum
+        config = cli.resolve_config(args)
+        cli._validate(config)
+        assert getattr(config, f.name) == minimum
 
 
 def constant_data(data):
@@ -1909,6 +1970,21 @@ class TestErrorExits:
         assert code == 1
         assert "--sidecar needs --mapping" in capsys.readouterr().err
         assert reads == []
+
+    @pytest.mark.parametrize("extra, message", [
+        ([], "--sidecar needs --mapping"),
+        (["--fc", "20"], "fc_hz must lie below the Nyquist frequency"),
+    ], ids=["sidecar", "nyquist-first"])
+    def test_sidecar_rule_is_a_settings_rule(self, synth_dir, tmp_path, capsys,
+                                             extra, message):
+        # found with the other settings rules, after them and before the
+        # output directory is checked
+        out = tmp_path / "file"
+        out.write_text("")
+        code = run_segment(synth_dir, out, ["--sidecar", str(tmp_path / "x.json"), *extra])
+        assert code == 1
+        assert f"kinseg: config error: {message}" in capsys.readouterr().err
+        assert out.read_text() == ""
 
     def test_recording_with_other_width(self, synth_dir, tmp_path, count_calls, capsys):
         data = copy_synth(synth_dir, tmp_path / "data")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -94,6 +96,14 @@ class TestParseMapping:
     def test_following_stands_alone(self, rhs):
         with pytest.raises(ValueError, match="line 1: '>' must stand alone"):
             parse_mapping(f"G5 -> {rhs}\n")
+
+    @pytest.mark.parametrize("line, label", [
+        ("G1 -> A x", "A x"), ("G1 -> A | B\tx @ 0.5", "B\tx"), ("G 1 -> A", "G 1"),
+    ])
+    def test_label_of_two_words(self, line, label):
+        # a transcript line holds one word of label
+        with pytest.raises(ValueError, match=re.escape(f"line 2: label {label!r} is not one word")):
+            parse_mapping(f"G2 -> B\n{line}\n")
 
     def test_serialize_round_trip(self):
         text = "G2 -> L1\nG3 -> L1 | L2 @ 0.5\nG5 -> >\n"
@@ -319,6 +329,8 @@ class TestSidecar:
         '{"boundaries": {"d": {"0": [true]}}}',
         '{"overrides": {"d": {"0": 7}}}',
         '{"overrides": {"d": {"0": ""}}}',
+        '{"overrides": {"d": {"0": "L x"}}}',
+        '{"overrides": {"d": {"0": " L7"}}}',
         '{"overrides": []}',
     ])
     def test_rejects_malformed(self, text):

@@ -281,10 +281,6 @@ class TestKmeansInit:
         assert model.n_components == 5
         assert abs(model.weights.sum() - 1.0) < 1e-9
 
-    def test_too_few_rows(self):
-        with pytest.raises(ValueError):
-            kmeans_init(np.ones((2, 2)), 3, seed=0)
-
     def test_duplicate_points_dont_crash(self):
         X = np.array([[0.0, 0.0]] * 6 + [[5.0, 5.0]] * 6)
         model = kmeans_init(X, 2, seed=1)
@@ -354,11 +350,6 @@ class TestEmFit:
         with pytest.raises(ValueError, match="dimension"):
             em_fit(np.ones((10, 2)), init, tol=1e-6, max_iter=10)
 
-    def test_bad_tol(self):
-        init = random_model(np.random.default_rng(21), 2, 2)
-        with pytest.raises(ValueError, match="tol"):
-            em_fit(np.ones((10, 2)), init, tol=0.0, max_iter=10)
-
     def test_init_not_mutated(self):
         rng = np.random.default_rng(22)
         X = rng.normal(size=(50, 2))
@@ -397,11 +388,6 @@ class TestEmFit:
         if max_iter == 0:  # the init itself labels the rows
             assert np.array_equal(model.means, init.means)
             assert np.array_equal(model.fit.predicted, predict_labels(init, X))
-
-    def test_negative_max_iter(self):
-        init = random_model(np.random.default_rng(25), 2, 2)
-        with pytest.raises(ValueError, match="max_iter >= 0"):
-            em_fit(np.ones((10, 2)), init, tol=1e-6, max_iter=-1)
 
 
 class TestPredictLabels:

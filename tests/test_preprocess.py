@@ -257,12 +257,6 @@ class TestLowpassFilter:
         with pytest.raises(ValueError, match="too short"):
             lowpass_filter(np.array([1.0, 2.0, 1.0]), 1.5, 30.0)
 
-    def test_cutoff_above_nyquist(self):
-        with pytest.raises(ValueError, match="Nyquist"):
-            lowpass_filter(np.ones(10), 15.0, 30.0)
-        with pytest.raises(ValueError, match="Nyquist"):
-            lowpass_filter(np.ones(10), 0.0, 30.0)
-
 
 def scipy_filtfilt(x, fc, fs):
     """The reference the filter reproduces: scipy's butter + filtfilt."""
@@ -547,10 +541,6 @@ class TestBuildFeatures:
         assert base[:, resolve_subset("no-velocity")].shape[1] == 20
         assert base[:, resolve_subset("no-distance")].shape[1] == 28
 
-    def test_wrong_channel_count(self):
-        with pytest.raises(ValueError, match="38"):
-            build_one(np.ones((10, 4)), **FEATURES)
-
     def test_column_wiring(self):
         # channel 1 must be the right arm's x position run through
         # filter -> zscore -> subsample in that order
@@ -660,10 +650,6 @@ class TestAugment:
         for w in range(4):
             fm = make_fm(T=9)
             assert len(augment(fm, w)) + w == len(fm)
-
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            augment(make_fm(T=3), 3)
 
     def test_channel_names(self):
         assert augmented_names(["a", "b"], 1) == ["a_t0", "b_t0", "a_t1", "b_t1"]
