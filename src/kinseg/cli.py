@@ -184,9 +184,9 @@ def _check_ranges(config: RunConfig) -> None:
 def _validate(config: RunConfig) -> list[int] | None:
     """Raise a ConfigError for the first rule the config breaks: the two
     directories, the init method and its demos, repeated ids, each
-    setting's declared range, the Nyquist limit, the feature subset, and a
-    sidecar only with a mapping. Returns the channels the subset keeps
-    (None: every one), resolved here only."""
+    setting's declared range, the Nyquist limit, the feature subset, a
+    sidecar only with a mapping, and --k only with k-means init. Returns
+    the channels the subset keeps (None: every one), resolved here only."""
     if not config.data_dir:
         raise ConfigError("a data directory is required (--data-dir)")
     if not config.output_dir:
@@ -208,6 +208,8 @@ def _validate(config: RunConfig) -> list[int] | None:
         raise ConfigError(str(exc))
     if config.sidecar is not None and config.mapping is None:
         raise ConfigError("--sidecar needs --mapping: a sidecar refines its rules")
+    if config.k is not None and config.init_method == "weak":
+        raise ConfigError("--k needs --init kmeans: weak init fits one component per label")
     return None if len(channels) == len(_preprocess.FULL_CHANNEL_NAMES) else channels
 
 
@@ -216,13 +218,14 @@ def _read(path: str):
     return open(path, encoding="utf-8-sig")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoadedDemo:
-    """What every run needs of a recording; the raw frames are not kept."""
+    """What every run needs of a recording, made once; the raw frames are not kept."""
 
     features: np.ndarray  # before any feature subset or window
     n_frames: int  # length of the recording's frame grid
     truth: np.ndarray | None  # per-frame labels, remapped; None without a transcript
+    rows: np.ndarray  # each feature row's label at its anchor frame (UNANNOTATED: none)
 
 
 def load_dataset(config: RunConfig) -> tuple[dict[str, LoadedDemo], list[str]]:
@@ -230,68 +233,65 @@ def load_dataset(config: RunConfig) -> tuple[dict[str, LoadedDemo], list[str]]:
     Then check the sidecar against every transcript, and expand each
     transcript, remapped when a mapping is set, to frame labels once for
     every run of the command. Then build the base features of every
-    38-channel recording in one build_features call. Every recording must
-    give the first one's feature channels, whose names are returned with
-    the recordings."""
+    38-channel recording in one build_features call, and last the label of
+    each feature row, which a run slices. Every recording must give the
+    first one's channels, whose names are returned with the recordings."""
     mapping, sidecar = _load_mapping(config)
     kin_dir = os.path.join(config.data_dir, "kinematics")
     if not os.path.isdir(kin_dir):
         raise OSError(f"no kinematics directory at {kin_dir}")
-    files = sorted(
-        name
-        for name in os.listdir(kin_dir)
-        if os.path.splitext(name)[1] in (".txt", ".csv")
-    )
+    files: dict[str, str] = {}  # file name by demonstration id, in file name order
+    for name in sorted(os.listdir(kin_dir)):
+        demo_id, ext = os.path.splitext(name)
+        if ext in (".txt", ".csv") and files.setdefault(demo_id, name) != name:
+            raise ValueError(f"{files[demo_id]} and {name} share a demonstration id")
     if not files:
         raise OSError(f"no kinematic files (.txt or .csv) in {kin_dir}")
-    first: dict[str, str] = {}
-    for name in files:
-        other = first.setdefault(os.path.splitext(name)[0], name)
-        if other != name:
-            raise ValueError(f"{other} and {name} share a demonstration id")
-    dataset: dict[str, LoadedDemo] = {}
+    n_frames, features = {}, {}  # frame counts by id, features by file name
     kinematic: dict[str, np.ndarray] = {}  # 38-channel frames by file name
-    transcripts: dict[str, tuple] = {}  # parsed segments by demonstration id
+    truths = {}  # by id: parsed segments, then frame labels
     names = None
-    for name in files:
-        demo_id, ext = os.path.splitext(name)
-        layout = "generic_csv" if ext == ".csv" else "jigsaws"
+    for demo_id, name in files.items():
+        layout = "generic_csv" if name.endswith(".csv") else "jigsaws"
         with _read(os.path.join(kin_dir, name)) as fh:
             frames, channels = named(name, parse_kinematics, fh, layout)
-        features = None  # built below for a 38-channel recording
+        n_frames[demo_id] = len(frames)
         if frames.shape[1] == PSM_COLUMNS:
             kinematic[name] = frames
             channels = _preprocess.FULL_CHANNEL_NAMES
         else:
-            features = np.ascontiguousarray(frames[::config.subsample_factor])
+            features[name] = np.ascontiguousarray(frames[::config.subsample_factor])
         tpath = os.path.join(config.data_dir, "transcripts", f"{demo_id}.txt")
         if os.path.isfile(tpath):
             with _read(tpath) as fh:
-                transcripts[demo_id] = named(f"{demo_id}.txt", parse_transcript, fh)
+                truths[demo_id] = named(f"{demo_id}.txt", parse_transcript, fh)
         names = names or channels
         if channels != names:
             raise ValueError(
-                f"{name}: its feature channels differ from those of {files[0]} "
-                f"({len(channels)} channels against {len(names)})"
+                f"{name}: its feature channels differ from those of "
+                f"{[*files.values()][0]} ({len(channels)} channels against {len(names)})"
             )
-        dataset[demo_id] = LoadedDemo(features, len(frames), None)
     if sidecar is not None:
-        named(config.sidecar, _dictionary.check_sidecar, sidecar, transcripts, mapping)
-    for demo_id, transcript in transcripts.items():
-        source, n_frames = f"{demo_id}.txt", dataset[demo_id].n_frames
+        named(config.sidecar, _dictionary.check_sidecar, sidecar, truths, mapping)
+    for demo_id, transcript in truths.items():
+        source = f"{demo_id}.txt"
         if mapping is not None:
             transcript = named(
                 source, _dictionary.apply_mapping, transcript, mapping, sidecar,
                 demo_id=demo_id,
             )
-        dataset[demo_id].truth = named(source, expand_labels, transcript, n_frames)
+        truths[demo_id] = named(source, expand_labels, transcript, n_frames[demo_id])
     if kinematic:
-        built = _preprocess.build_features(
+        features.update(_preprocess.build_features(
             kinematic, fc_hz=config.fc_hz, fs_hz=config.sample_rate_hz,
             stride=config.subsample_factor,
-        )
-        for name, features in built.items():
-            dataset[os.path.splitext(name)[0]].features = features
+        ))
+    dataset = {}
+    for demo_id, name in files.items():
+        truth, n_rows = truths.get(demo_id), len(features[name])
+        rows = (np.full(n_rows, UNANNOTATED, dtype=object) if truth is None else
+                _preprocess.labels_at_rows(truth, n_rows, config.subsample_factor))
+        dataset[demo_id] = LoadedDemo(features[name], n_frames[demo_id], truth, rows)
     return dataset, names
 
 
@@ -320,10 +320,10 @@ def _check_run(config: RunConfig, dataset: dict[str, LoadedDemo], names: list[st
     annotated row in each init demonstration, at least 2 init rows per label
     and two labels; for k-means init, --k or an annotated frame to count the
     labels, and no more components than fit rows. Returns the layout of the
-    run's row matrix X: the ids in X's order (init demonstrations first, then
-    the rest in id order), each one's slice of X, each row's label at its
-    anchor frame (UNANNOTATED without a transcript), the component count, and
-    the kept channels."""
+    run's row matrix X, the one statement of where its rows go: the ids in
+    X's order (init demonstrations first, then the rest in id order), each
+    one's slice of X, each row's label (its demonstration's rows, cut to
+    the slice), the component count, and the kept channels."""
     if channels is not None and names != _preprocess.FULL_CHANNEL_NAMES:
         raise ConfigError(
             "feature subsets apply only to the kinematic pipeline "
@@ -343,10 +343,9 @@ def _check_run(config: RunConfig, dataset: dict[str, LoadedDemo], names: list[st
     ids = [*config.init_demos, *(d for d in dataset if d not in config.init_demos)]
     spans, truth_rows, start = {}, [], 0
     for demo_id in ids:
-        truth, n_rows = dataset[demo_id].truth, len(dataset[demo_id].features) - config.window
+        n_rows = len(dataset[demo_id].features) - config.window
         spans[demo_id] = slice(start, start := start + n_rows)
-        truth_rows.append(np.full(n_rows, UNANNOTATED, dtype=object) if truth is None else
-                          _preprocess.labels_at_rows(truth, n_rows, config.subsample_factor))
+        truth_rows.append(dataset[demo_id].rows[:n_rows])
     truth_rows = np.concatenate(truth_rows)
     n_init = spans[ids[len(config.init_demos)]].start
     if config.init_method == "weak":
@@ -410,15 +409,15 @@ def run_pipeline(
     config: RunConfig, dataset: dict[str, LoadedDemo], layout: tuple
 ) -> RunResult:
     """Fit on the non-init demonstrations and score the annotated ones. The
-    rows of every demonstration make one matrix X, laid out as _check_run
-    returned it: EM takes the rest, a view of X, and labels it as it ends;
-    one prediction labels the init rows."""
+    rows of every demonstration make one matrix X, each written into its
+    span of the layout _check_run returned: EM takes the rest, a view of X,
+    and labels it as it ends; one prediction labels the init rows."""
     ids, spans, truth_rows, k, channels = layout
-    features = (dataset[d].features for d in ids)
-    if channels is not None:
-        features = (f[:, channels] for f in features)
-    # the run's one copy of the rows
-    X = np.concatenate([_preprocess.augment(f, config.window) for f in features])
+    keep = slice(None) if channels is None else channels
+    width = (config.window + 1) * dataset[ids[0]].features[0, keep].size
+    X = np.empty((len(truth_rows), width))  # the run's one copy of the rows
+    for demo_id, span in spans.items():
+        X[span] = _preprocess.augment(dataset[demo_id].features[:, keep], config.window)
 
     fit_ids = ids[len(config.init_demos):]
     n_init = spans[fit_ids[0]].start

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from kinseg import cli, metrics
+from kinseg import cli, metrics, preprocess
 from kinseg.cli import main
 from kinseg.gmm import (
     GmmModel,
@@ -698,6 +698,18 @@ class TestSweepValueValidation:
         assert code == 1
         assert not out.exists()
 
+    def test_non_integer_window_is_usage_error(self, robot_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main([
+            "sweep-window", "--w-values", "1,a", "--data-dir", str(robot_dir),
+            "--output-dir", str(out), "--init-demos", "run0",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.endswith(
+            "error: argument --w-values: expected comma-separated integers: '1,a'\n"
+        )
+        assert not out.exists()
+
 
 @pytest.fixture
 def build_calls(monkeypatch, robot_dir):
@@ -988,6 +1000,24 @@ class TestKmeansDefaultK:
         assert code == 1
         assert "k-means init needs --k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config-file"])
+    def test_k_under_weak_init_is_a_config_error(
+        self, synth_dir, tmp_path, count_calls, capsys, from_file
+    ):
+        # weak init takes one component per label, so a set k would be ignored
+        extra = ["--k", "7"]
+        if from_file:
+            (tmp_path / "run.json").write_text(json.dumps({"k": 7}))
+            extra = ["--config", str(tmp_path / "run.json")]
+        loads = count_calls(cli, "load_dataset")
+        assert run_segment(synth_dir, tmp_path / "out", extra) == 1
+        assert capsys.readouterr().err == (
+            "kinseg: config error: --k needs --init kmeans: "
+            "weak init fits one component per label\n"
+        )
+        assert loads == []
+        assert not (tmp_path / "out").exists()
+
 
 def write_split_rules(tmp_path):
     """Rules for the synth labels with one rename, one split and the context
@@ -1188,8 +1218,9 @@ class TestConfigFile:
         assert (config.sample_rate_hz, config.window, config.k) == (30.0, 2, None)
 
     def test_flags_override_file(self, synth_dir, tmp_path):
+        # the file sets no k: weak init, set by the flag, takes none
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"init_method": "kmeans", "k": 3, "window": 1}))
+        cfg.write_text(json.dumps({"init_method": "kmeans", "window": 1}))
         out = tmp_path / "out"
         code = main([
             "segment",
@@ -1228,6 +1259,32 @@ class TestConfigFile:
             "kinseg: config error: cannot read config file: 'utf-8' codec can't decode "
             "byte 0xff in position 20"
         )
+        assert loads == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"window": 2.5}', "config field 'window': expected a number, got 2.5\n"),
+            ("{", "config file is not valid JSON: Expecting property name enclosed in "
+                  "double quotes: line 1 column 2 (char 1)\n"),
+            ("[1]", "config file must hold a JSON object\n"),
+            ('{"init_method": "bogus"}', "unknown init method 'bogus'\n"),
+        ],
+        ids=["fractional-window", "not-json", "not-an-object", "unknown-init"],
+    )
+    def test_bad_file_fails_before_loading(
+        self, synth_dir, tmp_path, count_calls, capsys, text, message
+    ):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        loads = count_calls(cli, "load_dataset")
+        code = main([
+            "segment", "--config", str(cfg), "--data-dir", str(synth_dir),
+            "--output-dir", str(tmp_path / "out"), "--init-demos", "synth00",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"kinseg: config error: {message}"
         assert loads == []
         assert not (tmp_path / "out").exists()
 
@@ -1349,7 +1406,7 @@ class TestConfigPrecedence:
                 merged.init_method == "weak" and not merged.init_demos
             ) or merged.fc_hz >= merged.sample_rate_hz / 2 or (
                 merged.sidecar is not None and merged.mapping is None
-            ):
+            ) or (merged.k is not None and merged.init_method == "weak"):
                 with pytest.raises(cli.ConfigError):
                     cli._validate(cli.resolve_config(args))
                 return
@@ -1423,9 +1480,10 @@ class TestRanges:
     )
     def test_value_on_integer_bound_passes(self, f):
         minimum = f.metadata["minimum"]
+        init = ["--init", "kmeans"] if f.name == "k" else []  # k is a k-means setting
         args = cli.build_parser().parse_args([
             "segment", "--data-dir", "d", "--output-dir", "o", "--init-demos", "d00",
-            f"{f.metadata['flag']}={minimum}",
+            *init, f"{f.metadata['flag']}={minimum}",
         ])
         config = cli.resolve_config(args)
         cli._validate(config)
@@ -2174,6 +2232,58 @@ def cut_synth00(data, line):
     return data
 
 
+class TestLoadedDemo:
+    """load_dataset makes each demonstration's record once, whole; every run
+    of the command reads it."""
+
+    def test_frozen(self, synth_dir):
+        dataset, _ = cli.load_dataset(cli.RunConfig(data_dir=str(synth_dir)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dataset["synth00"].truth = None
+
+    @pytest.mark.parametrize("subsample", [1, 3, 7])
+    def test_rows_label_each_feature_row(self, synth_dir, tmp_path, subsample):
+        data = copy_synth(synth_dir, tmp_path / "data")
+        (data / "transcripts" / "synth02.txt").unlink()
+        config = cli.RunConfig(data_dir=str(data), subsample_factor=subsample)
+        dataset, _ = cli.load_dataset(config)
+        for demo_id in ("synth00", "synth01"):
+            item = dataset[demo_id]
+            expected = labels_at_rows(item.truth, len(item.features), subsample)
+            assert item.rows.dtype == object
+            assert list(item.rows) == list(expected) == list(item.truth[::subsample])
+        item = dataset["synth02"]
+        assert item.truth is None
+        assert item.rows.dtype == object
+        assert list(item.rows) == [UNANNOTATED] * len(item.features)
+
+    @pytest.mark.parametrize(
+        "data, init_demo, window, subset",
+        [("synth_dir", "synth01", 0, "all"), ("synth_dir", "synth01", 2, "all"),
+         ("robot_dir", "run1", 1, "8,29")],
+        ids=["W0", "W2", "subset"],
+    )
+    def test_X_is_each_demonstration_augmented_in_layout_order(
+        self, request, tmp_path, data, init_demo, window, subset
+    ):
+        config = cli.RunConfig(
+            data_dir=str(request.getfixturevalue(data)), output_dir=str(tmp_path),
+            window=window, feature_subset=subset, init_demos=(init_demo,),
+        )
+        dataset, names = cli.load_dataset(config)
+        result = cli.run_pipeline(
+            config, dataset, cli._check_run(config, dataset, names, cli._validate(config))
+        )
+        ids = [init_demo, *(d for d in dataset if d != init_demo)]
+        keep = [7, 28] if subset == "8,29" else list(range(len(names)))
+        expected = np.concatenate([
+            preprocess.augment(dataset[d].features[:, keep], window) for d in ids
+        ])
+        assert list(result.spans) == ids
+        assert result.X.shape == expected.shape
+        assert result.X.tobytes() == expected.tobytes()
+
+
 class TestRunPreconditions:
     """Each precondition of a run on its data exits 2 with its message; the
     session data has 360 frames, so 119 rows at W=1 anchored up to frame
@@ -2230,7 +2340,8 @@ class TestRunPreconditions:
         assert len(made) == 3  # the init demonstration's and both scored ones
 
     def test_sweep_checks_each_run_once(self, synth_dir, tmp_path, count_calls):
-        # the check before the first run lays out each run for its fit
+        # the check before the first run lays out each run for its fit, from
+        # row labels the load made once per transcribed demonstration
         made = count_calls(cli._preprocess, "labels_at_rows")
         checked = count_calls(cli, "_check_run")
         assert main([
@@ -2238,15 +2349,17 @@ class TestRunPreconditions:
             "--init-demos", "synth00", "--w-values", "0,1,2",
         ]) == 0
         assert len(checked) == 3
-        assert len(made) == 3 * 3  # three runs, three transcribed demonstrations
+        assert len(made) == 3  # three transcribed demonstrations, whatever the runs
 
     def test_ablate_checks_each_subset_once(self, robot_dir, tmp_path, count_calls):
+        made = count_calls(cli._preprocess, "labels_at_rows")
         checked = count_calls(cli, "_check_run")
         assert main([
             "ablate", "--data-dir", str(robot_dir), "--output-dir", str(tmp_path / "out"),
             "--init-demos", "run0", "--window", "1", "--subsets", "all,1,8+29",
         ]) == 0
         assert [args[0].feature_subset for args, _ in checked] == ["all", "1", "8,29"]
+        assert len(made) == 2  # run0's and run1's, at load, whatever the subsets
 
     @staticmethod
     def sweep_w_0_5(tmp_path, capsys, transcript, message):

@@ -70,6 +70,10 @@ class TestParseMapping:
         with pytest.raises(ValueError, match="line 1"):
             parse_mapping("G1 L1\n")
 
+    def test_empty_rhs(self):
+        with pytest.raises(ValueError, match="^mapping line 1: empty source or target$"):
+            parse_mapping("G1 ->\n")
+
     def test_empty_target(self):
         with pytest.raises(ValueError):
             parse_mapping("G1 -> A | \n")
@@ -232,6 +236,21 @@ class TestApplyMapping:
         t = (Segment(1, 10, "G7"),)
         with pytest.raises(ValueError, match="'G7'"):
             apply_mapping(t, parse_mapping("G1 -> L1\n"))
+
+    def test_sidecar_boundary_count_must_match_the_split(self):
+        t = (Segment(1, 20, "G"),)
+        sc = {"boundaries": {("d", 0): [5, 10]}, "overrides": {}}
+        with pytest.raises(ValueError, match=re.escape(
+            "segment Segment(start=1, end=20, label='G'): rule 'G' needs 1 "
+            "boundary frame(s), got 2"
+        )):
+            apply_mapping(t, parse_mapping("G -> A | B\n"), sc, demo_id="d")
+
+    def test_sidecar_boundary_repeated(self):
+        t = (Segment(1, 20, "G"),)
+        sc = {"boundaries": {("d", 0): [5, 5]}, "overrides": {}}
+        with pytest.raises(ValueError, match="boundaries must be increasing$"):
+            apply_mapping(t, parse_mapping("G -> A | B | C\n"), sc, demo_id="d")
 
     def test_boundary_outside_segment(self):
         t = (Segment(10, 20, "G"),)

@@ -286,6 +286,11 @@ class TestKmeansInit:
         model = kmeans_init(X, 2, seed=1)
         assert model.n_components == 2
 
+    def test_more_components_than_rows(self):
+        # the library's one check of k <= rows; the CLI checks it before the run
+        with pytest.raises(NumericalError, match="^cannot repopulate empty cluster$"):
+            kmeans_init(np.arange(6.0).reshape(3, 2), 4, seed=0)
+
 
 class TestEmFit:
     def test_two_component_recovery(self):
@@ -344,6 +349,16 @@ class TestEmFit:
         assert np.array_equal(model.means[1], [1e4])
         assert np.isfinite(model.fit_trace).all()
         assert abs(model.weights.sum() - 1.0) < 1e-9
+
+    def test_non_finite_rows(self):
+        init = mixture((np.zeros(1), np.eye(1), 1.0, "only"))
+        X = np.array([[0.0], [np.inf], [1.0]])
+        # numpy warns on inf - inf on the way; the error is what is checked
+        with warnings.catch_warnings(), pytest.raises(
+            NumericalError, match="^non-finite log-likelihood at iteration 0$"
+        ):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            em_fit(X, init, tol=1e-6, max_iter=5)
 
     def test_dimension_mismatch(self):
         init = random_model(np.random.default_rng(20), 2, 3)
@@ -406,6 +421,11 @@ class TestPredictLabels:
         )
         labels = predict_labels(model, np.array([[0.0]]))
         assert labels == ["first"]
+
+    def test_one_dimensional_rows_rejected(self):
+        model = mixture((np.zeros(1), np.eye(1), 1.0, "only"))
+        with pytest.raises(ValueError, match="^expected a 2-D sample matrix$"):
+            predict_labels(model, np.zeros(3))
 
     def test_anonymous_names(self):
         rng = np.random.default_rng(24)

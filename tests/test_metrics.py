@@ -141,6 +141,10 @@ class TestNmi:
 
 
 class TestSilhouette:
+    def test_label_count_must_match_rows(self):
+        with pytest.raises(ValueError, match="^label count does not match row count$"):
+            silhouette_samples(np.zeros((3, 2)), ["a", "b"])
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(6)
         for _ in range(60):

@@ -332,6 +332,14 @@ def usable_cpus():
     return str(gmm._usable_cpus())
 
 
+@pytest.mark.parametrize("count, expected", [(5, 5), (None, 1)])
+def test_usable_cpus_without_affinity(monkeypatch, count, expected):
+    # platforms without sched_getaffinity count every CPU, at least one
+    monkeypatch.delattr(gmm.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(gmm.os, "cpu_count", lambda: count)
+    assert gmm._usable_cpus() == expected
+
+
 class TestBlasPin:
     def test_unset_variables_read_one(self):
         assert python(REPORT) == ["1", "1", "1", "True", usable_cpus()]
