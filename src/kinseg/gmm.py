@@ -47,9 +47,16 @@ part itself: buffers allocated in the pool's threads would grow glibc's
 per-thread arenas and the peak RSS. Mixtures below SPLIT_FLOOR, and every
 mixture when the BLAS pin did not take effect, run on the calling thread.
 
-All likelihood computations run in the log domain with max-subtraction;
-covariances are regularized with a scale-relative ridge at initialization
-and after every M-step so Cholesky factorizations always succeed.
+All likelihood computations run in the log domain with max-subtraction.
+Every covariance the estimator makes, at either init and after every
+M-step, is a positive semidefinite scatter plus a ridge of REG_SCALE times
+its mean variance (REG_FLOOR when that is 0), so its Cholesky factorization
+succeeds whenever its entries are finite. The ridge scales with the
+covariance: it bounds the condition number (by about D / REG_SCALE), not
+the size. A component collapsing onto one point keeps shrinking, down to
+the REG_FLOOR ridge once its scatter is 0, and EM's log-likelihood can
+then fall. A model passed in is factored as given: an init covariance that
+is not positive definite raises NumericalError naming its component.
 """
 
 import contextvars
@@ -415,6 +422,7 @@ def em_fit(X, init: GmmModel, tol: float, max_iter: int) -> GmmModel:
     component whose responsibility mass underflows is frozen for that
     iteration rather than divided by ~0. EM ends on an E-step under the
     returned model (at max_iter an untraced one), whose argmax is fit.predicted.
+    A row holding inf or nan is a ValueError that names it.
     """
     data = _as_matrix(X)
     dim = data.shape[1]
@@ -422,6 +430,9 @@ def em_fit(X, init: GmmModel, tol: float, max_iter: int) -> GmmModel:
         raise ValueError(
             f"data dimension {dim} does not match init model {init.dimension}"
         )
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"row {int(np.argmin(finite))} is not finite")
     means = np.array(init.means, dtype=float)
     covariances = np.array(init.covariances, dtype=float)
     weights = np.array(init.weights, dtype=float)

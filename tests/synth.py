@@ -9,7 +9,11 @@ statistical, not bit-exact.
 
 The tests use it as their oracle: write_dataset lays a labeled dataset out
 on disk for the CLI, and serialize_kinematics writes recordings back to
-text. It needs only numpy and kinseg:
+text. It also holds what the test modules share, so that none imports
+another: rotvec_matrices for robot recordings, write_jigsaws for the
+benchmark's JIGSAWS-shaped data, lowpass_filter for one signal's filtered
+channels, and tree_bytes for a run's output files. It needs only numpy and
+kinseg:
 
     PYTHONPATH=tests python -c "import synth; synth.write_dataset('data', n_demos=3)"
 """
@@ -17,10 +21,13 @@ text. It needs only numpy and kinseg:
 import csv
 import io
 import os
+import pathlib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from kinseg import preprocess
 from kinseg.ingest import (
     JIGSAWS_TOTAL_COLUMNS,
     PSM_COLUMNS,
@@ -241,3 +248,42 @@ def write_dataset(
             fh.write(serialize_kinematics(frames, "generic_csv", names))
         with open(os.path.join(tr_dir, f"{demo_id}.txt"), "w") as fh:
             fh.write(serialize_transcript(transcript))
+
+
+def rotvec_matrices(rotvecs) -> np.ndarray:
+    """Rotation matrices (..., 3, 3) of rotation vectors (..., 3), each the
+    axis times the angle in radians, by Rodrigues' formula."""
+    v = np.asarray(rotvecs, dtype=float)
+    angle = np.linalg.norm(v, axis=-1)[..., None, None]
+    K = np.zeros(v.shape + (3,))  # the unit axis's cross-product matrix
+    K[..., 0, 1], K[..., 0, 2] = -v[..., 2], v[..., 1]
+    K[..., 1, 0], K[..., 1, 2] = v[..., 2], -v[..., 0]
+    K[..., 2, 0], K[..., 2, 1] = -v[..., 1], v[..., 0]
+    K /= np.where(angle > 0, angle, 1.0)
+    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+
+
+def write_jigsaws(data, seed, n_demos, n_frames):
+    """perfbench/jigsaws_data.py's JIGSAWS-shaped dataset, written to data."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import jigsaws_data
+    finally:
+        sys.path.remove(bench)
+    jigsaws_data.write_dataset(str(data), seed, n_demos, n_frames)
+    return data
+
+
+def tree_bytes(root):
+    """Every file under root, by relative path in sorted order, as bytes."""
+    root = pathlib.Path(root)
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def lowpass_filter(signal, fc_hz, fs_hz):
+    """One 1-D or T x p signal through the batched filter, as a batch of one."""
+    x = np.asarray(signal, dtype=float)
+    columns = x.reshape(len(x), -1)
+    (y,) = preprocess._lowpass_batch([columns.shape], [columns], fc_hz, fs_hz)
+    return y.reshape(x.shape)

@@ -17,8 +17,6 @@ from scipy.spatial.transform import Rotation
 import synth
 from kinseg import gmm, metrics, preprocess
 from kinseg.cli import main
-from test_cli import write_jigsaws
-from test_preprocess import lowpass_filter
 
 
 def _criterion(name: str, ok: bool, detail: str) -> None:
@@ -214,10 +212,10 @@ def test_quaternion_and_filter():
     fs, fc = 30.0, 1.5
     t = np.arange(3000) / fs
     const = np.full(3000, 2.5)
-    dc_gain = float(np.mean(lowpass_filter(const, fc, fs)[500:-500])) / 2.5
+    dc_gain = float(np.mean(synth.lowpass_filter(const, fc, fs)[500:-500])) / 2.5
 
     f = 5.0
-    y = lowpass_filter(np.sin(2 * np.pi * f * t), fc, fs)
+    y = synth.lowpass_filter(np.sin(2 * np.pi * f * t), fc, fs)
     crop = y[500:-500]
     tc = t[500:-500]
     amp = 2.0 * math.hypot(
@@ -410,7 +408,7 @@ def test_jigsaws_benchmark_plumbing(tmp_path):
     # The gate's runs on a Suturing tree written from the JIGSAWS-shaped
     # generator; its accuracies say nothing about the paper's claims.
     root = tmp_path / "Suturing"
-    write_jigsaws(tmp_path / "gen", 1, 5, 900)
+    synth.write_jigsaws(tmp_path / "gen", 1, 5, 900)
     (root / "kinematics").mkdir(parents=True)
     os.rename(tmp_path / "gen" / "kinematics", root / "kinematics" / "AllGestures")
     os.rename(tmp_path / "gen" / "transcripts", root / "transcriptions")

@@ -6,7 +6,6 @@ import io
 import json
 import math
 import os
-import pathlib
 import re
 import shutil
 import tempfile
@@ -17,7 +16,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
-from scipy.spatial.transform import Rotation
 
 from kinseg import cli, metrics, preprocess
 from kinseg.cli import main
@@ -37,8 +35,14 @@ from kinseg.ingest import (
 )
 from kinseg.preprocess import labels_at_rows
 from modeljson import read_model
-from synth import serialize_kinematics, write_dataset
-from test_preprocess import lowpass_filter
+from synth import (
+    lowpass_filter,
+    rotvec_matrices,
+    serialize_kinematics,
+    tree_bytes,
+    write_dataset,
+    write_jigsaws,
+)
 
 REPORT_KEYS = [
     "accuracy",
@@ -483,7 +487,7 @@ class TestSweepAndAblate:
         captured = capsys.readouterr()
         assert code == 2
         assert "kinseg: data error: synth02: need more than 5 rows, got 4" in captured.err
-        assert "window=" not in captured.out
+        assert captured.out == ""
         assert not (out / "sweep_window.csv").exists()
 
     def test_ablate_help_names_the_joiner(self, capsys):
@@ -769,9 +773,7 @@ def robot_dir(tmp_path_factory):
                 [np.sin(2 * np.pi * freq * t + arm + k) for k in range(3)]
             )
             angles = 0.4 * np.sin(2 * np.pi * 0.2 * t + arm + run)
-            rots = Rotation.from_rotvec(
-                np.outer(angles, [0.6, 0.8, 0.0])
-            ).as_matrix().reshape(T, 9)
+            rots = rotvec_matrices(np.outer(angles, [0.6, 0.8, 0.0])).reshape(T, 9)
             vel = np.column_stack(
                 [np.cos(2 * np.pi * freq * t + arm + k) for k in range(3)]
             )
@@ -897,8 +899,7 @@ class TestRuntimeNeedsOnlyNumpy:
         )
         assert proc.returncode == 0, proc.stderr
         assert main(["segment", "--output-dir", str(plain), *common]) == 0
-        report = (blocked / "report.json").read_bytes()
-        assert report == (plain / "report.json").read_bytes()
+        assert tree_bytes(blocked) == tree_bytes(plain)
 
 
 def test_traced_benchmark_runs(tmp_path):
@@ -1067,6 +1068,26 @@ class TestMappingFlag:
         report = json.loads((out / "report.json").read_text())
         assert set(report["confusion"]["labels"]) <= {"L1", "L2", "L3"}
 
+    def test_sweep_with_a_mapping(self, synth_dir, tmp_path):
+        # each run of the sweep scores the remapped labels, as segment does
+        rules = tmp_path / "rules.txt"
+        rules.write_text("R0 -> A\nR1 -> A\nR2 -> B\n")
+        sweep, seg = tmp_path / "sweep", tmp_path / "seg"
+        assert main([
+            "sweep-window", "--data-dir", str(synth_dir), "--output-dir", str(sweep),
+            "--init-demos", "synth00", "--w-values", "0,1", "--mapping", str(rules),
+        ]) == 0
+        assert run_segment(synth_dir, seg, ["--mapping", str(rules)]) == 0
+        report = json.loads((seg / "report.json").read_text())
+        assert report["confusion"]["labels"] == ["A", "B"]
+        with open(sweep / "sweep_window.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[0] for row in rows] == ["0", "1"]
+        assert rows[1][1:] == [
+            "" if report[k] is None else repr(float(report[k]))
+            for k in ("accuracy", "nmi", "si_pred", "si_truth")
+        ]
+
     def test_target_of_two_words(self, synth_dir, tmp_path, capsys):
         # a target of two words would write prediction lines such as
         # "7 12 A x", which parse_transcript cannot read back
@@ -1089,20 +1110,6 @@ class TestMappingFlag:
             "0-based segment index keying a one-word label, got '2': 'B x'"
         ) in capsys.readouterr().err
         assert not out.exists()
-
-
-def write_jigsaws(data, seed, n_demos, n_frames):
-    """perfbench/jigsaws_data.py's JIGSAWS-shaped dataset, written to data."""
-    import sys
-
-    bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
-    sys.path.insert(0, bench)
-    try:
-        import jigsaws_data
-    finally:
-        sys.path.remove(bench)
-    jigsaws_data.write_dataset(str(data), seed, n_demos, n_frames)
-    return data
 
 
 def test_builtin_mapping_on_suturing_data(tmp_path, capsys):
@@ -1138,11 +1145,6 @@ def test_no_degenerate_warning_on_suturing_data(tmp_path, capsys, init):
 
 
 BOM = "\ufeff".encode("utf-8")
-
-
-def output_bytes(out):
-    """Every file under out, by its path relative to out."""
-    return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
 
 @pytest.fixture(scope="module")
@@ -1181,14 +1183,14 @@ class TestByteOrderMark:
         shutil.copytree(robot_inputs, root, ignore=shutil.ignore_patterns("out"))
         (root / name).write_bytes(BOM + (root / name).read_bytes())
         assert main(robot_argv(root, tmp_path / "out")) == 0
-        assert output_bytes(tmp_path / "out") == output_bytes(robot_inputs / "out")
+        assert tree_bytes(tmp_path / "out") == tree_bytes(robot_inputs / "out")
 
     def test_csv_recording(self, synth_dir, weak_run, tmp_path):
         data = copy_synth(synth_dir, tmp_path / "data")
         for path in (data / "kinematics").iterdir():
             path.write_bytes(BOM + path.read_bytes())
         assert run_segment(data, tmp_path / "out") == 0
-        assert output_bytes(tmp_path / "out") == output_bytes(weak_run)
+        assert tree_bytes(tmp_path / "out") == tree_bytes(weak_run)
 
 
 class TestConfigFile:
@@ -1205,6 +1207,20 @@ class TestConfigFile:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["accuracy"] is None
+
+    def test_file_sets_what_the_flags_set(self, robot_inputs, tmp_path):
+        data = robot_inputs / "data"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "data_dir": str(data), "init_method": "weak", "init_demos": ["d00"],
+            "window": 1, "mapping": "builtin",
+        }))
+        assert main(["segment", "--config", str(cfg), "--output-dir", str(tmp_path / "file")]) == 0
+        assert main([
+            "segment", "--data-dir", str(data), "--output-dir", str(tmp_path / "flags"),
+            "--init", "weak", "--init-demos", "d00", "--window", "1", "--mapping", "builtin",
+        ]) == 0
+        assert tree_bytes(tmp_path / "file") == tree_bytes(tmp_path / "flags")
 
     def test_null_leaves_default(self, tmp_path):
         # null used to reach _validate and end in a TypeError traceback
@@ -1792,10 +1808,7 @@ class TestErrorExits:
         plain, spaced = tmp_path / "plain", tmp_path / "spaced"
         assert segment(plain, "synth00,synth01", "flag") == 0
         assert segment(spaced, " synth00, synth01 ,", form) == 0
-        files = sorted(p.relative_to(plain) for p in plain.rglob("*") if p.is_file())
-        assert files == sorted(p.relative_to(spaced) for p in spaced.rglob("*") if p.is_file())
-        for f in files:
-            assert (spaced / f).read_bytes() == (plain / f).read_bytes()
+        assert tree_bytes(spaced) == tree_bytes(plain)
 
     def test_config_list_keeps_its_ids(self, synth_dir, tmp_path, capsys):
         # only a comma-separated string is split and stripped
@@ -2522,7 +2535,7 @@ def generated_datasets(draw):
             arms = [
                 np.hstack([
                     walk + arm,
-                    Rotation.from_rotvec(0.3 * walk[:, ::-1]).as_matrix().reshape(T, 9),
+                    rotvec_matrices(0.3 * walk[:, ::-1]).reshape(T, 9),
                     rng.normal(size=(T, 7)),
                 ])
                 for arm in range(2)
@@ -2633,12 +2646,6 @@ def run_main(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
-
-
-def tree_bytes(root):
-    """Every file under root, by relative path, as bytes."""
-    root = pathlib.Path(root)
-    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 class TestGeneratedDatasets:

@@ -350,10 +350,19 @@ class TestEmFit:
         assert np.isfinite(model.fit_trace).all()
         assert abs(model.weights.sum() - 1.0) < 1e-9
 
-    def test_non_finite_rows(self):
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("max_iter", [0, 5])
+    def test_non_finite_rows(self, value, max_iter):
         init = mixture((np.zeros(1), np.eye(1), 1.0, "only"))
-        X = np.array([[0.0], [np.inf], [1.0]])
-        # numpy warns on inf - inf on the way; the error is what is checked
+        X = np.array([[0.0], [1.0], [value], [value]])
+        with pytest.raises(ValueError, match="^row 2 is not finite$"):
+            em_fit(X, init, tol=1e-6, max_iter=max_iter)
+
+    def test_likelihood_that_overflows(self):
+        # finite rows whose squared distance overflows reach the
+        # likelihood check; numpy warns on -inf - -inf on the way
+        init = mixture((np.zeros(1), np.eye(1), 1.0, "only"))
+        X = np.array([[0.0], [1e300], [1.0]])
         with warnings.catch_warnings(), pytest.raises(
             NumericalError, match="^non-finite log-likelihood at iteration 0$"
         ):

@@ -18,20 +18,13 @@ from kinseg.preprocess import (
     rows_to_frames,
     zscore,
 )
+from synth import lowpass_filter, rotvec_matrices
 
 
 def rodrigues(axis, angle):
     # Independent rotation construction for the quaternion oracle.
     axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    K = np.array(
-        [
-            [0.0, -axis[2], axis[1]],
-            [axis[2], 0.0, -axis[0]],
-            [-axis[1], axis[0], 0.0],
-        ]
-    )
-    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+    return rotvec_matrices(angle * axis / np.linalg.norm(axis))
 
 
 def quat_from_axis_angle(axis, angle):
@@ -133,6 +126,27 @@ def scipy_quat(R):
     return q
 
 
+class TestRotvecMatrices:
+    """The scipy-free tests build robot recordings from rotvec_matrices."""
+
+    def test_matches_scipy(self):
+        rng = np.random.default_rng(9)
+        axes = rng.normal(size=(300, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        vectors = np.concatenate([
+            axes * rng.uniform(0, 12, size=(300, 1)),
+            axes * 10.0 ** rng.uniform(-12, -1, size=(300, 1)),
+            axes * (np.pi - 10.0 ** rng.uniform(-9, -1, size=(300, 1))),
+            np.pi * np.eye(3),
+            0.3 * np.cumsum(rng.normal(size=(300, 3)), axis=0),  # test_cli's walk
+            np.zeros((1, 3)),
+        ])
+        R = rotvec_matrices(vectors)
+        assert np.abs(R - Rotation.from_rotvec(vectors).as_matrix()).max() <= 1e-15
+        assert np.array_equal(R[-1], np.eye(3))
+        assert rotmat_to_quat(R).shape == (len(vectors), 4)
+
+
 class TestBatchedRotmatToQuat:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60))
@@ -201,14 +215,6 @@ def sinusoid_amplitude(y, f, fs, crop):
     c = 2.0 / n * np.sum(y * np.cos(2 * np.pi * f * t))
     s = 2.0 / n * np.sum(y * np.sin(2 * np.pi * f * t))
     return np.hypot(c, s)
-
-
-def lowpass_filter(signal, fc_hz, fs_hz):
-    """One 1-D or T x p signal through the batched filter, as a batch of one."""
-    x = np.asarray(signal, dtype=float)
-    columns = x.reshape(len(x), -1)
-    (y,) = pp._lowpass_batch([columns.shape], [columns], fc_hz, fs_hz)
-    return y.reshape(x.shape)
 
 
 class TestLowpassFilter:

@@ -12,9 +12,10 @@ import pytest
 
 from kinseg import gmm
 from kinseg.gmm import ROW_BLOCK, GmmModel, NumericalError, em_fit, predict_labels
-from synth import write_dataset
+from synth import tree_bytes, write_dataset
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+TESTS = str(Path(__file__).resolve().parent)
+SRC = str(Path(TESTS).parent / "src")
 WORKER_COUNTS = (1, 2, 3)
 ROW_COUNTS = [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3]
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -409,15 +410,19 @@ print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 # ------------------------------------------------- end to end, CLI files
 
 
-def segment_files(tmp_path, name, data_dir, env_update=(), **kwargs):
+WEAK = ["--init", "weak", "--init-demos", "synth00"]
+
+
+def segment_files(tmp_path, name, data_dir, flags, env_update=(), **kwargs):
+    """The output files of a kinseg segment child run with flags and --window 1."""
     out = tmp_path / name
     child(
         ["-m", "kinseg", "segment", "--data-dir", str(data_dir), "--output-dir", str(out),
-         "--init", "weak", "--init-demos", "synth00", "--window", "1"],
+         *flags, "--window", "1"],
         env_update,
         **kwargs,
     )
-    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    return tree_bytes(out)
 
 
 @pytest.fixture(scope="module")
@@ -429,38 +434,63 @@ def above_floor_data(tmp_path_factory):
     return data_dir
 
 
-def assert_split(files):
-    model = json.loads(files[Path("model.json")])
-    k, dim = len(model["components"]), model["dimension"]
-    assert (k, dim) == (4, 96)
-    assert k * dim * dim >= gmm.SPLIT_FLOOR
+def assert_split(files, k):
+    model = json.loads(files["model.json"])
+    assert (len(model["components"]), model["dimension"]) == (k, 96)
+    assert k * 96 * 96 >= gmm.SPLIT_FLOOR
 
 
-@pytest.mark.skipif(
+needs_two_cpus = pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="needs CPU affinity and at least 2 usable CPUs",
 )
-def test_segment_identical_on_one_cpu(tmp_path, above_floor_data):
-    one_cpu = min(os.sched_getaffinity(0))
-    full = segment_files(tmp_path, "full", above_floor_data)
-    assert_split(full)
-    pinned = segment_files(
-        tmp_path, "one", above_floor_data,
-        preexec_fn=lambda: os.sched_setaffinity(0, {one_cpu}),
-    )
+
+
+def on_one_cpu():
+    """A preexec_fn that pins the child to one of this process's CPUs."""
+    cpu = min(os.sched_getaffinity(0))
+    return lambda: os.sched_setaffinity(0, {cpu})
+
+
+@needs_two_cpus
+def test_dataset_identical_on_one_cpu(tmp_path, above_floor_data):
+    data = str(tmp_path / "data")
+    code = f"import synth; synth.write_dataset({data!r}, n_demos=3, dim=48, seed=1)"
+    child(["-c", code], cwd=TESTS, preexec_fn=on_one_cpu())
+    assert tree_bytes(tmp_path / "data") == tree_bytes(above_floor_data)
+
+
+# At D=96 EM and both inits split their kernels across threads; on one CPU
+# they run on one. Each run's flags, and its component count.
+@needs_two_cpus
+@pytest.mark.parametrize("flags, k", [
+    pytest.param(WEAK, 4, id="weak"),
+    pytest.param(["--init", "kmeans", "--k", "4"], 4, id="kmeans"),
+    # the run's row matrix holds synth01 first, not in the dataset's id order
+    pytest.param(["--init", "weak", "--init-demos", "synth01"], 4, id="weak-synth01"),
+    # five components at D=96 split unevenly, and the fit ends on a 5-row block
+    pytest.param(["--init", "kmeans", "--k", "5"], 5, id="kmeans-5"),
+    # capped at 3 iterations, EM labels the fit rows with one more E-step
+    # after the last M-step
+    pytest.param([*WEAK, "--em-max-iter", "3"], 4, id="capped"),
+])
+def test_segment_identical_on_one_cpu(tmp_path, above_floor_data, flags, k):
+    full = segment_files(tmp_path, "full", above_floor_data, flags)
+    assert_split(full, k)
+    pinned = segment_files(tmp_path, "one", above_floor_data, flags, preexec_fn=on_one_cpu())
     assert list(pinned) == list(full)
     for name in full:
         assert pinned[name] == full[name], name
 
 
 def test_segment_with_two_blas_threads(tmp_path, above_floor_data):
-    default = segment_files(tmp_path, "default", above_floor_data)
-    two = segment_files(tmp_path, "two", above_floor_data, {"OPENBLAS_NUM_THREADS": "2"})
+    default = segment_files(tmp_path, "default", above_floor_data, WEAK)
+    two = segment_files(tmp_path, "two", above_floor_data, WEAK, {"OPENBLAS_NUM_THREADS": "2"})
     assert list(two) == list(default)
     for name in default:
-        if name != Path("model.json"):
+        if name != "model.json":
             assert two[name] == default[name], name
-    got, want = (json.loads(f[Path("model.json")]) for f in (two, default))
+    got, want = (json.loads(f["model.json"]) for f in (two, default))
     assert got["fit_trace"] == pytest.approx(want["fit_trace"], rel=1e-11)
     for a, b in zip(got["components"], want["components"]):
         assert a["label"] == b["label"]
