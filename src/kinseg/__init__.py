@@ -20,16 +20,4 @@ if "numpy" not in sys.modules:
 # Whether the pin holds; without it the EM kernels stay on the calling thread.
 BLAS_PINNED = all(os.environ.get(var) == "1" for var in _BLAS_THREAD_VARS)
 
-from kinseg.ingest import (  # noqa: E402  (after the pin)
-    Segment,
-    parse_kinematics,
-    parse_transcript,
-)
-
-__all__ = [
-    "Segment",
-    "parse_kinematics",
-    "parse_transcript",
-]
-
 __version__ = "0.1.0"

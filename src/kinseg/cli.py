@@ -92,7 +92,9 @@ class RunConfig:
     )
     em_tol: float = _setting(1e-6, "--em-tol", float, "EM stopping tolerance")
     em_max_iter: int = _setting(300, "--em-max-iter", int, "EM iteration cap", minimum=0)
-    seed: int = _setting(0, "--seed", int, "random seed", minimum=0)
+    seed: int = _setting(
+        0, "--seed", int, "random seed of k-means init (weak init ignores it)", minimum=0
+    )
     init_method: str = _setting(
         "weak", "--init", str, "mixture initialization", choices=["weak", "kmeans"]
     )
@@ -320,10 +322,10 @@ def _check_run(config: RunConfig, dataset: dict[str, LoadedDemo], names: list[st
     annotated row in each init demonstration, at least 2 init rows per label
     and two labels; for k-means init, --k or an annotated frame to count the
     labels, and no more components than fit rows. Returns the layout of the
-    run's row matrix X, the one statement of where its rows go: the ids in
-    X's order (init demonstrations first, then the rest in id order), each
-    one's slice of X, each row's label (its demonstration's rows, cut to
-    the slice), the component count, and the kept channels."""
+    run's row matrix X: each demonstration's slice of X, in X's order (init
+    demonstrations first, then the rest in id order), the one statement of
+    where its rows go; each row's label (its demonstration's rows, cut to
+    the slice); the component count; and the kept channels."""
     if channels is not None and names != _preprocess.FULL_CHANNEL_NAMES:
         raise ConfigError(
             "feature subsets apply only to the kinematic pipeline "
@@ -340,14 +342,13 @@ def _check_run(config: RunConfig, dataset: dict[str, LoadedDemo], names: list[st
             )
     if len(dataset) == len(config.init_demos):
         raise ValueError("every demonstration is an init demonstration; nothing to fit")
-    ids = [*config.init_demos, *(d for d in dataset if d not in config.init_demos)]
     spans, truth_rows, start = {}, [], 0
-    for demo_id in ids:
+    for demo_id in [*config.init_demos, *(d for d in dataset if d not in config.init_demos)]:
         n_rows = len(dataset[demo_id].features) - config.window
         spans[demo_id] = slice(start, start := start + n_rows)
         truth_rows.append(dataset[demo_id].rows[:n_rows])
     truth_rows = np.concatenate(truth_rows)
-    n_init = spans[ids[len(config.init_demos)]].start
+    n_init = [*spans.values()][len(config.init_demos)].start
     if config.init_method == "weak":
         for demo_id in config.init_demos:
             if dataset[demo_id].truth is None:
@@ -369,7 +370,7 @@ def _check_run(config: RunConfig, dataset: dict[str, LoadedDemo], names: list[st
         n_fit = len(truth_rows) - n_init
         if k > n_fit:
             raise ValueError(f"k-means init needs at least k={k} fit rows, got {n_fit}")
-    return ids, spans, truth_rows, k, channels
+    return spans, truth_rows, k, channels
 
 
 @dataclass
@@ -412,14 +413,14 @@ def run_pipeline(
     rows of every demonstration make one matrix X, each written into its
     span of the layout _check_run returned: EM takes the rest, a view of X,
     and labels it as it ends; one prediction labels the init rows."""
-    ids, spans, truth_rows, k, channels = layout
+    spans, truth_rows, k, channels = layout
     keep = slice(None) if channels is None else channels
-    width = (config.window + 1) * dataset[ids[0]].features[0, keep].size
+    width = (config.window + 1) * dataset[next(iter(spans))].features[0, keep].size
     X = np.empty((len(truth_rows), width))  # the run's one copy of the rows
     for demo_id, span in spans.items():
         X[span] = _preprocess.augment(dataset[demo_id].features[:, keep], config.window)
 
-    fit_ids = ids[len(config.init_demos):]
+    fit_ids = [*spans][len(config.init_demos):]
     n_init = spans[fit_ids[0]].start
     fit_rows = X[n_init:]
     if config.init_method == "weak":

@@ -1,13 +1,14 @@
 """Gesture dictionaries and configurable label remapping.
 
 A mapping file turns one gesture vocabulary into another: plain renames
-(adjacent segments that end up with the same label coalesce), ordered
-splits at externally supplied boundary frames, and a context rule that
-absorbs a segment into its neighbor's class. Split boundaries are data,
-not algorithm: a per-demonstration sidecar supplies exact frames; a split
-rule may carry default fractions, one per boundary, used when the sidecar
-is silent. On a segment too short for its fractions, the parts that get no
-frame are dropped; sidecar boundaries must give every part a frame.
+(expand_labels turns adjacent parts of one label into one run of
+frames), ordered splits at externally supplied boundary frames, and a
+context rule that absorbs a segment into its neighbor's class. Split
+boundaries are data, not algorithm: a per-demonstration sidecar supplies
+exact frames; a split rule may carry default fractions, one per
+boundary, used when the sidecar is silent. On a segment too short for
+its fractions, the parts that get no frame are dropped; sidecar
+boundaries must give every part a frame.
 
 Mapping file syntax, one rule per line ('#' starts a comment):
 
@@ -44,7 +45,6 @@ class MappingRule:
     """One mapping line. Its targets give its kind: none is the context rule
     ('>'), one is a rename, more than one is a split."""
 
-    source: str
     targets: tuple[str, ...]
     fractions: tuple[float, ...] = ()
 
@@ -87,7 +87,7 @@ def parse_mapping(text: str | TextIO) -> dict[str, MappingRule]:
                 raise ValueError(f"mapping line {lineno}: '>' must stand alone")
             targets = ()
         try:
-            rules[source] = MappingRule(source, targets, fractions)
+            rules[source] = MappingRule(targets, fractions)
         except ValueError as exc:
             raise ValueError(f"mapping line {lineno}: {exc}") from None
     return rules
@@ -154,15 +154,14 @@ def check_sidecar(
             where += f", segment {idx}"
             if idx >= len(t):
                 raise ValueError(f"{where}: the transcript has {len(t)} segments")
-            rule = mapping.get(t[idx].label)
+            label = t[idx].label
+            rule = mapping.get(label)
             if rule is None:
                 continue
             if kind == "boundaries" and len(rule.targets) < 2:
-                raise ValueError(f"{where}: the rule for {rule.source!r} is not a split")
+                raise ValueError(f"{where}: the rule for {label!r} is not a split")
             if kind == "overrides" and rule.targets:
-                raise ValueError(
-                    f"{where}: the rule for {rule.source!r} is not the context rule"
-                )
+                raise ValueError(f"{where}: the rule for {label!r} is not the context rule")
 
 
 def _split(segment: Segment, rule: MappingRule, explicit: list[int] | None) -> list[Segment]:
@@ -180,7 +179,7 @@ def _split(segment: Segment, rule: MappingRule, explicit: list[int] | None) -> l
         frames = sorted(explicit)
         if len(frames) != needed:
             raise ValueError(
-                f"segment {segment}: rule {rule.source!r} needs {needed} "
+                f"segment {segment}: rule {segment.label!r} needs {needed} "
                 f"boundary frame(s), got {len(frames)}"
             )
         prev = segment.start - 1
@@ -201,7 +200,7 @@ def _split(segment: Segment, rule: MappingRule, explicit: list[int] | None) -> l
         )
     else:
         raise ValueError(
-            f"segment {segment}: split rule {rule.source!r} has no boundary "
+            f"segment {segment}: split rule {segment.label!r} has no boundary "
             "frames (supply a sidecar entry or rule fractions)"
         )
     starts = [segment.start] + [b + 1 for b in frames]
@@ -218,7 +217,9 @@ def apply_mapping(
     *,
     demo_id: str = "",
 ) -> tuple[Segment, ...]:
-    """Relabel a transcript; merges coalesce, splits cut at boundary frames.
+    """Relabel a transcript part by part; splits cut at boundary frames.
+    Adjacent parts of one label stay apart: expand_labels turns them into
+    one run of frames.
 
     The frame b of a boundary list ends the part before it: a split of
     (s, e) at b yields (s, b) and (b+1, e). The total labeled frame count
@@ -243,18 +244,7 @@ def apply_mapping(
         else:
             explicit = sidecar["boundaries"].get((demo_id, idx))
             pieces.extend(_split(segment, rule, explicit))
-
-    merged: list[Segment] = []
-    for piece in pieces:
-        if (
-            merged
-            and merged[-1].label == piece.label
-            and merged[-1].end + 1 == piece.start
-        ):
-            merged[-1] = Segment(merged[-1].start, piece.end, piece.label)
-        else:
-            merged.append(piece)
-    return tuple(merged)
+    return tuple(pieces)
 
 
 def _neighbor_target(t: Sequence[Segment], rules: list[MappingRule], idx: int) -> str:

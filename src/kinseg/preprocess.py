@@ -232,16 +232,16 @@ def resolve_subset(subset: str) -> list[int]:
     Accepts a named subset ("all", "no-pose", "no-velocity", "no-distance")
     or a comma-separated string of 1-based indices to keep.
     """
-    name = subset.strip()
+    name, n = subset.strip(), len(FULL_CHANNEL_NAMES)
     if name in NAMED_SUBSETS:
         dropped = set(NAMED_SUBSETS[name])
-        return [i for i in range(32) if i + 1 not in dropped]
+        return [i for i in range(n) if i + 1 not in dropped]
     try:
         keep = sorted({int(tok) for tok in name.split(",")})
     except ValueError:
         raise ValueError(f"unknown feature subset {subset!r}") from None
-    if not keep or keep[0] < 1 or keep[-1] > 32:
-        raise ValueError("explicit feature indices must lie in 1..32")
+    if not keep or keep[0] < 1 or keep[-1] > n:
+        raise ValueError(f"explicit feature indices must lie in 1..{n}")
     return [i - 1 for i in keep]
 
 
@@ -286,7 +286,7 @@ def build_features(
     for name, frames in recordings.items():
         named(name, _filter_edge, len(frames))
     filtered = _lowpass_batch(
-        [(len(frames), 32) for frames in recordings.values()],
+        [(len(frames), len(FULL_CHANNEL_NAMES)) for frames in recordings.values()],
         (named(name, _kinematic_channels, recordings.pop(name)) for name in names),
         fc_hz,
         fs_hz,

@@ -549,7 +549,7 @@ class TestSweepAndAblate:
                                init_demos=("synth00",), feature_subset=subset)
         dataset, names = cli.load_dataset(config)
         assert names != cli._preprocess.FULL_CHANNEL_NAMES
-        assert cli._check_run(config, dataset, names, cli._validate(config))[4] is None
+        assert cli._check_run(config, dataset, names, cli._validate(config))[3] is None
 
     @pytest.mark.parametrize("subset", [" no-pose", ",".join(map(str, range(1, 32)))],
                              ids=["named", "31-indices"])
@@ -1018,6 +1018,16 @@ class TestKmeansDefaultK:
         )
         assert loads == []
         assert not (tmp_path / "out").exists()
+
+    def test_seed_under_weak_init_changes_no_byte(self, synth_dir, tmp_path):
+        # weak init draws nothing at random; the seed is accepted, not
+        # rejected as --k is, and only k-means init reads it
+        for seed in ("0", "5"):
+            assert main([
+                "segment", "--data-dir", str(synth_dir), "--output-dir", str(tmp_path / seed),
+                "--init", "weak", "--init-demos", "synth00", "--window", "1", "--seed", seed,
+            ]) == 0
+        assert tree_bytes(tmp_path / "5") == tree_bytes(tmp_path / "0")
 
 
 def write_split_rules(tmp_path):
@@ -1942,6 +1952,24 @@ class TestErrorExits:
         assert "synth00.txt: " in err
         assert "exceeds trajectory length 360" in err
 
+    def test_mapped_transcript_past_recording_names_the_part(
+        self, synth_dir, tmp_path, capsys
+    ):
+        # The remap keeps a rename's adjacent parts apart, so the error names
+        # the first part past the end, not the run of frames it belongs to.
+        data = copy_synth(synth_dir, tmp_path / "data")
+        with open(data / "transcripts" / "synth00.txt", "a") as fh:
+            fh.write("361 400 R0\n")
+        rules = tmp_path / "rules.txt"
+        rules.write_text("R0 -> A\nR1 -> A\nR2 -> A\n")
+        code = run_segment(data, tmp_path / "out", ["--mapping", str(rules)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "kinseg: data error: synth00.txt: segment Segment(start=361, end=400, "
+            "label='A') exceeds trajectory length 360\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("path", ["kinematics/synth01.csv", "transcripts/synth01.txt"])
     def test_undecodable_file_named(self, synth_dir, tmp_path, capsys, path):
         # a transcript's decode error used to end in a TypeError traceback
@@ -2445,9 +2473,9 @@ class TestRunPreconditions:
         config = cli.RunConfig(data_dir=str(synth_dir), output_dir="out", window=1,
                                init_method="kmeans", init_demos=("synth00",))
         dataset, names = cli.load_dataset(config)
-        assert cli._check_run(config, dataset, names, cli._validate(config))[3] == 3
+        assert cli._check_run(config, dataset, names, cli._validate(config))[2] == 3
         config = dataclasses.replace(config, k=238)
-        assert cli._check_run(config, dataset, names, cli._validate(config))[3] == 238
+        assert cli._check_run(config, dataset, names, cli._validate(config))[2] == 238
         with pytest.raises(ValueError, match="at least k=239 fit rows, got 238"):
             cli._check_run(dataclasses.replace(config, k=239), dataset, names,
                            cli._validate(config))

@@ -14,20 +14,20 @@ from kinseg.dictionary import (
     parse_sidecar,
 )
 from kinseg.ingest import UNANNOTATED, Segment, expand_labels
-from test_labelings import transcripts
+from strategies import transcripts
 
 
 def serialize_mapping(mapping: dict[str, MappingRule]) -> str:
     """Mapping file text that parse_mapping reads back to the same rules."""
     lines = []
-    for rule in mapping.values():
+    for source, rule in mapping.items():
         if not rule.targets:
-            lines.append(f"{rule.source} -> >")
+            lines.append(f"{source} -> >")
             continue
         rhs = " | ".join(rule.targets)
         if rule.fractions:
             rhs += " @ " + ",".join(str(f) for f in rule.fractions)
-        lines.append(f"{rule.source} -> {rhs}")
+        lines.append(f"{source} -> {rhs}")
     return "\n".join(lines) + "\n"
 
 
@@ -121,7 +121,7 @@ _fraction = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_ma
 
 
 @st.composite
-def mapping_rules(draw, source):
+def mapping_rules(draw):
     # no targets: context rule; one: rename; more: split
     n_targets = draw(st.integers(0, 4))
     targets = tuple(draw(st.lists(_names, min_size=n_targets, max_size=n_targets)))
@@ -129,13 +129,13 @@ def mapping_rules(draw, source):
     if n_targets > 1 and draw(st.booleans()):
         fractions = tuple(draw(st.lists(_fraction, min_size=n_targets - 1,
                                         max_size=n_targets - 1)))
-    return MappingRule(source, targets, fractions)
+    return MappingRule(targets, fractions)
 
 
 @st.composite
 def mappings(draw):
     sources = draw(st.lists(_names, min_size=1, max_size=6, unique=True))
-    return {s: draw(mapping_rules(s)) for s in sources}
+    return {s: draw(mapping_rules()) for s in sources}
 
 
 class TestMappingRoundTrip:
@@ -150,15 +150,23 @@ class TestMappingRule:
     @pytest.mark.parametrize("targets", [(), ("A",)])
     def test_fraction_needs_a_split(self, targets):
         with pytest.raises(ValueError, match="one per internal split boundary"):
-            MappingRule("G", targets, (0.5,))
+            MappingRule(targets, (0.5,))
 
 
 class TestApplyMapping:
-    def test_merge_coalesces(self):
-        t = (Segment(1, 50, "G2"), Segment(51, 120, "G3"))
-        m = parse_mapping("G2 -> L1\nG3 -> L1\n")
-        out = apply_mapping(t, m)
-        assert out == (Segment(1, 120, "L1"),)
+    @settings(max_examples=150, deadline=None)
+    @given(t=transcripts(), tail=st.integers(0, 5), data=st.data())
+    def test_rename_relabels_each_frame(self, t, tail, data):
+        # expand_labels makes adjacent parts of one label one run of frames,
+        # so a rename's frames are the transcript's frames, renamed
+        sources = sorted({s.label for s in t})
+        targets = data.draw(st.lists(st.sampled_from(["L1", "L2", "G1"]),
+                                     min_size=len(sources), max_size=len(sources)))
+        rename = dict(zip(sources, targets))
+        m = parse_mapping("".join(f"{a} -> {b}\n" for a, b in rename.items()))
+        n = (t[-1].end if t else 0) + tail
+        renamed = [rename.get(label, label) for label in expand_labels(t, n)]
+        assert expand_labels(apply_mapping(t, m), n).tolist() == renamed
 
     def test_split_at_sidecar_boundary(self):
         t = (Segment(150, 260, "G6"),)
@@ -190,7 +198,7 @@ class TestApplyMapping:
         ((Segment(4, 4, "G11"),), [(4, 4, "L7")]),
         ((Segment(4, 5, "G11"),), [(4, 4, "L7"), (5, 5, "L10")]),
         ((Segment(4, 6, "G11"),), [(4, 4, "L7"), (5, 5, "L9"), (6, 6, "L10")]),
-        ((Segment(1, 3, "G2"), Segment(4, 4, "G3")), [(1, 4, "L1")]),
+        ((Segment(1, 3, "G2"), Segment(4, 4, "G3")), [(1, 3, "L1"), (4, 4, "L1")]),
     ])
     def test_builtin_split_of_a_short_segment(self, t, want):
         # the parts that the default fractions give no frame are dropped
@@ -263,25 +271,25 @@ class TestApplyMapping:
         t = (Segment(1, 10, "G5"), Segment(11, 30, "G2"))
         m = parse_mapping("G5 -> >\nG2 -> L1\n")
         out = apply_mapping(t, m)
-        assert out == (Segment(1, 30, "L1"),)
+        assert out == (Segment(1, 10, "L1"), Segment(11, 30, "L1"))
 
     def test_following_at_tail_uses_previous(self):
         t = (Segment(1, 10, "G2"), Segment(11, 30, "G5"))
         m = parse_mapping("G5 -> >\nG2 -> L1\n")
         out = apply_mapping(t, m)
-        assert out == (Segment(1, 30, "L1"),)
+        assert out == (Segment(1, 10, "L1"), Segment(11, 30, "L1"))
 
     def test_following_tail_takes_last_part_of_split(self):
         t = (Segment(1, 10, "G6"), Segment(11, 20, "G5"))
         m = parse_mapping("G6 -> L5 | L3 @ 0.5\nG5 -> >\n")
         out = apply_mapping(t, m)
-        assert out[-1] == Segment(6, 20, "L3")
+        assert out[1:] == (Segment(6, 10, "L3"), Segment(11, 20, "L3"))
 
     def test_following_before_split_takes_first_part(self):
         t = (Segment(1, 10, "G5"), Segment(11, 20, "G6"))
         m = parse_mapping("G6 -> L5 | L3 @ 0.5\nG5 -> >\n")
         out = apply_mapping(t, m)
-        assert out[0] == Segment(1, 15, "L5")
+        assert out[:2] == (Segment(1, 10, "L5"), Segment(11, 15, "L5"))
 
     def test_following_override(self):
         t = (Segment(1, 10, "G5"), Segment(11, 30, "G2"))
@@ -382,9 +390,10 @@ def mapped_transcripts(draw):
         fits = [k for k, rule in m.items() if rule.fractions or len(rule.targets) <= frames]
         if not fits:
             continue  # a gap where no rule can cut the segment
-        rule = m[draw(st.sampled_from(fits))]
+        source = draw(st.sampled_from(fits))
+        rule = m[source]
         idx = len(segments)
-        segments.append(s._replace(label=rule.source))
+        segments.append(s._replace(label=source))
         n = len(rule.targets)
         if 1 < n <= frames and (not rule.fractions or draw(st.booleans())):
             boundaries["d", idx] = draw(st.lists(

@@ -22,6 +22,7 @@ from kinseg.ingest import (
 )
 from kinseg.metrics import confusion_matrix, evaluate
 from kinseg.preprocess import labels_at_rows, rows_to_frames
+from strategies import NAMES, transcripts
 
 # ------------------------------------------------------------ references
 
@@ -146,9 +147,6 @@ def ref_confusion_matrix(pred, truth):
 
 # ------------------------------------------------------------ strategies
 
-# "cluster_10" sorts before "cluster_2": the codes must follow name order.
-NAMES = [UNANNOTATED, "G1", "G2", "G11", "cluster_2", "cluster_10"]
-
 
 @st.composite
 def alphabets(draw, gaps=True):
@@ -177,19 +175,6 @@ def labeling_pairs(draw, min_size=0, gaps=True):
     alphabet = draw(alphabets(gaps))
     pred = draw(st.lists(st.sampled_from(alphabet), min_size=len(truth), max_size=len(truth)))
     return pred, truth
-
-
-@st.composite
-def transcripts(draw):
-    """Gap-bearing transcripts; adjacent segments may share a label."""
-    segments = []
-    pos = 1
-    for label in draw(st.lists(st.sampled_from(NAMES[1:]), max_size=12)):
-        pos += draw(st.integers(0, 4))  # gap before the segment
-        end = pos + draw(st.integers(0, 6))
-        segments.append(Segment(pos, end, label))
-        pos = end + 1
-    return tuple(segments)
 
 
 # ------------------------------------------------- equality with references
