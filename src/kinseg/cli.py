@@ -15,6 +15,10 @@ demonstration is fitted and, when it has a transcript, scored. All
 settings can come from a JSON config file; command-line flags override
 file values field by field.
 
+Each kind of input is checked in one place: file contents in ingest, as
+they are parsed; settings in _validate; a run's data in _check_run. The
+layers below this module take the arrays it builds as given.
+
 Exit codes: 0 success, 1 usage or config error, 2 data error, 3 numerical
 failure.
 """

@@ -146,13 +146,6 @@ class GmmModel:
         return np.array(names, dtype=object)[np.argmax(logs, axis=1)]
 
 
-def _as_matrix(X) -> np.ndarray:
-    values = np.asarray(X, dtype=float)
-    if values.ndim != 2:
-        raise ValueError("expected a 2-D sample matrix")
-    return values
-
-
 def regularize_covariance(cov: np.ndarray) -> np.ndarray:
     """Symmetrize and add the scale-relative ridge eps * I; a stack of
     matrices (..., D, D) gets one ridge per matrix."""
@@ -163,9 +156,9 @@ def regularize_covariance(cov: np.ndarray) -> np.ndarray:
     return cov + eps[..., None, None] * np.eye(cov.shape[-1])
 
 
-def weak_init(X, labels: Sequence[str]) -> GmmModel:
-    """Initial mixture from annotated rows, one label per row (the labeled
-    rows of every init demonstration, stacked; at least one).
+def weak_init(data: np.ndarray, labels: Sequence[str]) -> GmmModel:
+    """Initial mixture from annotated rows (N x D floats), one label per row
+    (the labeled rows of every init demonstration, stacked; at least one).
 
     One component per distinct label; mean, covariance and weight are the
     empirical statistics of that label's rows. A label with no more rows
@@ -173,11 +166,7 @@ def weak_init(X, labels: Sequence[str]) -> GmmModel:
     invertible; such a label raises a RuntimeWarning, since EM tends to
     starve its component.
     """
-    data = _as_matrix(X)
-    dim = data.shape[1]
-    if len(labels) != data.shape[0]:
-        raise ValueError("label count does not match row count")
-    names, codes, counts = weak_labels(labels, dim)
+    names, codes, counts = weak_labels(labels, data.shape[1])
     means, covariances = _estimate(data, np.eye(len(names))[codes], counts)
     return GmmModel(means, covariances, counts / len(codes), tuple(names))
 
@@ -200,14 +189,14 @@ def weak_labels(labels: Sequence[str], dim: int | None = None):
     return names, codes, counts
 
 
-def kmeans_init(X, k: int, seed: int) -> GmmModel:
+def kmeans_init(data: np.ndarray, k: int, seed: int) -> GmmModel:
     """Anonymous mixture from seeded k-means++ plus Lloyd iterations.
 
     Cluster identities are unknown, so component labels stay unset. An
     empty cluster is re-seeded deterministically with the point currently
-    farthest from its assigned centroid. Needs 1 <= k <= the rows of X.
+    farthest from its assigned centroid. Needs 1 <= k <= the rows of data
+    (N x D floats).
     """
-    data = _as_matrix(X)
     n = data.shape[0]
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_seeds(data, k, rng)
@@ -356,8 +345,9 @@ def _log_densities(data: np.ndarray, means, covariances, weights) -> np.ndarray:
             q *= -0.5
             q += bias
 
+    rows_held = max(ROW_BLOCK, 2)  # a one-row block is computed as two
     _run(part, [
-        (lo, hi, np.empty((ROW_BLOCK, k * dim))) for lo, hi in zip(bounds, bounds[1:])
+        (lo, hi, np.empty((rows_held, k * dim))) for lo, hi in zip(bounds, bounds[1:])
     ])
     return out
 
@@ -413,9 +403,10 @@ def _logsumexp_rows(logs: np.ndarray) -> np.ndarray:
     return m + np.log(np.sum(np.exp(logs - m[:, None]), axis=1))
 
 
-def em_fit(X, init: GmmModel, tol: float, max_iter: int) -> GmmModel:
-    """Refine a mixture by EM until the relative log-likelihood change
-    drops below tol (> 0) or max_iter (>= 0) iterations are reached.
+def em_fit(data: np.ndarray, init: GmmModel, tol: float, max_iter: int) -> GmmModel:
+    """Refine a mixture by EM on data (N x D floats, D the model's dimension)
+    until the relative log-likelihood change drops below tol (> 0) or
+    max_iter (>= 0) iterations are reached.
 
     Component order and labels are carried over from the initial model
     unchanged; fit_trace holds the log-likelihood before each M-step. A
@@ -424,12 +415,7 @@ def em_fit(X, init: GmmModel, tol: float, max_iter: int) -> GmmModel:
     returned model (at max_iter an untraced one), whose argmax is fit.predicted.
     A row holding inf or nan is a ValueError that names it.
     """
-    data = _as_matrix(X)
     dim = data.shape[1]
-    if dim != init.dimension:
-        raise ValueError(
-            f"data dimension {dim} does not match init model {init.dimension}"
-        )
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         raise ValueError(f"row {int(np.argmin(finite))} is not finite")
@@ -465,14 +451,10 @@ def em_fit(X, init: GmmModel, tol: float, max_iter: int) -> GmmModel:
     return GmmModel(means, covariances, weights, init.labels, fit_trace, fit)
 
 
-def predict_labels(model: GmmModel, X) -> np.ndarray:
-    """Most likely component name per row, as an object array: the argmax
-    of the rows' log densities (argmax_names), so no posteriors are formed."""
-    data = _as_matrix(X)
-    if data.shape[1] != model.dimension:
-        raise ValueError(
-            f"data dimension {data.shape[1]} does not match model {model.dimension}"
-        )
+def predict_labels(model: GmmModel, data: np.ndarray) -> np.ndarray:
+    """Most likely component name per row of data (N x D floats, D the
+    model's dimension), as an object array: the argmax of the rows' log
+    densities (argmax_names), so no posteriors are formed."""
     return model.argmax_names(_log_densities(data, model.means, model.covariances,
                                              model.weights))
 

@@ -61,8 +61,6 @@ def parse_kinematics(
     <csv's message>"; no rows raise "empty input", or "no data rows" after a
     CSV header.
     """
-    if layout not in _DELIMITERS:
-        raise ValueError(f"unknown layout {layout!r}")
     delimiter = _DELIMITERS[layout]
     stream = io.StringIO(text) if isinstance(text, str) else text
     if not stream.seekable():  # read once, so that the record parser can go back
@@ -166,10 +164,9 @@ def serialize_transcript(t: Sequence[Segment]) -> str:
 
 
 def expand_labels(t: Sequence[Segment], n_frames: int) -> np.ndarray:
-    """Per-frame labels as an object array (0-based, length n_frames);
-    frames no segment covers hold UNANNOTATED."""
-    if n_frames < 0:
-        raise ValueError(f"trajectory length must be >= 0, got {n_frames}")
+    """Per-frame labels as an object array (0-based, length n_frames >= 0);
+    frames no segment covers hold UNANNOTATED. A segment past the last
+    frame raises ValueError."""
     labels = np.full(n_frames, UNANNOTATED, dtype=object)
     for s in t:
         if s.end > n_frames:

@@ -22,18 +22,13 @@ from kinseg.ingest import UNANNOTATED, code_labels
 SILHOUETTE_ELEMENTS = 1 << 16
 
 
-def _check_lengths(a, b):
-    if len(a) != len(b):
-        raise ValueError(f"sequence lengths differ: {len(a)} vs {len(b)}")
-
-
 def confusion_matrix(pred: Sequence, truth: Sequence) -> tuple[list[str], np.ndarray]:
-    """Counts over the sorted union of labels; rows = truth, cols = pred.
+    """Counts over the sorted union of labels of two labelings of equal
+    length; rows = truth, cols = pred.
 
     One code_labels over truth and pred together codes both axes alike, and
     one np.bincount over the code pairs fills the matrix.
     """
-    _check_lengths(pred, truth)
     both = [np.asarray(truth, dtype=object), np.asarray(pred, dtype=object)]
     names, codes = code_labels(np.concatenate(both))
     k, n = len(names), len(truth)
@@ -71,8 +66,9 @@ def _nmi(joint: np.ndarray) -> float:
     return float(min(max(value, 0.0), 1.0))
 
 
-def silhouette_samples(X, labels: Sequence) -> np.ndarray:
-    """Raw per-sample silhouette values in [-1, 1] against cluster means.
+def silhouette_samples(X: np.ndarray, labels: Sequence) -> np.ndarray:
+    """Raw per-sample silhouette values in [-1, 1] against cluster means, of
+    the rows of X (N x D floats) and their N labels.
 
     a(i): distance to the mean of the sample's own cluster; b(i): distance
     to the nearest mean of any other cluster; s = (b - a) / max(a, b),
@@ -80,27 +76,23 @@ def silhouette_samples(X, labels: Sequence) -> np.ndarray:
     UNANNOTATED are left out: the values are those of the other rows
     alone, bit for bit, in their order.
     """
-    data = np.asarray(X, dtype=float)
-    labels = np.asarray(labels, dtype=object)
-    if data.shape[0] != labels.shape[0]:
-        raise ValueError("label count does not match row count")
     names, idx = code_labels(labels)
     if names[:1] == [UNANNOTATED]:  # sorted first; its rows get code -1
         names, idx = names[1:], idx - 1
     if len(names) < 2:
         raise ValueError("need at least 2 distinct clusters")
-    means = np.stack([data[idx == j].mean(axis=0) for j in range(len(names))])
+    means = np.stack([X[idx == j].mean(axis=0) for j in range(len(names))])
     # differenced norms, not the expanded quadratic form: the latter loses
     # ~half the significant digits for samples sitting close to a mean.
     # Each block of rows is differenced into one buffer and squared in place;
     # the row sums are the reduction np.linalg.norm(..., axis=1) runs, so the
     # distances are its bits without its two N x D temporaries per mean.
-    n, dim = data.shape
+    n, dim = X.shape
     rows = max(1, SILHOUETTE_ELEMENTS // dim)
     diff = np.empty((min(rows, n), dim))
     dists = np.empty((n, len(means)))
     for start in range(0, n, rows):
-        block = data[start : start + rows]
+        block = X[start : start + rows]
         d = diff[: len(block)]
         for j, m in enumerate(means):
             np.subtract(block, m, out=d)
@@ -133,11 +125,11 @@ def evaluate(
     pred_rows: Sequence | None = None,
     truth_rows: Sequence | None = None,
 ) -> dict:
-    """Pooled metrics of one segmentation run, as the dict the report
-    files hold: accuracy, nmi, si_pred, si_truth, per_label_accuracy,
-    confusion ({"labels", "counts"}; rows truth, columns pred) and
-    n_frames_evaluated, in that order. X with row-level labelings gives
-    the silhouettes.
+    """Pooled metrics of one segmentation run, from frame labelings of equal
+    length, as the dict the report files hold: accuracy, nmi, si_pred,
+    si_truth, per_label_accuracy, confusion ({"labels", "counts"}; rows
+    truth, columns pred) and n_frames_evaluated, in that order. X with
+    labelings of its rows gives the silhouettes.
 
     Frames and rows whose reference label is UNANNOTATED are left out of
     every metric except si_pred, which scores the clustering's own geometry
@@ -149,7 +141,6 @@ def evaluate(
     (anonymous clusters); si_pred / si_truth are None when their labeling
     is degenerate (fewer than two clusters).
     """
-    _check_lengths(pred, truth)
     pred, truth = np.asarray(pred, dtype=object), np.asarray(truth, dtype=object)
     kept = truth != UNANNOTATED
     names, counts = confusion_matrix(pred[kept], truth[kept])

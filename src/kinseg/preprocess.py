@@ -44,15 +44,13 @@ NAMED_SUBSETS = {
 
 
 def rotmat_to_quat(R: np.ndarray) -> np.ndarray:
-    """Convert rotation matrices (..., 3, 3) to unit quaternions (w, x, y, z).
+    """Convert a float array of rotation matrices (..., 3, 3) to unit
+    quaternions (w, x, y, z).
 
     Uses the largest-pivot construction for numerical robustness; the sign
     is canonicalized so w >= 0. Raises ValueError if any matrix is not
     orthonormal with positive determinant within 1e-6.
     """
-    R = np.asarray(R, dtype=float)
-    if R.ndim < 2 or R.shape[-2:] != (3, 3):
-        raise ValueError("R must be 3x3 or a stack of 3x3 matrices")
     M = R.reshape(-1, 3, 3)
     err = np.abs(M.transpose(0, 2, 1) @ M - np.eye(3)).max(axis=(1, 2), initial=0.0)
     det = np.linalg.det(M)
@@ -186,12 +184,15 @@ def _lfilter(b, a, x: np.ndarray, zi: np.ndarray) -> None:
 
 
 def zscore(signal: np.ndarray) -> np.ndarray:
-    """Normalize to zero mean, unit variance, per column of a T x p matrix;
-    a constant column maps to zeros (also when rounding makes its sd > 0).
-    A finite column whose variance overflows raises ValueError."""
-    rows = np.ascontiguousarray(_as_columns(signal).T)
-    if rows.shape[1] < 2:
-        raise ValueError("need at least 2 samples")
+    """Normalize to zero mean, unit variance, per column of a T x p float
+    matrix (or of a length-T signal), T >= 1; a constant column maps to
+    zeros (also when rounding makes its sd > 0). A finite column whose
+    variance overflows raises ValueError.
+
+    It reduces contiguous rows of the transpose, which gives each column
+    bit-for-bit the result of the 1-D call (a reduction down axis 0 does not).
+    """
+    rows = np.ascontiguousarray(signal.reshape(len(signal), -1).T)
     with np.errstate(over="ignore"):
         sd = rows.std(axis=1, keepdims=True)
     overflow = np.flatnonzero(np.isinf(sd))
@@ -200,28 +201,13 @@ def zscore(signal: np.ndarray) -> np.ndarray:
     scaled = (np.ptp(rows, axis=1, keepdims=True) != 0) & (sd != 0)
     centered = rows - rows.mean(axis=1, keepdims=True)
     out = np.divide(centered, sd, out=np.zeros_like(rows), where=scaled)
-    return out.T.reshape(np.shape(signal))
-
-
-def _as_columns(signal) -> np.ndarray:
-    """A length-T signal or T x p matrix as a T x p float matrix.
-
-    zscore reduces contiguous rows of its transpose, which gives each column
-    bit-for-bit the result of the 1-D call (a reduction down axis 0 does not).
-    """
-    x = np.asarray(signal, dtype=float)
-    if x.ndim not in (1, 2):
-        raise ValueError("signal must be 1-D or a T x p matrix")
-    return x[:, None] if x.ndim == 1 else x
+    return out.T.reshape(signal.shape)
 
 
 def distance_features(pos_right: np.ndarray, pos_left: np.ndarray) -> np.ndarray:
-    """Per-frame inter-arm distances (d_x, d_y, d_z, d), right minus left."""
-    pr = np.asarray(pos_right, dtype=float)
-    pl = np.asarray(pos_left, dtype=float)
-    if pr.shape != pl.shape or pr.ndim != 2 or pr.shape[1] != 3:
-        raise ValueError("positions must be matching T x 3 matrices")
-    diff = pr - pl
+    """Per-frame inter-arm distances (d_x, d_y, d_z, d), right minus left, of
+    two T x 3 position matrices."""
+    diff = pos_right - pos_left
     d = np.linalg.norm(diff, axis=1, keepdims=True)
     return np.hstack([diff, d])
 
@@ -328,11 +314,9 @@ def rows_to_frames(row_labels, stride: int, n_frames: int) -> np.ndarray:
     object array.
 
     Nearest-previous rule: frame f takes the label of the last row whose
-    anchor frame does not exceed f (row 0 is anchored at frame 0).
+    anchor frame does not exceed f (row 0 is anchored at frame 0). Needs at
+    least one row label.
     """
     row_labels = np.asarray(row_labels, dtype=object)
-    n_rows = len(row_labels)
-    if n_rows == 0:
-        raise ValueError("no row labels to project")
     rows = np.arange(n_frames) // stride
-    return row_labels[np.minimum(rows, n_rows - 1)]
+    return row_labels[np.minimum(rows, len(row_labels) - 1)]

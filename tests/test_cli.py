@@ -902,12 +902,16 @@ class TestRuntimeNeedsOnlyNumpy:
         assert tree_bytes(blocked) == tree_bytes(plain)
 
 
-def test_traced_benchmark_runs(tmp_path):
+def test_traced_benchmark_runs(tmp_path, monkeypatch):
     # perfbench/traced_cli.py wraps kinseg functions by name and reads the
     # recording's size from the file object it is given; a rename or a new
-    # signature fails here.
+    # signature fails here. A wrapped function that the CLI calls directly,
+    # not through its module, records no span, and fails here too.
     data = write_jigsaws(tmp_path / "data", 1, 3, 900)
     repo = os.path.dirname(os.path.dirname(__file__))
+    monkeypatch.syspath_prepend(repo)
+    from perfbench import run as bench
+    from perfbench import traced_cli
     traced = os.path.join(repo, "perfbench", "traced_cli.py")
     spans = tmp_path / "spans.json"
     proc = run_python([
@@ -924,6 +928,11 @@ def test_traced_benchmark_runs(tmp_path):
     ]
     sizes = [p.stat().st_size for p in sorted((data / "kinematics").iterdir())]
     assert parsed == sizes
+    wrapped = {name for _, _, name, _ in traced_cli.WRAPPED}
+    assert wrapped - {span["name"] for span in doc["spans"]} == set()
+    layers = bench.layer_metrics(doc, traced_wall=1.0)
+    assert set(layers) == set(bench.PER_LAYER) - {"trace.overhead_s"}
+    assert all(math.isfinite(v) for v in layers.values())
 
 
 def copy_tree(src, data):

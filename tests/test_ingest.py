@@ -58,10 +58,6 @@ class TestParseKinematicsJigsaws:
         text = "\n" + jigsaws_line(rng) + "\n\n"
         assert len(parse_kinematics(text, "jigsaws")[0]) == 1
 
-    def test_unknown_layout(self):
-        with pytest.raises(ValueError, match="layout"):
-            parse_kinematics("1.0", "weird")
-
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 separators = st.sampled_from([" ", "  ", "\t", " \t "])
@@ -396,15 +392,6 @@ class TestExpandLabels:
         t = (Segment(1, 5, "A"),)
         with pytest.raises(ValueError, match="exceeds"):
             expand_labels(t, 4)
-
-    def test_negative_length_empty_transcript(self):
-        with pytest.raises(ValueError, match="trajectory length must be >= 0, got -1"):
-            expand_labels((), -1)
-
-    def test_negative_length_with_segments(self):
-        t = (Segment(1, 2, "A"),)
-        with pytest.raises(ValueError, match="trajectory length must be >= 0, got -2"):
-            expand_labels(t, -2)
 
     def test_length_always_n_frames(self):
         t = (Segment(3, 6, "A"),)

@@ -71,10 +71,6 @@ class TestAccuracy:
     def test_three_quarters(self):
         assert accuracy(list("ABBB"), list("AABB")) == 0.75
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            accuracy(["a"], ["a", "b"])
-
     def test_empty(self):
         assert accuracy([], []) is None
 
@@ -135,16 +131,8 @@ class TestNmi:
             y = [str(v) for v in rng.integers(0, 3, 15)]
             assert 0.0 <= nmi(x, y) <= 1.0
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            nmi(["a"], ["a", "b"])
-
 
 class TestSilhouette:
-    def test_label_count_must_match_rows(self):
-        with pytest.raises(ValueError, match="^label count does not match row count$"):
-            silhouette_samples(np.zeros((3, 2)), ["a", "b"])
-
     def test_matches_brute_force(self):
         rng = np.random.default_rng(6)
         for _ in range(60):

@@ -94,10 +94,6 @@ class TestRotmatToQuat:
         with pytest.raises(ValueError, match="reflection"):
             rotmat_to_quat(np.diag([1.0, 1.0, -1.0]))
 
-    def test_wrong_shape(self):
-        with pytest.raises(ValueError):
-            rotmat_to_quat(np.eye(4))
-
 
 def near_pi_rotations(rng, n):
     axes = rng.normal(size=(n, 3))
@@ -406,10 +402,6 @@ class TestMatrixFilterAndZscore:
         x = np.array([[0.0, 1.0], [5e-324, 2.0], [0.0, 3.0]])
         assert np.array_equal(zscore(x)[:, 0], np.zeros(3))
 
-    def test_rejects_higher_rank(self):
-        with pytest.raises(ValueError, match="1-D or a T x p"):
-            zscore(np.ones((4, 2, 2)))
-
     def test_matrix_too_short(self):
         with pytest.raises(ValueError, match="too short"):
             lowpass_filter(np.ones((3, 5)), 1.5, 30.0)
@@ -428,10 +420,6 @@ class TestZscore:
         rng = np.random.default_rng(5)
         x = rng.normal(size=100)
         assert np.allclose(zscore(3.2 * x + 7.0), zscore(x), atol=1e-12)
-
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            zscore(np.array([1.0]))
 
     def test_overflowing_variance_rejected(self):
         # finite values whose squares overflow used to give sd = inf and zeros
@@ -457,10 +445,6 @@ class TestDistanceFeatures:
         d2 = distance_features(b, a)
         assert np.allclose(d1[:, :3], -d2[:, :3])
         assert np.allclose(d1[:, 3], d2[:, 3])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            distance_features(np.ones((3, 3)), np.ones((4, 3)))
 
 
 def make_fm(T=9, p=2):
@@ -674,10 +658,6 @@ class TestFrameAlignment:
     def test_rows_to_frames_nearest_previous(self):
         out = rows_to_frames(["a", "b", "c"], 3, 12)
         assert list(out) == ["a", "a", "a", "b", "b", "b", "c", "c", "c", "c", "c", "c"]
-
-    def test_rows_to_frames_empty(self):
-        with pytest.raises(ValueError):
-            rows_to_frames([], 1, 5)
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -303,6 +303,19 @@ class TestRowIndependence:
             assert full[n:].tobytes() == log_densities(model, X[n:]).tobytes(), n
             assert full[:n].tobytes() == log_densities(model, X[:n]).tobytes(), n
 
+    @pytest.mark.parametrize("block", [1, 7, 64, 256, 2 * ROW_BLOCK + 4])
+    def test_row_block_changes_no_bit(self, split, monkeypatch, block):
+        # The E-step's block length is a tuning knob, not part of the result;
+        # the last value exceeds the row count. _scatter reads ROW_BLOCK as
+        # its least chunk length above D=256, so this does not cover a fit.
+        seen = split(2, gmm.SPLIT_FLOOR)
+        n_rows = 2 * ROW_BLOCK + 3
+        model, X, _ = problem(n_rows, 10, 96, 190)
+        want = log_densities(model, X)
+        monkeypatch.setattr(gmm, "ROW_BLOCK", block)
+        assert log_densities(model, X).tobytes() == want.tobytes()
+        assert seen == [2, 2 if block < n_rows else 1]
+
 
 # ------------------------------------------------------------ the pin
 
