@@ -737,59 +737,6 @@ def build_calls(monkeypatch, robot_dir):
     return calls
 
 
-@pytest.fixture
-def count_calls(monkeypatch):
-    """count_calls(module, name) wraps module.name and returns the list that
-    collects the (args, kwargs) of each call."""
-
-    def install(module, name):
-        calls = []
-        real = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls.append((args, kwargs))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-        return calls
-
-    return install
-
-
-@pytest.fixture(scope="session")
-def robot_dir(tmp_path_factory):
-    """38-channel dataset in the robot file layout, two gestures per run."""
-    root = tmp_path_factory.mktemp("robotdata")
-    (root / "kinematics").mkdir()
-    (root / "transcripts").mkdir()
-    T = 240
-    t = np.arange(T) / 30.0
-    for run in range(2):
-        rng = np.random.default_rng(run)
-        arms = []
-        for arm in range(2):
-            freq = np.where(np.arange(T) < T // 2, 0.3, 1.1)
-            pos = np.column_stack(
-                [np.sin(2 * np.pi * freq * t + arm + k) for k in range(3)]
-            )
-            angles = 0.4 * np.sin(2 * np.pi * 0.2 * t + arm + run)
-            rots = rotvec_matrices(np.outer(angles, [0.6, 0.8, 0.0])).reshape(T, 9)
-            vel = np.column_stack(
-                [np.cos(2 * np.pi * freq * t + arm + k) for k in range(3)]
-            )
-            angvel = 0.05 * rng.normal(size=(T, 3))
-            grip = np.sin(2 * np.pi * 0.1 * t + arm)[:, None]
-            arms.append(np.hstack([pos, rots, vel, angvel, grip]))
-        transcript = (Segment(1, T // 2, "slow"), Segment(T // 2 + 1, T, "fast"))
-        (root / "kinematics" / f"run{run}.txt").write_text(
-            serialize_kinematics(np.hstack(arms), "jigsaws")
-        )
-        (root / "transcripts" / f"run{run}.txt").write_text(
-            serialize_transcript(transcript)
-        )
-    return root
-
-
 class TestKinematicPipeline:
     def test_segment_robot_dataset(self, robot_dir, tmp_path):
         out = tmp_path / "out"

@@ -146,6 +146,14 @@ class TestDensities:
         r = responsibilities(model, X)
         assert np.abs(r.sum(axis=1) - 1.0).max() < 1e-9
 
+    def test_dimension_mismatch(self, pipeline_calls):
+        # gmm does not compare the rows' width with the model's: cli fits,
+        # inits and predicts on slices of one X, so the widths are equal.
+        (rows, init), _ = pipeline_calls["em_fit"][0]
+        assert rows.shape[1] == init.dimension
+        for (model, rows), _ in pipeline_calls["predict_labels"]:
+            assert rows.shape[1] == model.dimension == init.dimension
+
     def test_singular_covariance_raises(self):
         model = mixture((np.zeros(2), np.zeros((2, 2)), 1.0))
         with pytest.raises(NumericalError):
@@ -226,6 +234,12 @@ class TestWeakInit:
         # 'big' has 2 rows at dimension 2, so it warns before 'tiny' raises
         with pytest.warns(RuntimeWarning, match="'big'"), pytest.raises(ValueError, match="'tiny'"):
             weak_init(np.ones((3, 2)), ["big", "big", "tiny"])
+
+    def test_label_count_mismatch(self, pipeline_calls):
+        # weak_init does not count its labels against its rows: cli cuts
+        # both from the init demonstrations with one mask.
+        for (rows, labels), _ in pipeline_calls["weak_init"]:
+            assert len(labels) == len(rows) > 0
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(9)
@@ -421,6 +435,13 @@ class TestPredictLabels:
         )
         labels = predict_labels(model, np.array([[0.0]]))
         assert labels == ["first"]
+
+    def test_one_dimensional_rows_rejected(self, pipeline_calls):
+        # gmm takes its rows as an N x D float matrix: cli passes 2-D slices.
+        calls = [*pipeline_calls["weak_init"], *pipeline_calls["em_fit"]]
+        rows = [args[0] for args, _ in calls]
+        rows += [args[1] for args, _ in pipeline_calls["predict_labels"]]
+        assert all(r.ndim == 2 and r.dtype == float for r in rows)
 
     def test_anonymous_names(self):
         rng = np.random.default_rng(24)

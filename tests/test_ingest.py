@@ -58,6 +58,13 @@ class TestParseKinematicsJigsaws:
         text = "\n" + jigsaws_line(rng) + "\n\n"
         assert len(parse_kinematics(text, "jigsaws")[0]) == 1
 
+    def test_unknown_layout(self, pipeline_calls):
+        # parse_kinematics does not check its layout: cli picks one of the
+        # two by the file's extension.
+        layouts = {args[1] for args, _ in pipeline_calls["parse_kinematics"]}
+        assert layouts == {"jigsaws"}
+        assert layouts <= set(ingest._DELIMITERS)
+
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 separators = st.sampled_from([" ", "  ", "\t", " \t "])
@@ -392,6 +399,32 @@ class TestExpandLabels:
         t = (Segment(1, 5, "A"),)
         with pytest.raises(ValueError, match="exceeds"):
             expand_labels(t, 4)
+
+    def test_negative_length_empty_transcript(self, tmp_path, count_calls, capsys):
+        # A recording's frame count is never below 1: one with no rows is
+        # refused as it is parsed, before its transcript is expanded.
+        from kinseg import cli
+
+        for sub in ("kinematics", "transcripts"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "d00.txt").write_text("")
+        expands = count_calls(cli, "expand_labels")
+        argv = ["segment", "--data-dir", str(tmp_path), "--output-dir",
+                str(tmp_path / "out"), "--init-demos", "d00"]
+        assert cli.main(argv) == 2
+        assert "d00.txt: empty input" in capsys.readouterr().err
+        assert expands == []
+
+    def test_negative_length_with_segments(self, robot_dir, pipeline_calls):
+        # expand_labels does not check its frame count: cli passes each
+        # recording's own, one per frame line.
+        frames = [
+            len((robot_dir / "kinematics" / f"run{i}.txt").read_text().splitlines())
+            for i in range(2)
+        ]
+        calls = [args for args, _ in pipeline_calls["expand_labels"]]
+        assert [n for _, n in calls] == frames
+        assert all(t and t[-1].end <= n for t, n in calls)
 
     def test_length_always_n_frames(self):
         t = (Segment(3, 6, "A"),)

@@ -269,6 +269,12 @@ class TestAgainstReferences:
         assert report["per_label_accuracy"] == ref_per_label_accuracy(p, t)
         assert report["nmi"] == ref_nmi(p, t)
 
+    def test_length_mismatch(self, pipeline_calls):
+        # The references no longer compare lengths, nor does metrics: every
+        # row labeling RunResult.score passes covers the rows of its X.
+        for _, kw in pipeline_calls["evaluate"]:
+            assert len(kw["X"]) == len(kw["pred_rows"]) == len(kw["truth_rows"]) > 0
+
 
 # ------------------------------------------------------ labeling properties
 

@@ -71,6 +71,12 @@ class TestAccuracy:
     def test_three_quarters(self):
         assert accuracy(list("ABBB"), list("AABB")) == 0.75
 
+    def test_length_mismatch(self, pipeline_calls):
+        # evaluate does not compare the lengths of its frame labelings:
+        # RunResult.score passes each scored demonstration's frames of both.
+        for (pred, truth), _ in pipeline_calls["evaluate"]:
+            assert len(pred) == len(truth) > 0
+
     def test_empty(self):
         assert accuracy([], []) is None
 
@@ -131,8 +137,21 @@ class TestNmi:
             y = [str(v) for v in rng.integers(0, 3, 15)]
             assert 0.0 <= nmi(x, y) <= 1.0
 
+    def test_length_mismatch(self, pipeline_calls):
+        # nmi is read from confusion_matrix's counts, which pair the two
+        # labelings frame by frame: evaluate passes them of equal length.
+        for (pred, truth), _ in pipeline_calls["confusion_matrix"]:
+            assert len(pred) == len(truth) > 0
+
 
 class TestSilhouette:
+    def test_label_count_must_match_rows(self, pipeline_calls):
+        # silhouette_samples does not count its labels against its rows:
+        # RunResult.score passes views of X and of its row labelings that
+        # cover the same span.
+        for (X, labels), _ in pipeline_calls["silhouette_samples"]:
+            assert X.ndim == 2 and len(labels) == len(X) > 0
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(6)
         for _ in range(60):

@@ -94,6 +94,12 @@ class TestRotmatToQuat:
         with pytest.raises(ValueError, match="reflection"):
             rotmat_to_quat(np.diag([1.0, 1.0, -1.0]))
 
+    def test_wrong_shape(self, pipeline_calls):
+        # rotmat_to_quat does not check its shape: build_features passes
+        # each arm's nine rotation channels reshaped to T x 3 x 3.
+        for (R,), _ in pipeline_calls["rotmat_to_quat"]:
+            assert R.ndim == 3 and R.shape[1:] == (3, 3) and R.dtype == float
+
 
 def near_pi_rotations(rng, n):
     axes = rng.normal(size=(n, 3))
@@ -406,6 +412,12 @@ class TestMatrixFilterAndZscore:
         with pytest.raises(ValueError, match="too short"):
             lowpass_filter(np.ones((3, 5)), 1.5, 30.0)
 
+    def test_rejects_higher_rank(self, pipeline_calls):
+        # zscore does not check its rank: build_features passes each
+        # recording's filtered T x 32 feature matrix.
+        for (values,), _ in pipeline_calls["zscore"]:
+            assert values.ndim == 2 and values.shape[1] == 32
+
 
 class TestZscore:
     def test_basic(self):
@@ -427,6 +439,16 @@ class TestZscore:
         with pytest.raises(ValueError, match="variance of column 1 overflows"):
             zscore(x)
 
+    def test_too_short(self, pipeline_calls, count_calls):
+        # zscore does not count its samples: build_features checks every
+        # recording's length before it filters or z-scores any.
+        assert all(len(args[0]) >= 4 for args, _ in pipeline_calls["zscore"])
+        calls = count_calls(pp, "zscore")
+        recordings = {"long": np.zeros((40, 38)), "short": np.zeros((3, 38))}
+        with pytest.raises(ValueError, match="^short: signal too short"):
+            pp.build_features(recordings, fc_hz=1.5, fs_hz=30.0, stride=1)
+        assert calls == []
+
 
 class TestDistanceFeatures:
     def test_coincident(self):
@@ -445,6 +467,12 @@ class TestDistanceFeatures:
         d2 = distance_features(b, a)
         assert np.allclose(d1[:, :3], -d2[:, :3])
         assert np.allclose(d1[:, 3], d2[:, 3])
+
+    def test_shape_mismatch(self, pipeline_calls):
+        # distance_features does not compare its shapes: build_features
+        # passes the two arms' positions, T x 3 slices of one recording.
+        for (right, left), _ in pipeline_calls["distance_features"]:
+            assert right.shape == left.shape == (len(right), 3)
 
 
 def make_fm(T=9, p=2):
@@ -658,6 +686,13 @@ class TestFrameAlignment:
     def test_rows_to_frames_nearest_previous(self):
         out = rows_to_frames(["a", "b", "c"], 3, 12)
         assert list(out) == ["a", "a", "a", "b", "b", "b", "c", "c", "c", "c", "c", "c"]
+
+    def test_rows_to_frames_empty(self, pipeline_calls):
+        # rows_to_frames needs a row label: cli refuses a demonstration with
+        # no more rows than the window, so each has at least one, and the
+        # last is anchored on its frame grid.
+        for (rows, stride, n_frames), _ in pipeline_calls["rows_to_frames"]:
+            assert 0 < len(rows) and (len(rows) - 1) * stride < n_frames
 
     @settings(max_examples=80, deadline=None)
     @given(
